@@ -211,12 +211,20 @@ def score_table_to_tsv(table: ScoreTable) -> str:
 
 
 def read_score_table(path) -> ScoreTable:
+    """Read a score table by column name.
+
+    utterance_id, gop, predicted and label_mean are required and fused is
+    optional; log-likelihood columns (`*_loglik`, as `proscore score`
+    writes them) are skipped.
+    """
+    required = ("utterance_id", "gop", "predicted", "label_mean")
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split("\t")
-        expected = ["utterance_id", "gop", "predicted", "label_mean"]
-        if header[:4] != expected or len(header) > 5:
+        known = required + ("fused",)
+        if (len(set(header)) != len(header) or not set(required) <= set(header)
+                or not all(c in known or c.endswith("_loglik") for c in header)):
             raise AssessError(f"{path}: unexpected score table header {header}")
-        has_fused = len(header) == 5
+        col = {name: header.index(name) for name in known if name in header}
         rows = []
         for lineno, line in enumerate(f, 2):
             line = line.rstrip("\n")
@@ -225,9 +233,10 @@ def read_score_table(path) -> ScoreTable:
             parts = line.split("\t")
             if len(parts) != len(header):
                 raise AssessError(f"{path}:{lineno}: wrong column count")
-            fused = float(parts[4]) if has_fused else None
-            rows.append(ScoreRow(parts[0], float(parts[1]), float(parts[2]),
-                                 float(parts[3]), fused))
+            v = {name: parts[i] for name, i in col.items()}
+            rows.append(ScoreRow(v["utterance_id"], float(v["gop"]),
+                                 float(v["predicted"]), float(v["label_mean"]),
+                                 float(v["fused"]) if "fused" in v else None))
     return ScoreTable(tuple(rows))
 
 

@@ -1,7 +1,9 @@
 """Command-line entry point orchestrating the scoring pipeline.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 training
-divergence. Every command is deterministic given its config and seed.
+Each stage subcommand turns its flags into a config section and calls the
+pipeline stage function that `run` calls too. Exit codes: 0 success, 1
+configuration error, 2 data error, 3 training divergence. Every command
+is deterministic given its config and seed.
 """
 
 from __future__ import annotations
@@ -12,16 +14,23 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assess, dnf, flow, gmm, gop, ivector, pipeline, regress
+from . import assess, gmm, gop, pipeline, regress
+from .assess import AssessError
 from .corpus import (CorpusError, SynthConfig, load_corpus, save_corpus,
                      synth_corpus)
-from .flow import TrainingDivergence
+from .dnf import DnfError
+from .flow import FlowError, TrainingDivergence
 from .formats import FormatError
+from .gmm import GmmError
+from .ivector import IVectorError
 from .pipeline import ConfigError
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
+
+DATA_ERRORS = (CorpusError, FormatError, AssessError, GmmError, FlowError,
+               IVectorError, DnfError, FileNotFoundError)
 
 
 def _write_text(path, text):
@@ -31,12 +40,15 @@ def _write_text(path, text):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_corpus_arg(args):
-    return load_corpus(args.manifest)
+def _section(args) -> dict:
+    """The config section that the subcommand's stage flags spell out."""
+    return {key: getattr(args, key) for key in args.section}
 
 
-def _train_split_frames(corpus):
-    return corpus.frames_for(list(corpus.splits.train_ids))
+def _save(args, model) -> int:
+    pipeline.save_model(args.out, model)
+    print(f"model written to {args.out}")
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -58,83 +70,35 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_gmm(args) -> int:
-    corpus = _load_corpus_arg(args)
-    model, _trace = gmm.gmm_train(_train_split_frames(corpus),
-                                  args.components, args.iters, args.seed or 0)
-    gmm.save_gmm(args.out, model)
-    print(f"model written to {args.out}")
-    return 0
+    return _save(args, pipeline.train_gmm(load_corpus(args.manifest),
+                                          _section(args), args.seed or 0))
 
 
 def cmd_train_ivector(args) -> int:
-    corpus = _load_corpus_arg(args)
-    ubm = gmm.load_gmm(args.ubm)
-    stats = [ivector.ubm_stats(ubm, corpus.features[uid])
-             for uid in corpus.splits.train_ids]
-    model, _trace = ivector.tmatrix_train(ubm, stats, args.dim, args.iters,
-                                          args.seed or 0)
-    ivector.save_ivector_model(args.out, model)
-    print(f"model written to {args.out}")
-    return 0
-
-
-def _adam_from_args(args) -> flow.AdamConfig:
-    return flow.AdamConfig(learning_rate=args.learning_rate,
-                           batch_size=args.batch_size, epochs=args.epochs,
-                           seed=args.seed or 0)
+    corpus = load_corpus(args.manifest)
+    return _save(args, pipeline.train_ivector(corpus, gmm.load_gmm(args.ubm),
+                                              _section(args), args.seed or 0))
 
 
 def cmd_train_flow(args) -> int:
-    corpus = _load_corpus_arg(args)
-    frames = _train_split_frames(corpus)
-    base = flow.build_flow(frames.shape[1], args.layers, args.width,
-                           seed=args.seed or 0)
-    model, trace = flow.flow_train(base, frames, _adam_from_args(args))
-    flow.save_flow(args.out, model)
+    model, trace = pipeline.train_flow(load_corpus(args.manifest),
+                                       _section(args), args.seed or 0)
     if args.trace:
         _write_text(args.trace, "epoch\tnll\n" + "".join(
             f"{i}\t{v:.17g}\n" for i, v in enumerate(trace)))
-    print(f"model written to {args.out}")
-    return 0
+    return _save(args, model)
 
 
 def cmd_train_dnf(args) -> int:
-    corpus = _load_corpus_arg(args)
-    frames, classes = [], []
-    for uid in corpus.splits.train_ids:
-        fs = corpus.features[uid]
-        cls = dnf.classes_from_mean_scores(
-            [corpus.labels[uid].mean_score], args.classes)[0]
-        frames.append(fs.frames)
-        classes.append(np.full(fs.num_frames, cls, dtype=np.int64))
-    model, _trace = dnf.dnf_train(np.vstack(frames), np.concatenate(classes),
-                                  _adam_from_args(args),
-                                  num_classes=args.classes,
-                                  num_layers=args.layers, width=args.width)
-    dnf.save_dnf(args.out, model)
-    print(f"model written to {args.out}")
-    return 0
+    return _save(args, pipeline.train_dnf(load_corpus(args.manifest),
+                                          _section(args), args.seed or 0))
 
 
 def cmd_train_svr(args) -> int:
-    corpus = _load_corpus_arg(args)
-    emb = _read_embeddings(args.embeddings)
-    params = regress.SvrParams(C=args.C, epsilon=args.epsilon,
-                               kernel=args.kernel, gamma=args.gamma)
-    train_ids = [u for u in corpus.splits.train_ids if u in emb]
-    if not train_ids:
-        raise CorpusError("no train-split utterances in the embeddings file")
-    X = np.array([emb[u] for u in train_ids])
-    y = np.array([corpus.labels[u].mean_score for u in train_ids])
-    model = regress.svr_train(X, y, params, args.seed or 0)
-    regress.save_svr(args.out, model)
-    print(f"model written to {args.out}")
-    return 0
-
-
-def _model_magic(path) -> str:
-    with open(path, "rb") as f:
-        return f.read(4).decode("ascii", errors="replace")
+    corpus = load_corpus(args.manifest)
+    return _save(args, pipeline.train_svr(corpus,
+                                          _read_embeddings(args.embeddings),
+                                          _section(args), args.seed or 0))
 
 
 def _read_embeddings(path) -> dict:
@@ -158,68 +122,39 @@ def _write_embeddings(path, emb: dict) -> None:
 
 
 def cmd_embed(args) -> int:
-    corpus = _load_corpus_arg(args)
-    magic = _model_magic(args.model)
-    if magic == ivector.IVECTOR_MAGIC:
-        model = ivector.load_ivector_model(args.model)
-        emb = {uid: ivector.ivector_infer(
-            model, ivector.ubm_stats(model.ubm, fs))[0]
-            for uid, fs in corpus.features.items()}
-    elif magic == flow.FLOW_MAGIC:
-        model = flow.load_flow(args.model)
-        emb = {uid: flow.flow_embed(model, fs)
-               for uid, fs in corpus.features.items()}
-    elif magic == dnf.DNF_MAGIC:
-        model = dnf.load_dnf(args.model)
-        emb = {uid: dnf.dnf_embed(model, fs)
-               for uid, fs in corpus.features.items()}
-    else:
-        raise CorpusError(f"unknown model file magic in {args.model}")
-    _write_embeddings(args.out, emb)
+    corpus = load_corpus(args.manifest)
+    _write_embeddings(args.out, pipeline.embed(pipeline.load_model(args.model),
+                                               corpus.features))
     return 0
 
 
 def cmd_score(args) -> int:
-    corpus = _load_corpus_arg(args)
+    corpus = load_corpus(args.manifest)
     ids = sorted(corpus.features)
     if args.split:
         ids = sorted({"train": corpus.splits.train_ids,
                       "dev": corpus.splits.dev_ids,
                       "eval": corpus.splits.eval_ids}[args.split])
+    features = {uid: corpus.features[uid] for uid in ids}
     columns = []
     if args.gop:
-        vals = {uid: gop.gop_score(corpus.posteriors[uid],
-                                   corpus.alignments[uid]).gop for uid in ids}
-        columns.append(("gop", vals))
+        columns.append(("gop", pipeline.score_gop(
+            corpus, pipeline.default_config()["gop"], ids)))
     for model_path in args.model or []:
-        magic = _model_magic(model_path)
-        if magic == gmm.GMM_MAGIC:
-            model = gmm.load_gmm(model_path)
-            vals = {uid: gmm.gmm_loglik(model, corpus.features[uid])[1]
-                    for uid in ids}
-            columns.append(("gmm_loglik", vals))
-        elif magic == flow.FLOW_MAGIC:
-            model = flow.load_flow(model_path)
-            vals = {uid: float(flow.flow_logprob(
-                model, corpus.features[uid].frames).mean()) for uid in ids}
-            columns.append(("nf_loglik", vals))
-        elif magic == dnf.DNF_MAGIC:
-            model = dnf.load_dnf(model_path)
-            vals = {uid: float(flow.flow_logprob(
-                model.backbone, corpus.features[uid].frames).mean())
-                for uid in ids}
-            columns.append(("dnf_loglik", vals))
-        else:
-            raise CorpusError(f"unknown model file magic in {model_path}")
+        model = pipeline.load_model(model_path)
+        columns.append((f"{pipeline.model_system(model)}_loglik",
+                        pipeline.utterance_loglik(model, features)))
     if args.svr:
         if not args.embeddings:
             raise ConfigError("--svr requires --embeddings")
-        model = regress.load_svr(args.svr)
-        emb = _read_embeddings(args.embeddings)
-        vals = {uid: regress.svr_predict(model, emb[uid]) for uid in ids}
-        columns.append(("predicted", vals))
+        columns.append(("predicted", pipeline.predict(
+            regress.load_svr(args.svr), _read_embeddings(args.embeddings), ids)))
     if not columns:
         raise ConfigError("no score columns requested (use --gop/--model/--svr)")
+    nan = float("nan")
+    columns.append(("label_mean", {
+        uid: corpus.labels[uid].mean_score if uid in corpus.labels else nan
+        for uid in ids}))
     header = "utterance_id\t" + "\t".join(name for name, _ in columns)
     lines = [header]
     for uid in ids:
@@ -230,6 +165,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.lam is not None and not 0.0 <= args.lam <= 1.0:
+        raise ConfigError(f"--lambda must lie in [0,1], got {args.lam}")
     table = assess.read_score_table(args.scores)
     dev_table = assess.read_score_table(args.dev_scores)
     if args.lam is None:
@@ -248,7 +185,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    corpus = _load_corpus_arg(args)
+    corpus = load_corpus(args.manifest)
     table = assess.read_score_table(args.scores)
     rows = assess.evaluate(table, corpus.splits, split_name=args.split)
     _write_text(args.out, assess.report_to_tsv(rows))
@@ -281,6 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         return p
 
+    def stage_flags(p, section, *keys, **choices):
+        # --KEY for each KEY of a config section, defaulting to the preset
+        preset = pipeline.default_config()[section]
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), type=type(preset[key]),
+                           default=preset[key], choices=choices.get(key))
+        p.set_defaults(section=keys)
+
     p = add("run", cmd_run, help="run the full pipeline from a config file")
     p.add_argument("config")
     p.add_argument("--force", action="store_true",
@@ -292,40 +237,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train-gmm", cmd_train_gmm, help="train the GMM marginal model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--components", type=int, default=16)
-    p.add_argument("--iters", type=int, default=25)
+    stage_flags(p, "gmm", "components", "iters")
 
     p = add("train-ivector", cmd_train_ivector, help="train the i-vector extractor")
     p.add_argument("--manifest", required=True)
     p.add_argument("--ubm", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--iters", type=int, default=5)
+    stage_flags(p, "ivector", "dim", "iters")
 
-    for name, func in (("train-flow", cmd_train_flow),
-                       ("train-dnf", cmd_train_dnf)):
+    for name, func, section in (("train-flow", cmd_train_flow, "nf"),
+                                ("train-dnf", cmd_train_dnf, "dnf")):
         p = add(name, func, help=f"train the {name.split('-')[1]} model")
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--layers", type=int, default=6)
-        p.add_argument("--width", type=int, default=48)
-        p.add_argument("--epochs", type=int, default=12)
-        p.add_argument("--batch-size", type=int, default=256)
-        p.add_argument("--learning-rate", type=float, default=0.001)
+        keys = ("layers", "width", "epochs", "batch_size", "learning_rate")
         if name == "train-flow":
             p.add_argument("--trace", default=None,
                            help="optional epoch/NLL TSV output")
         else:
-            p.add_argument("--classes", type=int, default=5)
+            keys += ("classes",)
+        stage_flags(p, section, *keys)
 
     p = add("train-svr", cmd_train_svr, help="train the SVR prediction model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
-    p.add_argument("--gamma", default="scale")
+    stage_flags(p, "svr", "C", "epsilon", "kernel", "gamma",
+                kernel=("linear", "rbf"))
 
     p = add("embed", cmd_embed, help="extract utterance embeddings")
     p.add_argument("--manifest", required=True)
@@ -371,15 +309,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, regress.SvrError, ValueError) as exc:
-        if isinstance(exc, (CorpusError, FormatError)):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:  # ConfigError, SvrError and bad settings
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except TrainingDivergence as exc:
         print(f"training divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

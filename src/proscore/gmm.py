@@ -88,13 +88,6 @@ def gmm_loglik(m: GmmModel, fs: FeatureSequence):
     return per_frame, float(per_frame.mean())
 
 
-def frames_loglik(m: GmmModel, frames: np.ndarray) -> np.ndarray:
-    """Per-frame log-likelihoods for a bare frame matrix."""
-    if frames.shape[1] != m.dim:
-        raise GmmError(f"frames have dim {frames.shape[1]}, model {m.dim}")
-    return _logsumexp(_component_loglik(m, frames), axis=1)
-
-
 def _kmeans_init(frames: np.ndarray, K: int, rng, iters: int = 10) -> np.ndarray:
     """Seeded k-means on a random subset of starting centers."""
     idx = rng.choice(frames.shape[0], size=K, replace=False)

@@ -3,7 +3,9 @@
 Stages run in dependency order and cache their artifacts on disk keyed by
 a content digest of their inputs and config section, so re-running a
 config retrains only what changed. All stages are deterministic given the
-config and seed.
+config and seed. The stage functions below `run_pipeline` are also what
+the CLI subcommands call, so a step-by-step CLI chain with the stage seeds
+reproduces the models of a run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from . import assess, dnf, flow, gmm, gop, ivector, regress
 from .corpus import (Corpus, CorpusError, SynthConfig, load_corpus,
                      save_corpus, synth_corpus)
+from .formats import FormatError
 
 
 class ConfigError(ValueError):
@@ -101,14 +104,6 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-def _file_digest(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 class StageCache:
     """Digest-stamped artifact cache under the model directory."""
 
@@ -156,138 +151,88 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
     all_ids = sorted(corpus.features)
-    train_frames = corpus.frames_for(train_ids)
-
-    # GOP is needed by every fusion mode, so it always runs
-    gop_cfg = _merged(cfg, "gop")
-    gop_scores = {
-        uid: gop.gop_score(corpus.posteriors[uid], corpus.alignments[uid],
-                           gop_cfg["mode"]).gop
-        for uid in all_ids if uid in corpus.alignments
-    }
 
     label_means = {uid: corpus.labels[uid].mean_score for uid in corpus.labels}
-
+    eval_labels = np.array([label_means[u] for u in eval_ids])
     report_rows = []
     pcc_by_system = {}
-    eval_labels = np.array([label_means[u] for u in eval_ids])
+
+    def add_row(system, val, lam=None):
+        report_rows.append(assess.ReportRow(system, "eval", val, lam))
+        pcc_by_system[system] = val
+
+    def eval_pcc(scores: dict) -> float:
+        return assess.pcc(np.array([scores[u] for u in eval_ids]), eval_labels)
 
     rater_counts = {len(corpus.labels[u].rater_scores) for u in eval_ids}
     if len(rater_counts) == 1 and rater_counts != {1}:
         ratings = np.array([corpus.labels[u].rater_scores for u in eval_ids],
                            dtype=np.float64)
-        human = assess.inter_rater_pcc(ratings)
-        report_rows.append(assess.ReportRow("human", "eval", human))
-        pcc_by_system["human"] = human
+        add_row("human", assess.inter_rater_pcc(ratings))
     else:
         warnings.warn("skipping inter-rater PCC: rater counts differ")
 
-    gop_eval = np.array([gop_scores[u] for u in eval_ids])
-    gop_pcc = assess.pcc(gop_eval, eval_labels)
-    report_rows.append(assess.ReportRow("gop", "eval", gop_pcc))
-    pcc_by_system["gop"] = gop_pcc
+    # GOP is needed by every fusion mode, so it always runs
+    gop_scores = score_gop(corpus, _merged(cfg, "gop"),
+                           [u for u in all_ids if u in corpus.alignments])
+    add_row("gop", eval_pcc(gop_scores))
 
-    # ---- marginal models -------------------------------------------------
-    gmm_model = None
-    if "gmm" in systems:
-        gmm_cfg = _merged(cfg, "gmm")
-        key = _digest("gmm", gmm_cfg, corpus_key, seed)
-        gmm_model = cache.run(
-            "gmm", key, ["gmm.pgmm"],
-            lambda: _train_gmm(train_frames, gmm_cfg, seed, model_dir),
-            lambda: gmm.load_gmm(model_dir / "gmm.pgmm"))
-    if "gmm" in systems:
-        scores = {uid: gmm.gmm_loglik(gmm_model, corpus.features[uid])[1]
-                  for uid in all_ids}
-        val = assess.pcc(np.array([scores[u] for u in eval_ids]), eval_labels)
-        report_rows.append(assess.ReportRow("gmm_loglik", "eval", val))
-        pcc_by_system["gmm_loglik"] = val
+    def cached(name, filename, key, train):
+        path = model_dir / filename
+        return cache.run(name, key, [filename],
+                         lambda: save_model(path, train()),
+                         lambda: load_model(path))
 
-    nf_model = None
-    if "nf" in systems:
-        nf_cfg = _merged(cfg, "nf")
-        key = _digest("nf", nf_cfg, corpus_key, seed)
-        nf_model = cache.run(
-            "nf", key, ["nf.pnf1"],
-            lambda: _train_nf(train_frames, nf_cfg, seed, model_dir),
-            lambda: flow.load_flow(model_dir / "nf.pnf1"))
-        scores = {uid: float(flow.flow_logprob(nf_model,
-                                               corpus.features[uid].frames).mean())
-                  for uid in all_ids}
-        val = assess.pcc(np.array([scores[u] for u in eval_ids]), eval_labels)
-        report_rows.append(assess.ReportRow("nf_loglik", "eval", val))
-        pcc_by_system["nf_loglik"] = val
+    # ---- marginal models: each stage trains under its own seed, the run
+    # seed plus its offset; a CLI train subcommand's --seed is that seed
+    def train_ubm_ivector(section):
+        ubm = train_gmm(corpus, {"components": section["ubm_components"],
+                                 "iters": section["ubm_iters"]}, seed + 11)
+        return train_ivector(corpus, ubm, section, seed + 41)
 
-    dnf_model = None
-    if "dnf" in systems:
-        dnf_cfg = _merged(cfg, "dnf")
-        key = _digest("dnf", dnf_cfg, corpus_key, seed)
-        dnf_model = cache.run(
-            "dnf", key, ["dnf.pdnf"],
-            lambda: _train_dnf(corpus, train_ids, dnf_cfg, seed, model_dir),
-            lambda: dnf.load_dnf(model_dir / "dnf.pdnf"))
-
-    iv_model = None
-    if "ivector" in systems:
-        iv_cfg = _merged(cfg, "ivector")
-        key = _digest("ivector", iv_cfg, corpus_key, seed)
-        iv_model = cache.run(
-            "ivector", key, ["ivector.pivm"],
-            lambda: _train_ivector(corpus, train_ids, train_frames, iv_cfg,
-                                   seed, model_dir),
-            lambda: ivector.load_ivector_model(model_dir / "ivector.pivm"))
+    trainers = {
+        "gmm": ("gmm.pgmm", lambda s: train_gmm(corpus, s, seed + 11)),
+        "nf": ("nf.pnf1", lambda s: train_flow(corpus, s, seed + 23)[0]),
+        "dnf": ("dnf.pdnf", lambda s: train_dnf(corpus, s, seed + 37)),
+        "ivector": ("ivector.pivm", train_ubm_ivector),
+    }
+    models = {}
+    for name, (filename, train) in trainers.items():
+        if name in systems:
+            section = _merged(cfg, name)
+            models[name] = cached(name, filename,
+                                  _digest(name, section, corpus_key, seed),
+                                  lambda: train(section))
+    for name in ("gmm", "nf"):
+        if name in models:
+            add_row(f"{name}_loglik",
+                    eval_pcc(utterance_loglik(models[name], corpus.features)))
 
     # ---- embeddings and prediction models --------------------------------
+    svr_cfg = _merged(cfg, "svr")
     embeddings = {}
-    if iv_model is not None:
-        embeddings["ivector"] = {
-            uid: ivector.ivector_infer(
-                iv_model, ivector.ubm_stats(iv_model.ubm, corpus.features[uid]))[0]
-            for uid in all_ids}
-    if nf_model is not None:
-        embeddings["nf"] = {uid: flow.flow_embed(nf_model, corpus.features[uid])
-                            for uid in all_ids}
-    if dnf_model is not None:
-        embeddings["dnf"] = {uid: dnf.dnf_embed(dnf_model, corpus.features[uid])
-                             for uid in all_ids}
-
-    svr_params = regress.SvrParams(**_merged(cfg, "svr"))
-    fusion_cfg = _merged(cfg, "fusion")
-    score_tables = {}
-    lambdas = {}
     predictions = {}
     for name in ("ivector", "nf", "dnf"):
-        if name not in embeddings:
+        if name not in models:
             continue
-        emb = embeddings[name]
-        Xtr = np.array([emb[u] for u in train_ids])
-        ytr = np.array([label_means[u] for u in train_ids])
-        svr_model = cache.run(
-            f"svr_{name}",
-            _digest("svr", _merged(cfg, "svr"), corpus_key, seed, name,
-                    _merged(cfg, name if name != "ivector" else "ivector")),
-            [f"svr_{name}.psvr"],
-            lambda Xtr=Xtr, ytr=ytr, name=name: _train_svr(
-                Xtr, ytr, svr_params, seed, model_dir, f"svr_{name}.psvr"),
-            lambda name=name: regress.load_svr(model_dir / f"svr_{name}.psvr"))
-        Xall = np.array([emb[u] for u in all_ids])
-        pred = dict(zip(all_ids, regress.svr_predict_batch(svr_model, Xall)))
-        predictions[name] = pred
-
-        val = assess.pcc(np.array([pred[u] for u in eval_ids]), eval_labels)
-        report_rows.append(assess.ReportRow(f"{name}_svr", "eval", val))
-        pcc_by_system[f"{name}_svr"] = val
+        emb = embeddings[name] = embed(models[name], corpus.features)
+        svr_model = cached(
+            f"svr_{name}", f"svr_{name}.psvr",
+            _digest("svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name)),
+            lambda: train_svr(corpus, emb, svr_cfg, seed))
+        predictions[name] = predict(svr_model, emb, all_ids)
+        add_row(f"{name}_svr", eval_pcc(predictions[name]))
 
     # ---- fusion ----------------------------------------------------------
+    fusion_cfg = _merged(cfg, "fusion")
     modes = fusion_cfg["modes"]
-    for name in ("ivector", "nf", "dnf"):
-        if name not in predictions:
-            continue
-        table = assess.ScoreTable(tuple(
-            assess.ScoreRow(u, gop_scores[u], predictions[name][u],
-                            label_means[u])
-            for u in all_ids))
+    score_tables = {}
+    lambdas = {}
+    for name, pred in predictions.items():
         if "score" in modes:
+            table = assess.ScoreTable(tuple(
+                assess.ScoreRow(u, gop_scores[u], pred[u], label_means[u])
+                for u in all_ids))
             dev_table = table.subset(dev_ids)
             lam, _curve = assess.select_lambda(
                 dev_table, fusion_cfg["grid_step"], fusion_cfg["normalization"])
@@ -295,10 +240,8 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                      if fusion_cfg["normalization"] == "zscore" else None)
             fcfg = assess.FusionConfig(lam, fusion_cfg["normalization"])
             fused_eval = assess.score_fuse(table.subset(eval_ids), fcfg, stats)
-            val = assess.pcc(fused_eval.column("fused"), eval_labels)
-            report_rows.append(assess.ReportRow(
-                f"gop+{name}_score_fusion", "eval", val, lam))
-            pcc_by_system[f"gop+{name}_score_fusion"] = val
+            add_row(f"gop+{name}_score_fusion",
+                    assess.pcc(fused_eval.column("fused"), eval_labels), lam)
             lambdas[name] = lam
             score_tables[name] = fused_eval
         if "feature" in modes:
@@ -308,14 +251,9 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                 np.array([emb[u] for u in order]),
                 np.array([gop_scores[u] for u in order]))
             by_uid = dict(zip(order, fused_X))
-            Xtr = np.array([by_uid[u] for u in train_ids])
-            ytr = np.array([label_means[u] for u in train_ids])
-            ff_model = regress.svr_train(Xtr, ytr, svr_params, seed)
-            Xev = np.array([by_uid[u] for u in eval_ids])
-            val = assess.pcc(regress.svr_predict_batch(ff_model, Xev), eval_labels)
-            report_rows.append(assess.ReportRow(
-                f"gop+{name}_feature_fusion", "eval", val))
-            pcc_by_system[f"gop+{name}_feature_fusion"] = val
+            ff_model = train_svr(corpus, by_uid, svr_cfg, seed)
+            add_row(f"gop+{name}_feature_fusion",
+                    eval_pcc(predict(ff_model, by_uid, eval_ids)))
 
     report_path = report_dir / "report.tsv"
     report_path.write_text(assess.report_to_tsv(report_rows), encoding="utf-8")
@@ -324,7 +262,153 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 
 
 # ---------------------------------------------------------------------------
-# stage helpers
+# stages, shared by run_pipeline and the CLI subcommands. Each takes its
+# merged config section and its own stage seed; trainers fit the train split.
+
+
+def score_gop(corpus: Corpus, section: dict, ids) -> dict:
+    """Utterance GOP of each of `ids`."""
+    return {uid: gop.gop_score(corpus.posteriors[uid], corpus.alignments[uid],
+                               section["mode"]).gop
+            for uid in ids}
+
+
+def train_gmm(corpus: Corpus, section: dict, seed: int) -> gmm.GmmModel:
+    model, _trace = gmm.gmm_train(corpus.frames_for(corpus.splits.train_ids),
+                                  int(section["components"]),
+                                  int(section["iters"]), seed)
+    return model
+
+
+def train_ivector(corpus: Corpus, ubm: gmm.GmmModel, section: dict,
+                  seed: int) -> ivector.IVectorModel:
+    """T-matrix EM on the train split's statistics under a trained UBM."""
+    stats = [ivector.ubm_stats(ubm, corpus.features[uid])
+             for uid in corpus.splits.train_ids]
+    model, _trace = ivector.tmatrix_train(ubm, stats, int(section["dim"]),
+                                          int(section["iters"]), seed)
+    return model
+
+
+def _adam(section: dict, seed: int) -> flow.AdamConfig:
+    return flow.AdamConfig(learning_rate=float(section["learning_rate"]),
+                           batch_size=int(section["batch_size"]),
+                           epochs=int(section["epochs"]), seed=seed)
+
+
+def train_flow(corpus: Corpus, section: dict, seed: int):
+    """Returns (model, per-epoch NLL trace)."""
+    frames = corpus.frames_for(corpus.splits.train_ids)
+    base = flow.build_flow(frames.shape[1], int(section["layers"]),
+                           int(section["width"]), seed=seed)
+    return flow.flow_train(base, frames, _adam(section, seed))
+
+
+def train_dnf(corpus: Corpus, section: dict, seed: int) -> dnf.DnfModel:
+    """DNF over rounded mean-score classes; classes with no train frames
+    are dropped and the rest renumbered densely."""
+    num_classes = int(section["classes"])
+    if num_classes < 1:
+        raise ConfigError("dnf classes must be >= 1")
+    train_ids = corpus.splits.train_ids
+    utt_class = dnf.classes_from_mean_scores(
+        [corpus.labels[uid].mean_score for uid in train_ids], num_classes)
+    frame_class = np.repeat(utt_class, [corpus.features[uid].num_frames
+                                        for uid in train_ids])
+    present, frame_class = np.unique(frame_class, return_inverse=True)
+    model, _trace = dnf.dnf_train(corpus.frames_for(train_ids), frame_class,
+                                  _adam(section, seed),
+                                  num_classes=len(present),
+                                  num_layers=int(section["layers"]),
+                                  width=int(section["width"]))
+    return model
+
+
+def train_svr(corpus: Corpus, emb: dict, section: dict,
+              seed: int) -> regress.SvrModel:
+    """Regress mean rater labels from the train split's vectors in `emb`."""
+    train_ids = [uid for uid in corpus.splits.train_ids if uid in emb]
+    if not train_ids:
+        raise CorpusError("no train-split utterances among the embeddings")
+    return regress.svr_train(
+        np.array([emb[uid] for uid in train_ids]),
+        np.array([corpus.labels[uid].mean_score for uid in train_ids]),
+        regress.SvrParams(**section), seed)
+
+
+def predict(model: regress.SvrModel, emb: dict, ids) -> dict:
+    """SVR prediction for each of `ids` from its vector in `emb`."""
+    return dict(zip(ids, regress.svr_predict_batch(
+        model, np.array([emb[uid] for uid in ids]))))
+
+
+def embed(model, features: dict) -> dict:
+    """Utterance embedding of each feature sequence in `features`."""
+    if isinstance(model, ivector.IVectorModel):
+        return {uid: ivector.ivector_infer(
+            model, ivector.ubm_stats(model.ubm, fs))[0]
+            for uid, fs in features.items()}
+    if isinstance(model, flow.FlowModel):
+        return {uid: flow.flow_embed(model, fs) for uid, fs in features.items()}
+    if isinstance(model, dnf.DnfModel):
+        return {uid: dnf.dnf_embed(model, fs) for uid, fs in features.items()}
+    raise FormatError(f"{model_system(model)} models give no embeddings")
+
+
+def utterance_loglik(model, features: dict) -> dict:
+    """Mean frame log-likelihood of each feature sequence under a marginal."""
+    if isinstance(model, gmm.GmmModel):
+        return {uid: gmm.gmm_loglik(model, fs)[1] for uid, fs in features.items()}
+    backbone = model.backbone if isinstance(model, dnf.DnfModel) else model
+    if isinstance(backbone, flow.FlowModel):
+        return {uid: float(flow.flow_logprob(backbone, fs.frames).mean())
+                for uid, fs in features.items()}
+    raise FormatError(
+        f"{model_system(model)} models give no frame log-likelihood")
+
+
+def _codecs() -> dict:
+    """system -> (model class, file magic, save, load).
+
+    Looked up per call, so functions rebound on the modules at run time
+    (tracing wrappers, for one) are the ones called.
+    """
+    return {
+        "gmm": (gmm.GmmModel, gmm.GMM_MAGIC, gmm.save_gmm, gmm.load_gmm),
+        "ivector": (ivector.IVectorModel, ivector.IVECTOR_MAGIC,
+                    ivector.save_ivector_model, ivector.load_ivector_model),
+        "nf": (flow.FlowModel, flow.FLOW_MAGIC, flow.save_flow, flow.load_flow),
+        "dnf": (dnf.DnfModel, dnf.DNF_MAGIC, dnf.save_dnf, dnf.load_dnf),
+        "svr": (regress.SvrModel, regress.SVR_MAGIC, regress.save_svr,
+                regress.load_svr),
+    }
+
+
+def model_system(model) -> str:
+    for name, (cls, *_rest) in _codecs().items():
+        if isinstance(model, cls):
+            return name
+    raise TypeError(f"not a proscore model: {type(model).__name__}")
+
+
+def save_model(path, model):
+    """Write any model in its format; returns the model."""
+    _codecs()[model_system(model)][2](path, model)
+    return model
+
+
+def load_model(path):
+    """Read any model file, dispatching on its 4-byte magic."""
+    with open(path, "rb") as f:
+        magic = f.read(4).decode("ascii", errors="replace")
+    for _cls, file_magic, _save, load in _codecs().values():
+        if magic == file_magic:
+            return load(path)
+    raise FormatError(f"{path}: unknown model file magic {magic!r}")
+
+
+# ---------------------------------------------------------------------------
+# corpus stage
 
 
 def _corpus_stage(cfg, work: Path, seed: int, force: bool):
@@ -355,7 +439,19 @@ def _corpus_stage(cfg, work: Path, seed: int, force: bool):
     if not manifest.exists():
         raise CorpusError(f"corpus manifest not found: {manifest}")
     corpus_obj = load_corpus(manifest)
-    return corpus_obj, None, _file_digest(manifest)
+    return corpus_obj, None, _corpus_digest(corpus_obj)
+
+
+def _corpus_digest(corpus: Corpus) -> str:
+    """Digest of what the cached stages read: frames, labels and splits."""
+    features = [(uid, fs.frames.shape, fs.frames.tobytes())
+                for uid, fs in sorted(corpus.features.items())]
+    labels = {uid: (lab.rater_scores, lab.mean_score)
+              for uid, lab in corpus.labels.items()}
+    splits = (corpus.splits.train_ids, corpus.splits.dev_ids,
+              corpus.splits.eval_ids)
+    return _digest("manifest", *(part for f in features for part in f),
+                   labels, splits)
 
 
 def _write_oracle(path, oracle: dict) -> None:
@@ -363,73 +459,3 @@ def _write_oracle(path, oracle: dict) -> None:
         f.write("utterance_id\trho\n")
         for uid in sorted(oracle):
             f.write(f"{uid}\t{oracle[uid]:.17g}\n")
-
-
-def _train_gmm(train_frames, gmm_cfg, seed, model_dir):
-    model, _trace = gmm.gmm_train(train_frames, int(gmm_cfg["components"]),
-                                  int(gmm_cfg["iters"]), seed + 11)
-    gmm.save_gmm(model_dir / "gmm.pgmm", model)
-    return model
-
-
-def _adam_from(section, seed_offset, seed) -> flow.AdamConfig:
-    return flow.AdamConfig(learning_rate=float(section["learning_rate"]),
-                           batch_size=int(section["batch_size"]),
-                           epochs=int(section["epochs"]),
-                           seed=seed + seed_offset)
-
-
-def _train_nf(train_frames, nf_cfg, seed, model_dir):
-    adam = _adam_from(nf_cfg, 23, seed)
-    base = flow.build_flow(train_frames.shape[1], int(nf_cfg["layers"]),
-                           int(nf_cfg["width"]), seed=adam.seed)
-    model, _trace = flow.flow_train(base, train_frames, adam)
-    flow.save_flow(model_dir / "nf.pnf1", model)
-    return model
-
-
-def _train_dnf(corpus, train_ids, dnf_cfg, seed, model_dir):
-    adam = _adam_from(dnf_cfg, 37, seed)
-    num_classes = int(dnf_cfg["classes"])
-    frames = []
-    classes = []
-    for uid in train_ids:
-        fs = corpus.features[uid]
-        cls = dnf.classes_from_mean_scores([corpus.labels[uid].mean_score],
-                                           num_classes)[0]
-        frames.append(fs.frames)
-        classes.append(np.full(fs.num_frames, cls, dtype=np.int64))
-    frames = np.vstack(frames)
-    classes = np.concatenate(classes)
-    # guarantee every class id is populated: unseen classes are collapsed
-    # onto the nearest populated one
-    present = np.unique(classes)
-    remap = {c: int(present[np.abs(present - c).argmin()])
-             for c in range(num_classes)}
-    classes = np.array([remap[int(c)] for c in classes], dtype=np.int64)
-    dense = {c: i for i, c in enumerate(sorted(set(classes.tolist())))}
-    classes = np.array([dense[int(c)] for c in classes], dtype=np.int64)
-    model, _trace = dnf.dnf_train(frames, classes, adam,
-                                  num_classes=len(dense),
-                                  num_layers=int(dnf_cfg["layers"]),
-                                  width=int(dnf_cfg["width"]))
-    dnf.save_dnf(model_dir / "dnf.pdnf", model)
-    return model
-
-
-def _train_ivector(corpus, train_ids, train_frames, iv_cfg, seed, model_dir):
-    # the i-vector UBM is trained separately from the marginal GMM so the
-    # two systems can use different component counts
-    ubm, _ = gmm.gmm_train(train_frames, int(iv_cfg["ubm_components"]),
-                           int(iv_cfg["ubm_iters"]), seed + 11)
-    stats = [ivector.ubm_stats(ubm, corpus.features[uid]) for uid in train_ids]
-    model, _trace = ivector.tmatrix_train(ubm, stats, int(iv_cfg["dim"]),
-                                          int(iv_cfg["iters"]), seed + 41)
-    ivector.save_ivector_model(model_dir / "ivector.pivm", model)
-    return model
-
-
-def _train_svr(Xtr, ytr, params, seed, model_dir, filename):
-    model = regress.svr_train(Xtr, ytr, params, seed)
-    regress.save_svr(model_dir / filename, model)
-    return model

@@ -117,11 +117,12 @@ def svr_train(X: np.ndarray, y: np.ndarray, params: SvrParams | None = None,
 
     n = X.shape[0]
     K = _kernel_matrix(params.kernel, gamma, Xs, Xs)
-    Kbig = np.concatenate([K, K], axis=0)   # (2n, n)
     s = np.concatenate([np.ones(n), -np.ones(n)])
     t = np.zeros(2 * n)
     # gradient of 0.5 t'Qt + p't with Q_pq = s_p s_q K and p_p = eps - s_p y
     G = params.epsilon - s * np.concatenate([y, y])
+    # (2, n) views: both halves of the 2n variables share the columns of K
+    G2, s2 = G.reshape(2, n), s.reshape(2, n)
     C, tol = params.C, params.tol
     bound_eps = 1e-12
 
@@ -154,7 +155,7 @@ def svr_train(X: np.ndarray, y: np.ndarray, params: SvrParams | None = None,
         dt_j = -sij * delta
         t[i] += delta
         t[j] += dt_j
-        G += s * (s[i] * delta) * Kbig[:, ci] + s * (s[j] * dt_j) * Kbig[:, cj]
+        G2 += s2 * (s[i] * delta) * K[:, ci] + s2 * (s[j] * dt_j) * K[:, cj]
     else:
         v = -s * G
         up = ((s > 0) & (t < C - bound_eps)) | ((s < 0) & (t > bound_eps))

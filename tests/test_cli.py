@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proscore.cli import main
+from proscore import dnf, flow, formats, gmm
+from proscore.cli import build_parser, main
 from proscore.corpus import save_corpus, synth_corpus
+from proscore.pipeline import default_config
 
 from conftest import TINY_SYNTH
 
@@ -55,8 +58,22 @@ def test_score_gop_only(corpus_dir, tmp_path):
     assert main(["score", "--manifest", str(manifest), "--gop",
                  "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "utterance_id\tgop"
+    assert lines[0] == "utterance_id\tgop\tlabel_mean"
     assert len(lines) == len(corpus.features) + 1
+
+
+def test_score_unlabeled_utterance_label_is_nan(corpus_dir, tmp_path):
+    corpus, _ = corpus_dir
+    unlabeled = sorted(corpus.labels)[0]
+    labels = {u: r for u, r in corpus.labels.items() if u != unlabeled}
+    manifest = save_corpus(replace(corpus, labels=labels), tmp_path / "corpus")
+    out = tmp_path / "scores.tsv"
+    assert main(["score", "--manifest", str(manifest), "--gop",
+                 "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    label = {r[0]: r[-1] for r in rows}
+    assert label[unlabeled] == "nan"
+    assert len(label) == len(corpus.features)
 
 
 def test_score_split_disjoint(corpus_dir, tmp_path):
@@ -145,6 +162,142 @@ def test_fuse_from_score_tables(corpus_dir, tmp_path, capsys):
     assert "lambda =" in capsys.readouterr().out
     header = out.read_text().split("\n", 1)[0]
     assert header.endswith("\tfused")
+
+
+def test_score_fuse_evaluate_chain(corpus_dir, tmp_path, capsys):
+    """`score` output feeds `fuse`, whose output feeds `evaluate`."""
+    _, manifest = corpus_dir
+    m = ["--manifest", str(manifest)]
+    ubm, iv, emb, svr, scores, fused = (
+        str(tmp_path / name) for name in ("ubm.pgmm", "iv.pivm", "emb.tsv",
+                                          "svr.psvr", "scores.tsv", "fused.tsv"))
+    assert main(["train-gmm", *m, "--out", ubm, "--components", "2",
+                 "--iters", "5", "--seed", "1"]) == 0
+    assert main(["train-ivector", *m, "--ubm", ubm, "--out", iv,
+                 "--dim", "4", "--iters", "2", "--seed", "1"]) == 0
+    assert main(["embed", *m, "--model", iv, "--out", emb]) == 0
+    assert main(["train-svr", *m, "--embeddings", emb, "--out", svr]) == 0
+    assert main(["score", *m, "--gop", "--model", ubm, "--svr", svr,
+                 "--embeddings", emb, "--out", scores]) == 0
+    assert main(["fuse", "--scores", scores, "--dev-scores", scores,
+                 "--out", fused]) == 0
+    assert main(["evaluate", *m, "--scores", fused]) == 0
+    assert "fused\teval\t" in capsys.readouterr().out
+
+
+def test_fuse_lambda_out_of_range_exits_1(capsys):
+    assert main(["fuse", "--scores", "s.tsv", "--dev-scores", "d.tsv",
+                 "--lambda", "1.5"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def _text_file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _ubm_of_dim_2(d):
+    path = d / "ubm2.pgmm"
+    gmm.save_gmm(path, gmm.GmmModel(np.ones(1), np.zeros((1, 2)),
+                                    np.ones((1, 2))))
+    return str(path)
+
+
+def _dnf_with_nan_means(d):
+    path = d / "nan.pdnf"
+    with open(path, "wb") as f:
+        formats.write_magic(f, dnf.DNF_MAGIC)
+        formats.write_blob(f, formats.to_bytes(flow.write_flow,
+                                               flow.build_flow(6, 2, 4)))
+        formats.write_u32(f, 1)
+        formats.write_array(f, np.full((1, 6), np.nan))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda m, d: [
+        "train-svr", *m, "--out", str(d / "x.psvr"), "--embeddings",
+        _text_file(d / "e.tsv", "nobody\t1.0\n")], id="CorpusError"),
+    pytest.param(lambda m, d: [
+        "embed", *m, "--out", str(d / "e.tsv"), "--model",
+        _text_file(d / "bogus.bin", "WHAT1234")], id="FormatError"),
+    pytest.param(lambda m, d: [
+        "fuse", "--scores", _text_file(d / "s.tsv", "utterance_id\tgop\n"),
+        "--dev-scores", str(d / "s.tsv")], id="AssessError"),
+    pytest.param(lambda m, d: [
+        "train-gmm", *m, "--out", str(d / "g.pgmm"), "--components", "100000"],
+        id="GmmError"),
+    pytest.param(lambda m, d: [
+        "train-flow", *m, "--out", str(d / "f.pnf1"), "--epochs", "1",
+        "--batch-size", "100000"], id="FlowError"),
+    pytest.param(lambda m, d: [
+        "train-ivector", *m, "--out", str(d / "i.pivm"),
+        "--ubm", _ubm_of_dim_2(d)], id="IVectorError"),
+    pytest.param(lambda m, d: [
+        "embed", *m, "--out", str(d / "e.tsv"),
+        "--model", _dnf_with_nan_means(d)], id="DnfError"),
+    pytest.param(lambda m, d: [
+        "embed", *m, "--out", str(d / "e.tsv"),
+        "--model", str(d / "missing.pivm")], id="FileNotFoundError"),
+])
+def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv):
+    _, manifest = corpus_dir
+    assert main(argv(["--manifest", str(manifest)], tmp_path)) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the CLI stages are the pipeline's stages
+
+
+def test_stage_flag_defaults_are_the_preset():
+    parser = build_parser()
+    m = ["--manifest", "m.tsv", "--out", "o"]
+    for argv, section in ((["train-gmm", *m], "gmm"),
+                          (["train-ivector", *m, "--ubm", "u"], "ivector"),
+                          (["train-flow", *m], "nf"),
+                          (["train-dnf", *m], "dnf"),
+                          (["train-svr", *m, "--embeddings", "e"], "svr")):
+        args = parser.parse_args(argv)
+        preset = default_config()[section]
+        assert {k: getattr(args, k) for k in args.section} == \
+            {k: preset[k] for k in args.section}
+
+
+def test_cli_chain_reproduces_run_models(pipeline_runs, tmp_path):
+    """With the stage seeds, the CLI writes the run's model bytes."""
+    models = pipeline_runs["dirs"][0] / "models"
+    m = ["--manifest",
+         str(pipeline_runs["dirs"][0] / "corpus" / "manifest.tsv")]
+    cfg = default_config()
+    seed, iv = cfg["seed"], cfg["ivector"]
+    out = {name: str(tmp_path / name) for name in (
+        "ubm.pgmm", "gmm.pgmm", "ivector.pivm", "ivector.emb",
+        "svr_ivector.psvr")}
+    assert main(["train-gmm", *m, "--out", out["ubm.pgmm"],
+                 "--components", str(iv["ubm_components"]),
+                 "--iters", str(iv["ubm_iters"]), "--seed", str(seed + 11)]) == 0
+    assert main(["train-gmm", *m, "--out", out["gmm.pgmm"],
+                 "--seed", str(seed + 11)]) == 0
+    assert main(["train-ivector", *m, "--ubm", out["ubm.pgmm"],
+                 "--out", out["ivector.pivm"], "--seed", str(seed + 41)]) == 0
+    assert main(["embed", *m, "--model", out["ivector.pivm"],
+                 "--out", out["ivector.emb"]]) == 0
+    assert main(["train-svr", *m, "--embeddings", out["ivector.emb"],
+                 "--out", out["svr_ivector.psvr"], "--seed", str(seed)]) == 0
+    for name in ("gmm.pgmm", "ivector.pivm", "svr_ivector.psvr"):
+        assert (tmp_path / name).read_bytes() == (models / name).read_bytes(), name
+
+
+def test_train_dnf_drops_empty_classes(corpus_dir, tmp_path):
+    _, manifest = corpus_dir
+    out = tmp_path / "d.pdnf"
+    # mean scores round to at most 5, so classes 6 and 7 have no frames
+    assert main(["train-dnf", "--manifest", str(manifest), "--out", str(out),
+                 "--classes", "7", "--epochs", "1"]) == 0
+    assert dnf.load_dnf(out).num_classes == 5
+    assert main(["train-dnf", "--manifest", str(manifest), "--out", str(out),
+                 "--classes", "0"]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from proscore.corpus import save_corpus, synth_corpus
 from proscore.pipeline import (ConfigError, default_config, load_config,
                                run_pipeline, validate_config)
+
+from conftest import TINY_SYNTH
 
 
 def test_validate_config_messages():
@@ -93,3 +97,25 @@ def test_manifest_corpus_source(pipeline_runs, tmp_path):
     assert result.corpus.utterance_ids == source.corpus.utterance_ids
     assert result.pcc_by_system["gop"] == pytest.approx(
         source.pcc_by_system["gop"], abs=1e-12)
+
+
+def test_rewritten_manifest_corpus_retrains(tmp_path):
+    """A corpus saved over another under the same manifest is a new input."""
+    corpus_dir = tmp_path / "corpus"
+    manifest = save_corpus(synth_corpus(replace(TINY_SYNTH, seed=7))[0],
+                           corpus_dir)
+
+    def run(work):
+        return run_pipeline({"seed": 7, "work_dir": str(work),
+                             "corpus": {"manifest": str(manifest)},
+                             "systems": ["gop", "gmm"]})
+
+    run(tmp_path / "a")
+    stale = (tmp_path / "a" / "models" / "gmm.pgmm").read_bytes()
+    save_corpus(synth_corpus(replace(TINY_SYNTH, seed=8))[0], corpus_dir)
+    rerun = run(tmp_path / "a")
+    fresh = run(tmp_path / "b")
+    model = (tmp_path / "a" / "models" / "gmm.pgmm").read_bytes()
+    assert model != stale
+    assert model == (tmp_path / "b" / "models" / "gmm.pgmm").read_bytes()
+    assert rerun.report_path.read_bytes() == fresh.report_path.read_bytes()
