@@ -253,9 +253,8 @@ class ReportRow:
 
 
 def evaluate(table: ScoreTable, split: SplitManifest,
-             system_prefix: str = "", lambda_: float | None = None,
              split_name: str = "eval") -> list:
-    """PCC of each populated score column against labels on the eval split."""
+    """PCC of each populated score column against labels on one split."""
     ids = {"train": split.train_ids, "dev": split.dev_ids,
            "eval": split.eval_ids}[split_name]
     sub = table.subset(ids)
@@ -266,9 +265,7 @@ def evaluate(table: ScoreTable, split: SplitManifest,
             col = sub.column(name)
         except AssessError:
             continue
-        system = f"{system_prefix}{name}" if system_prefix else name
-        rows.append(ReportRow(system, split_name, pcc(col, labels),
-                              lambda_ if name == "fused" else None))
+        rows.append(ReportRow(name, split_name, pcc(col, labels)))
     return rows
 
 

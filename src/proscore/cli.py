@@ -24,13 +24,14 @@ from .formats import FormatError
 from .gmm import GmmError
 from .ivector import IVectorError
 from .pipeline import ConfigError
+from .regress import SvrDataError
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 
 DATA_ERRORS = (CorpusError, FormatError, AssessError, GmmError, FlowError,
-               IVectorError, DnfError, FileNotFoundError)
+               IVectorError, DnfError, SvrDataError, FileNotFoundError)
 
 
 def _write_text(path, text):
@@ -94,11 +95,11 @@ def cmd_train_dnf(args) -> int:
                                           _section(args), args.seed or 0))
 
 
-def cmd_train_svr(args) -> int:
+def cmd_train_svr(args) -> int:  # SMO is deterministic: --seed is unused
     corpus = load_corpus(args.manifest)
     return _save(args, pipeline.train_svr(corpus,
                                           _read_embeddings(args.embeddings),
-                                          _section(args), args.seed or 0))
+                                          _section(args)))
 
 
 def _read_embeddings(path) -> dict:
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # ConfigError, SvrError and bad settings
+    except ValueError as exc:  # ConfigError, SvrError and other bad settings
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergence as exc:

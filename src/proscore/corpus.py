@@ -256,38 +256,45 @@ class Corpus:
 # file formats
 
 
+def _write_frames(f, frames) -> None:
+    formats.write_magic(f, FEATURE_MAGIC)
+    formats.write_matrix(f, frames)
+
+
+def _read_frames(f, path: str) -> np.ndarray:
+    formats.read_magic(f, FEATURE_MAGIC, path)
+    return formats.read_matrix(f)
+
+
 def write_feature_file(path, fs: FeatureSequence) -> None:
-    with open(path, "wb") as f:
-        formats.write_magic(f, FEATURE_MAGIC)
-        formats.write_matrix(f, fs.frames)
+    formats.save(path, _write_frames, fs.frames)
 
 
 def read_feature_file(path, utterance_id: str) -> FeatureSequence:
-    path = Path(path)
-    with open(path, "rb") as f:
-        formats.read_magic(f, FEATURE_MAGIC, str(path))
-        mat = formats.read_matrix(f)
-        formats.expect_eof(f, str(path))
-    return FeatureSequence(utterance_id, mat)
+    return FeatureSequence(utterance_id, formats.load(path, _read_frames))
+
+
+def _write_posteriorgram(f, pg: PosteriorGram) -> None:
+    formats.write_magic(f, FEATURE_MAGIC)
+    formats.write_u32(f, len(pg.phone_table))
+    for name in pg.phone_table:
+        formats.write_string(f, name)
+    formats.write_matrix(f, pg.post)
+
+
+def _read_posteriorgram(f, path: str):
+    formats.read_magic(f, FEATURE_MAGIC, path)
+    count = formats.read_u32(f)
+    table = tuple(formats.read_string(f) for _ in range(count))
+    return formats.read_matrix(f), table
 
 
 def write_posteriorgram_file(path, pg: PosteriorGram) -> None:
-    with open(path, "wb") as f:
-        formats.write_magic(f, FEATURE_MAGIC)
-        formats.write_u32(f, len(pg.phone_table))
-        for name in pg.phone_table:
-            formats.write_string(f, name)
-        formats.write_matrix(f, pg.post)
+    formats.save(path, _write_posteriorgram, pg)
 
 
 def read_posteriorgram_file(path, utterance_id: str) -> PosteriorGram:
-    path = Path(path)
-    with open(path, "rb") as f:
-        formats.read_magic(f, FEATURE_MAGIC, str(path))
-        count = formats.read_u32(f)
-        table = tuple(formats.read_string(f) for _ in range(count))
-        mat = formats.read_matrix(f)
-        formats.expect_eof(f, str(path))
+    mat, table = formats.load(path, _read_posteriorgram)
     try:
         return PosteriorGram(utterance_id, mat, table)
     except CorpusError as exc:

@@ -9,8 +9,6 @@ space instead of congesting them around the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from io import BytesIO
-from pathlib import Path
 
 import numpy as np
 
@@ -63,8 +61,7 @@ def init_class_means(num_classes: int, dim: int, seed) -> np.ndarray:
 
 def dnf_train(frames: np.ndarray, frame_class: np.ndarray, cfg: AdamConfig,
               num_classes: int | None = None, num_layers: int = 10,
-              width: int = 64, cap: float = 2.0,
-              class_means_init: np.ndarray | None = None,
+              width: int = 64, class_means_init: np.ndarray | None = None,
               train_means: bool = True):
     """Joint maximum-likelihood training of backbone and class means.
 
@@ -82,8 +79,7 @@ def dnf_train(frames: np.ndarray, frame_class: np.ndarray, cfg: AdamConfig,
     if missing.size:
         raise DnfError(f"classes with no training frames: {missing.tolist()}")
 
-    backbone = build_flow(frames.shape[1], num_layers, width,
-                          seed=cfg.seed, cap=cap)
+    backbone = build_flow(frames.shape[1], num_layers, width, seed=cfg.seed)
     if class_means_init is None:
         class_means = init_class_means(num_classes, frames.shape[1],
                                        [cfg.seed, 1])
@@ -114,27 +110,22 @@ def classes_from_mean_scores(mean_scores, num_classes: int = 5) -> np.ndarray:
 
 def write_dnf(f, m: DnfModel) -> None:
     formats.write_magic(f, DNF_MAGIC)
-    formats.write_blob(f, formats.to_bytes(write_flow, m.backbone))
+    write_flow(f, m.backbone)
     formats.write_u32(f, m.num_classes)
     formats.write_array(f, m.class_means)
 
 
 def read_dnf(f, path: str = "<stream>") -> DnfModel:
     formats.read_magic(f, DNF_MAGIC, path)
-    backbone = read_flow(BytesIO(formats.read_blob(f)), path)
+    backbone = read_flow(f, path)
     S = formats.read_u32(f)
     means = formats.read_array(f, (S, backbone.dim))
     return DnfModel(backbone, means)
 
 
 def save_dnf(path, m: DnfModel) -> None:
-    with open(path, "wb") as f:
-        write_dnf(f, m)
+    formats.save(path, write_dnf, m)
 
 
 def load_dnf(path) -> DnfModel:
-    path = Path(path)
-    with open(path, "rb") as f:
-        m = read_dnf(f, str(path))
-        formats.expect_eof(f, str(path))
-    return m
+    return formats.load(path, read_dnf)

@@ -24,6 +24,8 @@ from .corpus import FeatureSequence
 
 FLOW_MAGIC = "PNF1"
 LOG_2PI = float(np.log(2.0 * np.pi))
+INIT_CAP = 2.0  # initial bound on the coupling log-scales
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class FlowError(ValueError):
@@ -41,9 +43,6 @@ class TrainingDivergence(RuntimeError):
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 128
     epochs: int = 10
     seed: int = 0
@@ -51,8 +50,6 @@ class AdamConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("Adam betas must lie in (0,1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
 
@@ -95,22 +92,19 @@ class CouplingNet:
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def set_params(self, arrays):
-        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = arrays
-
 
 class CouplingLayer:
     """y_A = x_A;  y_B = x_B * exp(s(x_A)) + t(x_A);  log|det| = sum s."""
 
     def __init__(self, mask, scale_net: CouplingNet, shift_net: CouplingNet,
-                 cap: float = 2.0):
+                 cap: float):
         self.mask = np.asarray(mask, dtype=bool)
         self.scale_net = scale_net
         self.shift_net = shift_net
         self.cap = np.asarray(float(cap))
 
     @classmethod
-    def create(cls, mask, width: int, rng, cap: float = 2.0) -> "CouplingLayer":
+    def create(cls, mask, width: int, rng) -> "CouplingLayer":
         mask = np.asarray(mask, dtype=bool)
         d_in = int(mask.sum())
         d_out = int((~mask).sum())
@@ -119,7 +113,7 @@ class CouplingLayer:
         return cls(mask,
                    CouplingNet.create(d_in, d_out, width, rng),
                    CouplingNet.create(d_in, d_out, width, rng),
-                   cap)
+                   INIT_CAP)
 
     def _scale_shift(self, a):
         raw, sc_cache = self.scale_net.forward(a)
@@ -172,11 +166,6 @@ class CouplingLayer:
     def params(self):
         return self.scale_net.params() + self.shift_net.params() + [self.cap]
 
-    def set_params(self, arrays):
-        self.scale_net.set_params(arrays[:6])
-        self.shift_net.set_params(arrays[6:12])
-        self.cap = arrays[12]
-
     @property
     def width(self) -> int:
         return self.scale_net.b1.shape[0]
@@ -216,15 +205,6 @@ class FlowModel:
             out.extend(layer.params())
         return out
 
-    def set_params(self, arrays):
-        per = 13
-        for i, layer in enumerate(self.layers):
-            layer.set_params(arrays[i * per:(i + 1) * per])
-
-    @property
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params())
-
 
 def alternating_masks(dim: int, count: int):
     """Half/half masks, swapping halves between consecutive layers."""
@@ -237,10 +217,10 @@ def alternating_masks(dim: int, count: int):
 
 
 def build_flow(dim: int, num_layers: int = 10, width: int = 64,
-               seed: int = 0, cap: float = 2.0) -> FlowModel:
+               seed: int = 0) -> FlowModel:
     """Identity-initialized flow with alternating half masks."""
     rng = np.random.default_rng(seed)
-    layers = [CouplingLayer.create(mask, width, rng, cap)
+    layers = [CouplingLayer.create(mask, width, rng)
               for mask in alternating_masks(dim, num_layers)]
     return FlowModel(layers, dim)
 
@@ -305,13 +285,11 @@ def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None):
 
     g = resid / n
     weight = 1.0 / n
-    per_layer_grads = {}
+    all_grads = []
+    # reversed(caches) visits m.layers in order, as m.params() lists them
     for layer, cache in reversed(caches):
         g, grads = layer.backward_inverse(cache, g, weight)
-        per_layer_grads[id(layer)] = grads
-    all_grads = []
-    for layer in m.layers:
-        all_grads.extend(per_layer_grads[id(layer)])
+        all_grads.extend(grads)
     return loss, all_grads, resid
 
 
@@ -325,14 +303,13 @@ class Adam:
         self.t = 0
 
     def step(self, params, grads):
-        cfg = self.cfg
         self.t += 1
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = cfg.beta1 * self.m[i] + (1 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1 - cfg.beta2) * g ** 2
-            mhat = self.m[i] / (1 - cfg.beta1 ** self.t)
-            vhat = self.v[i] / (1 - cfg.beta2 ** self.t)
-            p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g ** 2
+            mhat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
+            vhat = self.v[i] / (1 - ADAM_BETA2 ** self.t)
+            p -= self.cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
@@ -435,12 +412,8 @@ def read_flow(f, path: str = "<stream>") -> FlowModel:
 
 
 def save_flow(path, m: FlowModel) -> None:
-    with open(path, "wb") as f:
-        write_flow(f, m)
+    formats.save(path, write_flow, m)
 
 
 def load_flow(path) -> FlowModel:
-    with open(path, "rb") as f:
-        m = read_flow(f, str(path))
-        formats.expect_eof(f, str(path))
-    return m
+    return formats.load(path, read_flow)

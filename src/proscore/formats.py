@@ -1,34 +1,57 @@
 """Binary serialization helpers shared by all model/file formats.
 
-Every format starts with a 4-byte ASCII magic and a u32 version. All
-integers are unsigned 32-bit little-endian, all reals are 64-bit IEEE-754
-little-endian. Matrices are row-major. Serialization is canonical: writing
-what was just read reproduces the bytes exactly.
+Every format starts with a 4-byte ASCII magic and a u32 version, and a
+reader accepts only the version in `VERSIONS`. All integers are unsigned
+32-bit little-endian, all reals are 64-bit IEEE-754 little-endian.
+Matrices are row-major. A model that holds another model (the UBM of a
+PIVM, the backbone of a PDNF) writes it inline, magic and version
+included, since its reader knows where it ends. Serialization is
+canonical: writing what was just read reproduces the bytes exactly.
 """
 
 from __future__ import annotations
 
 import struct
-from io import BytesIO
 from typing import BinaryIO
 
 import numpy as np
+
+# magic -> the one version that is written and read
+VERSIONS = {"PRF1": 1, "PGMM": 1, "PIVM": 2, "PNF1": 1, "PDNF": 2, "PSVR": 1}
 
 
 class FormatError(ValueError):
     """Raised when a binary file does not match its declared format."""
 
 
-def write_magic(f: BinaryIO, magic: str, version: int = 1) -> None:
+def save(path, write, model) -> None:
+    """Write one file: `write(f, model)` on a fresh binary file."""
+    with open(path, "wb") as f:
+        write(f, model)
+
+
+def load(path, read):
+    """Read one file with `read(f, path)`; trailing bytes are an error."""
+    with open(path, "rb") as f:
+        model = read(f, str(path))
+        if f.read(1):
+            raise FormatError(f"{path}: trailing bytes after payload")
+    return model
+
+
+def write_magic(f: BinaryIO, magic: str) -> None:
     f.write(magic.encode("ascii"))
-    write_u32(f, version)
+    write_u32(f, VERSIONS[magic])
 
 
-def read_magic(f: BinaryIO, magic: str, path: str = "<stream>") -> int:
+def read_magic(f: BinaryIO, magic: str, path: str = "<stream>") -> None:
     got = f.read(4)
     if got != magic.encode("ascii"):
         raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    return read_u32(f)
+    version = read_u32(f)
+    if version != VERSIONS[magic]:
+        raise FormatError(f"{path}: {magic} version {version} is not supported"
+                          f" (expected version {VERSIONS[magic]})")
 
 
 def write_u32(f: BinaryIO, value: int) -> None:
@@ -40,17 +63,6 @@ def read_u32(f: BinaryIO) -> int:
     if len(raw) != 4:
         raise FormatError("truncated file while reading u32")
     return struct.unpack("<I", raw)[0]
-
-
-def write_u64(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<Q", value))
-
-
-def read_u64(f: BinaryIO) -> int:
-    raw = f.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated file while reading u64")
-    return struct.unpack("<Q", raw)[0]
 
 
 def write_f64(f: BinaryIO, value: float) -> None:
@@ -105,28 +117,3 @@ def read_string(f: BinaryIO) -> str:
     if len(raw) != n:
         raise FormatError("truncated file while reading string")
     return raw.decode("utf-8")
-
-
-def write_blob(f: BinaryIO, payload: bytes) -> None:
-    write_u64(f, len(payload))
-    f.write(payload)
-
-
-def read_blob(f: BinaryIO) -> bytes:
-    n = read_u64(f)
-    raw = f.read(n)
-    if len(raw) != n:
-        raise FormatError("truncated file while reading blob")
-    return raw
-
-
-def to_bytes(writer, *args) -> bytes:
-    """Run a file-writing function against an in-memory buffer."""
-    buf = BytesIO()
-    writer(buf, *args)
-    return buf.getvalue()
-
-
-def expect_eof(f: BinaryIO, path: str = "<stream>") -> None:
-    if f.read(1):
-        raise FormatError(f"{path}: trailing bytes after payload")

@@ -9,7 +9,6 @@ external tooling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -165,13 +164,8 @@ def read_gmm(f, path: str = "<stream>") -> GmmModel:
 
 
 def save_gmm(path, m: GmmModel) -> None:
-    with open(path, "wb") as f:
-        write_gmm(f, m)
+    formats.save(path, write_gmm, m)
 
 
 def load_gmm(path) -> GmmModel:
-    path = Path(path)
-    with open(path, "rb") as f:
-        model = read_gmm(f, str(path))
-        formats.expect_eof(f, str(path))
-    return model
+    return formats.load(path, read_gmm)

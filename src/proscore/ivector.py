@@ -10,8 +10,6 @@ i-vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from io import BytesIO
-from pathlib import Path
 
 import numpy as np
 
@@ -148,9 +146,8 @@ def write_ivector_model(f, m: IVectorModel) -> None:
     formats.write_u32(f, K)
     formats.write_u32(f, D)
     formats.write_u32(f, R)
-    formats.write_blob(f, formats.to_bytes(write_gmm, m.ubm))
+    write_gmm(f, m.ubm)
     formats.write_array(f, m.loadings)
-    formats.write_array(f, m.ubm.variances)
 
 
 def read_ivector_model(f, path: str = "<stream>") -> IVectorModel:
@@ -158,20 +155,14 @@ def read_ivector_model(f, path: str = "<stream>") -> IVectorModel:
     K = formats.read_u32(f)
     D = formats.read_u32(f)
     R = formats.read_u32(f)
-    ubm = read_gmm(BytesIO(formats.read_blob(f)), path)
+    ubm = read_gmm(f, path)
     loadings = formats.read_array(f, (K, D, R))
-    formats.read_array(f, (K, D))  # covariances, redundant with the UBM blob
     return IVectorModel(ubm, loadings)
 
 
 def save_ivector_model(path, m: IVectorModel) -> None:
-    with open(path, "wb") as f:
-        write_ivector_model(f, m)
+    formats.save(path, write_ivector_model, m)
 
 
 def load_ivector_model(path) -> IVectorModel:
-    path = Path(path)
-    with open(path, "rb") as f:
-        m = read_ivector_model(f, str(path))
-        formats.expect_eof(f, str(path))
-    return m
+    return formats.load(path, read_ivector_model)

@@ -10,6 +10,7 @@ reproduces the models of a run.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assess, dnf, flow, gmm, gop, ivector, regress
+from . import assess, dnf, flow, formats, gmm, gop, ivector, regress
 from .corpus import (Corpus, CorpusError, SynthConfig, load_corpus,
                      save_corpus, synth_corpus)
 from .formats import FormatError
@@ -85,6 +86,13 @@ def validate_config(cfg: dict) -> None:
     for mode in cfg.get("fusion", {}).get("modes", DEFAULT_FUSION_MODES):
         if mode not in DEFAULT_FUSION_MODES:
             raise ConfigError(f"unknown fusion mode {mode!r}")
+    for key, known in default_config().items():
+        if isinstance(known, dict) and key != "corpus":
+            if key == "svr":  # SvrParams(**section) also reads tol, max_passes
+                known = {f.name for f in dataclasses.fields(regress.SvrParams)}
+            unknown = sorted(set(cfg.get(key, {})) - set(known))
+            if unknown:
+                raise ConfigError(f"{key}: unknown settings {unknown}")
 
 
 def _merged(cfg: dict, key: str) -> dict:
@@ -120,6 +128,7 @@ class StageCache:
                 and stamp.read_text() == key
                 and all(p.exists() for p in paths)):
             return load()
+        stamp.unlink(missing_ok=True)  # a compute() that dies leaves none
         result = compute()
         stamp.write_text(key)
         return result
@@ -128,7 +137,6 @@ class StageCache:
 @dataclass
 class PipelineResult:
     corpus: Corpus
-    oracle: dict | None
     report_rows: list
     report_path: Path
     score_tables: dict      # system -> ScoreTable (fused on eval where applicable)
@@ -146,7 +154,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     cache = StageCache(model_dir, force)
     systems = list(cfg.get("systems", DEFAULT_SYSTEMS))
 
-    corpus, oracle, corpus_key = _corpus_stage(cfg, work, seed, force)
+    corpus, corpus_key = _corpus_stage(cfg, work, seed, force)
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
@@ -177,10 +185,13 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                            [u for u in all_ids if u in corpus.alignments])
     add_row("gop", eval_pcc(gop_scores))
 
-    def cached(name, filename, key, train):
+    def cached(name, system, key_parts, train):
+        # NAME.MAGIC, keyed on the format version too: a new one retrains
+        magic = _codecs()[system][1]
+        filename = f"{name}.{magic.lower()}"
         path = model_dir / filename
-        return cache.run(name, key, [filename],
-                         lambda: save_model(path, train()),
+        return cache.run(name, _digest(*key_parts, formats.VERSIONS[magic]),
+                         [filename], lambda: save_model(path, train()),
                          lambda: load_model(path))
 
     # ---- marginal models: each stage trains under its own seed, the run
@@ -191,17 +202,17 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
         return train_ivector(corpus, ubm, section, seed + 41)
 
     trainers = {
-        "gmm": ("gmm.pgmm", lambda s: train_gmm(corpus, s, seed + 11)),
-        "nf": ("nf.pnf1", lambda s: train_flow(corpus, s, seed + 23)[0]),
-        "dnf": ("dnf.pdnf", lambda s: train_dnf(corpus, s, seed + 37)),
-        "ivector": ("ivector.pivm", train_ubm_ivector),
+        "gmm": lambda s: train_gmm(corpus, s, seed + 11),
+        "nf": lambda s: train_flow(corpus, s, seed + 23)[0],
+        "dnf": lambda s: train_dnf(corpus, s, seed + 37),
+        "ivector": train_ubm_ivector,
     }
     models = {}
-    for name, (filename, train) in trainers.items():
+    for name, train in trainers.items():
         if name in systems:
             section = _merged(cfg, name)
-            models[name] = cached(name, filename,
-                                  _digest(name, section, corpus_key, seed),
+            models[name] = cached(name, name,
+                                  (name, section, corpus_key, seed),
                                   lambda: train(section))
     for name in ("gmm", "nf"):
         if name in models:
@@ -217,9 +228,9 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
             continue
         emb = embeddings[name] = embed(models[name], corpus.features)
         svr_model = cached(
-            f"svr_{name}", f"svr_{name}.psvr",
-            _digest("svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name)),
-            lambda: train_svr(corpus, emb, svr_cfg, seed))
+            f"svr_{name}", "svr",
+            ("svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name)),
+            lambda: train_svr(corpus, emb, svr_cfg))
         predictions[name] = predict(svr_model, emb, all_ids)
         add_row(f"{name}_svr", eval_pcc(predictions[name]))
 
@@ -251,13 +262,13 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                 np.array([emb[u] for u in order]),
                 np.array([gop_scores[u] for u in order]))
             by_uid = dict(zip(order, fused_X))
-            ff_model = train_svr(corpus, by_uid, svr_cfg, seed)
+            ff_model = train_svr(corpus, by_uid, svr_cfg)
             add_row(f"gop+{name}_feature_fusion",
                     eval_pcc(predict(ff_model, by_uid, eval_ids)))
 
     report_path = report_dir / "report.tsv"
     report_path.write_text(assess.report_to_tsv(report_rows), encoding="utf-8")
-    return PipelineResult(corpus, oracle, report_rows, report_path,
+    return PipelineResult(corpus, report_rows, report_path,
                           score_tables, lambdas, pcc_by_system)
 
 
@@ -324,20 +335,25 @@ def train_dnf(corpus: Corpus, section: dict, seed: int) -> dnf.DnfModel:
     return model
 
 
-def train_svr(corpus: Corpus, emb: dict, section: dict,
-              seed: int) -> regress.SvrModel:
-    """Regress mean rater labels from the train split's vectors in `emb`."""
+def train_svr(corpus: Corpus, emb: dict, section: dict) -> regress.SvrModel:
+    """Regress mean rater labels from the train split's vectors in `emb`.
+
+    SMO is deterministic, so unlike the other trainers it takes no seed."""
     train_ids = [uid for uid in corpus.splits.train_ids if uid in emb]
     if not train_ids:
         raise CorpusError("no train-split utterances among the embeddings")
     return regress.svr_train(
         np.array([emb[uid] for uid in train_ids]),
         np.array([corpus.labels[uid].mean_score for uid in train_ids]),
-        regress.SvrParams(**section), seed)
+        regress.SvrParams(**section))
 
 
 def predict(model: regress.SvrModel, emb: dict, ids) -> dict:
     """SVR prediction for each of `ids` from its vector in `emb`."""
+    missing = [uid for uid in ids if uid not in emb]
+    if missing:
+        raise CorpusError(f"no embedding for utterance {missing[0]}"
+                          f" ({len(missing)} missing)")
     return dict(zip(ids, regress.svr_predict_batch(
         model, np.array([emb[uid] for uid in ids]))))
 
@@ -432,14 +448,14 @@ def _corpus_stage(cfg, work: Path, seed: int, force: bool):
             save_corpus(corpus_obj, corpus_dir)
             _write_oracle(corpus_dir / "oracle.tsv", oracle)
             stamp.write_text(key)
-        return corpus_obj, oracle, key
+        return corpus_obj, key
     manifest = Path(corpus_cfg["manifest"])
     if not manifest.is_absolute():
         manifest = work / manifest
     if not manifest.exists():
         raise CorpusError(f"corpus manifest not found: {manifest}")
     corpus_obj = load_corpus(manifest)
-    return corpus_obj, None, _corpus_digest(corpus_obj)
+    return corpus_obj, _corpus_digest(corpus_obj)
 
 
 def _corpus_digest(corpus: Corpus) -> str:

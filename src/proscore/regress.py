@@ -10,7 +10,6 @@ through the same standardization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -19,10 +18,15 @@ from . import formats
 SVR_MAGIC = "PSVR"
 KERNEL_IDS = {"linear": 0, "rbf": 1}
 KERNEL_NAMES = {v: k for k, v in KERNEL_IDS.items()}
+_BOUND_EPS = 1e-12  # t this close to 0 or C is at its bound
 
 
 class SvrError(ValueError):
-    pass
+    """Bad SVR settings; its subclass SvrDataError is for bad data."""
+
+
+class SvrDataError(SvrError):
+    """Training or prediction inputs the SVR cannot use."""
 
 
 @dataclass(frozen=True)
@@ -85,24 +89,25 @@ def resolve_gamma(params: SvrParams, X_std: np.ndarray) -> float:
     return float(params.gamma)
 
 
-def svr_train(X: np.ndarray, y: np.ndarray, params: SvrParams | None = None,
-              seed: int = 0) -> SvrModel:
+def svr_train(X: np.ndarray, y: np.ndarray,
+              params: SvrParams | None = None) -> SvrModel:
     """Solve the epsilon-SVR dual to KKT tolerance.
 
-    Constant targets yield a constant model (bias = mean, no support
-    vectors) with a warning status instead of an error.
+    Pair selection is deterministic. Constant targets yield a constant
+    model (bias = mean, no support vectors) with a warning status instead
+    of an error.
     """
-    del seed  # pair selection is deterministic; kept for interface stability
     if params is None:
         params = SvrParams()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise SvrError(f"X must be N x d matching y, got {X.shape} and {y.shape}")
+        raise SvrDataError(
+            f"X must be N x d matching y, got {X.shape} and {y.shape}")
     if X.shape[0] < 2:
-        raise SvrError("need at least 2 training points")
+        raise SvrDataError("need at least 2 training points")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise SvrError("non-finite training data")
+        raise SvrDataError("non-finite training data")
 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -123,21 +128,13 @@ def svr_train(X: np.ndarray, y: np.ndarray, params: SvrParams | None = None,
     G = params.epsilon - s * np.concatenate([y, y])
     # (2, n) views: both halves of the 2n variables share the columns of K
     G2, s2 = G.reshape(2, n), s.reshape(2, n)
-    C, tol = params.C, params.tol
-    bound_eps = 1e-12
+    C = params.C
 
-    max_iter = params.max_passes * n
-    b = 0.0
-    for _ in range(max_iter):
-        v = -s * G
-        up = ((s > 0) & (t < C - bound_eps)) | ((s < 0) & (t > bound_eps))
-        low = ((s > 0) & (t > bound_eps)) | ((s < 0) & (t < C - bound_eps))
-        vi = np.where(up, v, -np.inf)
-        vj = np.where(low, v, np.inf)
+    for _ in range(params.max_passes * n):
+        vi, vj = _violations(s, t, G, C)
         i = int(vi.argmax())
         j = int(vj.argmin())
-        if vi[i] - vj[j] <= tol:
-            b = 0.5 * (vi[i] + vj[j])
+        if vi[i] - vj[j] <= params.tol:
             break
         ci, cj = i % n, j % n
         eta = max(K[ci, ci] + K[cj, cj] - 2.0 * K[ci, cj], 1e-12)
@@ -150,23 +147,29 @@ def svr_train(X: np.ndarray, y: np.ndarray, params: SvrParams | None = None,
             lo_d, hi_d = max(lo_d, -t[j]), min(hi_d, C - t[j])
         delta = min(max(delta, lo_d), hi_d)
         if delta == 0.0:
-            b = 0.5 * (vi[i] + vj[j])
             break
         dt_j = -sij * delta
         t[i] += delta
         t[j] += dt_j
         G2 += s2 * (s[i] * delta) * K[:, ci] + s2 * (s[j] * dt_j) * K[:, cj]
-    else:
-        v = -s * G
-        up = ((s > 0) & (t < C - bound_eps)) | ((s < 0) & (t > bound_eps))
-        low = ((s > 0) & (t > bound_eps)) | ((s < 0) & (t < C - bound_eps))
-        b = 0.5 * (np.where(up, v, -np.inf).max() + np.where(low, v, np.inf).min())
+    vi, vj = _violations(s, t, G, C)
+    b = 0.5 * (vi.max() + vj.min())
 
     beta = t[:n] - t[n:]
     obj = dual_objective(K, y, beta, params.epsilon)
     keep = np.abs(beta) > 1e-10
     return SvrModel(params.kernel, C, params.epsilon, gamma, mean, std,
                     Xs[keep], beta[keep], float(b), dual_objective=obj)
+
+
+def _violations(s, t, G, C):
+    """-s*G where t may still rise (masked to -inf elsewhere) and where it
+    may still fall (masked to +inf): the maximal violating pair is the
+    argmax of the first and the argmin of the second."""
+    v = -s * G
+    up = ((s > 0) & (t < C - _BOUND_EPS)) | ((s < 0) & (t > _BOUND_EPS))
+    low = ((s > 0) & (t > _BOUND_EPS)) | ((s < 0) & (t < C - _BOUND_EPS))
+    return np.where(up, v, -np.inf), np.where(low, v, np.inf)
 
 
 def dual_objective(K: np.ndarray, y: np.ndarray, beta: np.ndarray,
@@ -179,14 +182,14 @@ def svr_predict(m: SvrModel, x: np.ndarray) -> float:
     """Point prediction sum_i beta_i K(sv_i, x) + b."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (m.dim,):
-        raise SvrError(f"input has shape {x.shape}, expected ({m.dim},)")
+        raise SvrDataError(f"input has shape {x.shape}, expected ({m.dim},)")
     return float(svr_predict_batch(m, x[None, :])[0])
 
 
 def svr_predict_batch(m: SvrModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.dim:
-        raise SvrError(f"inputs must be N x {m.dim}, got {X.shape}")
+        raise SvrDataError(f"inputs must be N x {m.dim}, got {X.shape}")
     Xs = _standardize(X, m.feat_mean, m.feat_std)
     if m.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], m.bias)
@@ -263,13 +266,8 @@ def read_svr(f, path: str = "<stream>") -> SvrModel:
 
 
 def save_svr(path, m: SvrModel) -> None:
-    with open(path, "wb") as f:
-        write_svr(f, m)
+    formats.save(path, write_svr, m)
 
 
 def load_svr(path) -> SvrModel:
-    path = Path(path)
-    with open(path, "rb") as f:
-        m = read_svr(f, str(path))
-        formats.expect_eof(f, str(path))
-    return m
+    return formats.load(path, read_svr)

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proscore import dnf, flow, formats, gmm
+from proscore import dnf, flow, formats, gmm, ivector, regress
 from proscore.cli import build_parser, main
-from proscore.corpus import save_corpus, synth_corpus
+from proscore.corpus import load_corpus, save_corpus, synth_corpus
 from proscore.pipeline import default_config
 
 from conftest import TINY_SYNTH
@@ -207,10 +207,36 @@ def _dnf_with_nan_means(d):
     path = d / "nan.pdnf"
     with open(path, "wb") as f:
         formats.write_magic(f, dnf.DNF_MAGIC)
-        formats.write_blob(f, formats.to_bytes(flow.write_flow,
-                                               flow.build_flow(6, 2, 4)))
+        flow.write_flow(f, flow.build_flow(6, 2, 4))
         formats.write_u32(f, 1)
         formats.write_array(f, np.full((1, 6), np.nan))
+    return str(path)
+
+
+def _pivm_v1(d):
+    """An i-vector model file whose header claims format version 1."""
+    path = d / "v1.pivm"
+    ubm = gmm.GmmModel(np.ones(1), np.zeros((1, 6)), np.ones((1, 6)))
+    ivector.save_ivector_model(path, ivector.IVectorModel(ubm, np.ones((1, 6, 2))))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+    return str(path)
+
+
+def _embeddings(m, d, dim=2, skip=0, nan=False):
+    """An embeddings TSV over the corpus of manifest `m[1]`, minus `skip` rows."""
+    ids = sorted(load_corpus(m[1]).features)[skip:]
+    rows = [[f"{(i * (k + 3)) % 7 / 7}" for k in range(dim)] for i in range(len(ids))]
+    if nan:
+        rows[0][0] = "nan"
+    return _text_file(d / "e.tsv", "".join(
+        "\t".join([uid, *row]) + "\n" for uid, row in zip(ids, rows)))
+
+
+def _svr_of_dim_2(d):
+    path = d / "s.psvr"
+    X = np.random.default_rng(0).standard_normal((6, 2))
+    regress.save_svr(path, regress.svr_train(X, X[:, 0]))
     return str(path)
 
 
@@ -239,11 +265,40 @@ def _dnf_with_nan_means(d):
     pytest.param(lambda m, d: [
         "embed", *m, "--out", str(d / "e.tsv"),
         "--model", str(d / "missing.pivm")], id="FileNotFoundError"),
+    pytest.param(lambda m, d: [
+        "embed", *m, "--out", str(d / "e.tsv"), "--model", _pivm_v1(d)],
+        id="FormatError-version"),
+    pytest.param(lambda m, d: [
+        "score", *m, "--svr", _svr_of_dim_2(d),
+        "--embeddings", _embeddings(m, d, skip=1)], id="CorpusError-predict"),
+    pytest.param(lambda m, d: [
+        "train-svr", *m, "--out", str(d / "x.psvr"),
+        "--embeddings", _embeddings(m, d, nan=True)], id="SvrDataError"),
+    pytest.param(lambda m, d: [
+        "score", *m, "--svr", _svr_of_dim_2(d),
+        "--embeddings", _embeddings(m, d, dim=3)], id="SvrDataError-shape"),
 ])
 def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv):
     _, manifest = corpus_dir
     assert main(argv(["--manifest", str(manifest)], tmp_path)) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [
+    {"gmm": {"componets": 8}}, {"svr": {"foo": 2}}, {"nf": {"cap": 3.0}}])
+def test_unknown_section_key_exits_1(tmp_path, capsys, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "corpus": {"synth": {}}, **section}))
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown settings" in err
+
+
+def test_bad_svr_setting_exits_1(corpus_dir, tmp_path, capsys):
+    m = ["--manifest", str(corpus_dir[1])]
+    assert main(["train-svr", *m, "--out", str(tmp_path / "x.psvr"),
+                 "--embeddings", _embeddings(m, tmp_path), "--C", "0"]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,4 @@ def test_adam_config_validation():
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        AdamConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         AdamConfig(epochs=0)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from proscore import pipeline
 from proscore.corpus import save_corpus, synth_corpus
 from proscore.pipeline import (ConfigError, default_config, load_config,
                                run_pipeline, validate_config)
@@ -119,3 +120,31 @@ def test_rewritten_manifest_corpus_retrains(tmp_path):
     assert model != stale
     assert model == (tmp_path / "b" / "models" / "gmm.pgmm").read_bytes()
     assert rerun.report_path.read_bytes() == fresh.report_path.read_bytes()
+
+
+def test_interrupted_retrain_serves_no_stale_model(tmp_path, monkeypatch):
+    """A retrain that dies after saving its model leaves no stamp behind,
+    so going back to the old settings retrains instead of loading it."""
+    manifest = save_corpus(synth_corpus(TINY_SYNTH)[0], tmp_path / "corpus")
+
+    def run(work, iters):
+        return run_pipeline({"seed": 7, "work_dir": str(work),
+                             "corpus": {"manifest": str(manifest)},
+                             "systems": ["gop", "gmm"],
+                             "gmm": {"iters": iters}})
+
+    run(tmp_path / "a", 1)
+    save = pipeline.save_model
+
+    def save_then_die(path, model):
+        save(path, model)
+        raise RuntimeError("interrupted")
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "save_model", save_then_die)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run(tmp_path / "a", 20)
+    run(tmp_path / "a", 1)
+    run(tmp_path / "b", 1)
+    assert (tmp_path / "a" / "models" / "gmm.pgmm").read_bytes() == \
+        (tmp_path / "b" / "models" / "gmm.pgmm").read_bytes()
