@@ -11,7 +11,7 @@ from .assess import (FusionConfig, ReportRow, ScoreRow, ScoreTable,
                      select_lambda)
 from .corpus import (Corpus, FeatureSequence, PhoneAlignment, PhonePrior,
                      PosteriorGram, RatedUtterance, SplitManifest, SynthConfig,
-                     load_corpus, save_corpus, stack_context, synth_corpus)
+                     load_corpus, save_corpus, synth_corpus)
 from .dnf import DnfModel, dnf_embed, dnf_logprob, dnf_train
 from .flow import (AdamConfig, FlowModel, build_flow, flow_embed,
                    flow_logprob, flow_train, flow_transform)

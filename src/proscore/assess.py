@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import formats
 from .corpus import SplitManifest
 
 
@@ -197,17 +198,11 @@ def inter_rater_pcc(ratings: np.ndarray) -> float:
 
 
 def score_table_to_tsv(table: ScoreTable) -> str:
-    has_fused = all(r.fused is not None for r in table.rows)
-    header = "utterance_id\tgop\tpredicted\tlabel_mean"
-    if has_fused:
-        header += "\tfused"
-    lines = [header]
-    for r in table.rows:
-        line = f"{r.utterance_id}\t{r.gop:.17g}\t{r.predicted:.17g}\t{r.label_mean:.17g}"
-        if has_fused:
-            line += f"\t{r.fused:.17g}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    n = 5 if all(r.fused is not None for r in table.rows) else 4
+    return formats.tsv([("utterance_id", "gop", "predicted", "label_mean",
+                         "fused")[:n]] + [
+        (r.utterance_id, r.gop, r.predicted, r.label_mean, r.fused)[:n]
+        for r in table.rows])
 
 
 def read_score_table(path) -> ScoreTable:
@@ -218,25 +213,19 @@ def read_score_table(path) -> ScoreTable:
     writes them) are skipped.
     """
     required = ("utterance_id", "gop", "predicted", "label_mean")
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        known = required + ("fused",)
-        if (len(set(header)) != len(header) or not set(required) <= set(header)
-                or not all(c in known or c.endswith("_loglik") for c in header)):
-            raise AssessError(f"{path}: unexpected score table header {header}")
-        col = {name: header.index(name) for name in known if name in header}
-        rows = []
-        for lineno, line in enumerate(f, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(header):
-                raise AssessError(f"{path}:{lineno}: wrong column count")
-            v = {name: parts[i] for name, i in col.items()}
-            rows.append(ScoreRow(v["utterance_id"], float(v["gop"]),
-                                 float(v["predicted"]), float(v["label_mean"]),
-                                 float(v["fused"]) if "fused" in v else None))
+    known = required + ("fused",)
+    lines = formats.read_tsv(path, AssessError)
+    _, header = next(lines, (path, []))
+    if (len(set(header)) != len(header) or not set(required) <= set(header)
+            or not all(c in known or c.endswith("_loglik") for c in header)):
+        raise AssessError(f"{path}: unexpected score table header {header}")
+    col = {name: header.index(name) for name in known if name in header}
+    rows = []
+    for where, parts in lines:
+        uid, *vals = (parts[i] for i in col.values())
+        gop, predicted, label_mean, *fused = formats.parse(
+            where, AssessError, float, *vals)
+        rows.append(ScoreRow(uid, gop, predicted, label_mean, *fused))
     return ScoreTable(tuple(rows))
 
 
@@ -271,8 +260,6 @@ def evaluate(table: ScoreTable, split: SplitManifest,
 
 def report_to_tsv(rows) -> str:
     """TSV with columns system, split, pcc, lambda (lambda may be empty)."""
-    lines = ["system\tsplit\tpcc\tlambda"]
-    for r in rows:
-        lam = "" if r.lambda_ is None else f"{r.lambda_:.2f}"
-        lines.append(f"{r.system}\t{r.split}\t{r.pcc:.6f}\t{lam}")
-    return "\n".join(lines) + "\n"
+    return formats.tsv([("system", "split", "pcc", "lambda")] + [
+        (r.system, r.split, f"{r.pcc:.6f}",
+         "" if r.lambda_ is None else f"{r.lambda_:.2f}") for r in rows])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assess, gmm, gop, pipeline, regress
+from . import assess, formats, gmm, gop, pipeline, regress
 from .assess import AssessError
 from .corpus import (CorpusError, SynthConfig, load_corpus, save_corpus,
                      synth_corpus)
@@ -85,8 +85,8 @@ def cmd_train_flow(args) -> int:
     model, trace = pipeline.train_flow(load_corpus(args.manifest),
                                        _section(args), args.seed or 0)
     if args.trace:
-        _write_text(args.trace, "epoch\tnll\n" + "".join(
-            f"{i}\t{v:.17g}\n" for i, v in enumerate(trace)))
+        _write_text(args.trace,
+                    formats.tsv([("epoch", "nll"), *enumerate(trace)]))
     return _save(args, model)
 
 
@@ -103,23 +103,12 @@ def cmd_train_svr(args) -> int:  # SMO is deterministic: --seed is unused
 
 
 def _read_embeddings(path) -> dict:
-    emb = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            emb[parts[0]] = np.array([float(v) for v in parts[1:]])
-    return emb
+    return {uid: np.array(formats.parse(where, CorpusError, float, *vec))
+            for where, (uid, *vec) in formats.read_tsv(path, CorpusError)}
 
 
 def _write_embeddings(path, emb: dict) -> None:
-    lines = []
-    for uid in sorted(emb):
-        vec = "\t".join(f"{v:.17g}" for v in emb[uid])
-        lines.append(f"{uid}\t{vec}\n")
-    _write_text(path, "".join(lines))
+    _write_text(path, formats.tsv((uid, *emb[uid]) for uid in sorted(emb)))
 
 
 def cmd_embed(args) -> int:
@@ -156,12 +145,9 @@ def cmd_score(args) -> int:
     columns.append(("label_mean", {
         uid: corpus.labels[uid].mean_score if uid in corpus.labels else nan
         for uid in ids}))
-    header = "utterance_id\t" + "\t".join(name for name, _ in columns)
-    lines = [header]
-    for uid in ids:
-        lines.append(uid + "\t" + "\t".join(
-            f"{vals[uid]:.17g}" for _, vals in columns))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, formats.tsv(
+        [("utterance_id", *(name for name, _ in columns))]
+        + [(uid, *(vals[uid] for _, vals in columns)) for uid in ids]))
     return 0
 
 

@@ -303,74 +303,53 @@ def read_posteriorgram_file(path, utterance_id: str) -> PosteriorGram:
 
 def write_alignment_file(path, alignments, phone_table) -> None:
     """TSV: utterance_id, phone_name, start_frame, end_frame."""
-    with open(path, "w", encoding="utf-8") as f:
-        for uid in sorted(alignments):
-            for p, s, e in alignments[uid].segments:
-                f.write(f"{uid}\t{phone_table[p]}\t{s}\t{e}\n")
+    Path(path).write_text(formats.tsv(
+        (uid, phone_table[p], s, e) for uid in sorted(alignments)
+        for p, s, e in alignments[uid].segments), encoding="utf-8")
 
 
 def read_alignment_file(path, phone_table) -> dict:
     index = {name: i for i, name in enumerate(phone_table)}
     rows: dict[str, list] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusError(f"{path}:{lineno}: expected 4 TSV columns")
-            uid, phone, start, end = parts
-            if phone not in index:
-                raise CorpusError(f"{path}:{lineno}: unknown phone {phone!r}")
-            rows.setdefault(uid, []).append((index[phone], int(start), int(end)))
+    for where, fields in formats.read_tsv(path, CorpusError, 4):
+        uid, phone, start, end = fields
+        if phone not in index:
+            raise CorpusError(f"{where}: unknown phone {phone!r}")
+        start, end = formats.parse(where, CorpusError, int, start, end)
+        rows.setdefault(uid, []).append((index[phone], start, end))
     return {uid: PhoneAlignment(uid, segs) for uid, segs in rows.items()}
 
 
 def write_labels_file(path, labels) -> None:
     """TSV: utterance_id, comma-separated rater scores."""
-    with open(path, "w", encoding="utf-8") as f:
-        for uid in sorted(labels):
-            scores = ",".join(str(s) for s in labels[uid].rater_scores)
-            f.write(f"{uid}\t{scores}\n")
+    Path(path).write_text(formats.tsv(
+        (uid, ",".join(str(s) for s in labels[uid].rater_scores))
+        for uid in sorted(labels)), encoding="utf-8")
 
 
 def read_labels_file(path) -> dict:
     labels = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusError(f"{path}:{lineno}: expected 2 TSV columns")
-            uid, scores = parts
-            labels[uid] = RatedUtterance.from_scores(uid, scores.split(","))
+    for where, (uid, scores) in formats.read_tsv(path, CorpusError, 2):
+        scores = formats.parse(where, CorpusError, int, *scores.split(","))
+        labels[uid] = RatedUtterance.from_scores(uid, scores)
     return labels
 
 
 def write_splits_file(path, splits: SplitManifest) -> None:
     """TSV: utterance_id, split name (train/dev/eval)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for name, ids in (("train", splits.train_ids),
-                          ("dev", splits.dev_ids),
-                          ("eval", splits.eval_ids)):
-            for uid in ids:
-                f.write(f"{uid}\t{name}\n")
+    Path(path).write_text(formats.tsv(
+        (uid, name) for name, ids in (("train", splits.train_ids),
+                                      ("dev", splits.dev_ids),
+                                      ("eval", splits.eval_ids))
+        for uid in ids), encoding="utf-8")
 
 
 def read_splits_file(path) -> SplitManifest:
     groups = {"train": [], "dev": [], "eval": []}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in groups:
-                raise CorpusError(f"{path}:{lineno}: bad split row {line!r}")
-            groups[parts[1]].append(parts[0])
+    for where, (uid, name) in formats.read_tsv(path, CorpusError, 2):
+        if name not in groups:
+            raise CorpusError(f"{where}: unknown split {name!r}")
+        groups[name].append(uid)
     return SplitManifest(groups["train"], groups["dev"], groups["eval"])
 
 
@@ -379,26 +358,17 @@ MANIFEST_ROLES = ("features", "alignments", "posteriors", "labels", "splits")
 
 def write_manifest(path, roles: dict) -> None:
     """TSV mapping role -> path (relative paths resolve against the manifest)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for role in MANIFEST_ROLES:
-            f.write(f"{role}\t{roles[role]}\n")
+    Path(path).write_text(formats.tsv(
+        (role, roles[role]) for role in MANIFEST_ROLES), encoding="utf-8")
 
 
 def read_manifest(path) -> dict:
     path = Path(path)
     roles = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusError(f"{path}:{lineno}: expected 2 TSV columns")
-            role, target = parts
-            if role not in MANIFEST_ROLES:
-                raise CorpusError(f"{path}:{lineno}: unknown role {role!r}")
-            roles[role] = path.parent / target
+    for where, (role, target) in formats.read_tsv(path, CorpusError, 2):
+        if role not in MANIFEST_ROLES:
+            raise CorpusError(f"{where}: unknown role {role!r}")
+        roles[role] = path.parent / target
     missing = [r for r in MANIFEST_ROLES if r not in roles]
     if missing:
         raise CorpusError(f"{path}: manifest missing roles {missing}")
@@ -469,25 +439,6 @@ def load_corpus(manifest_path) -> Corpus:
     corpus = Corpus(features, alignments, posteriors, labels, splits, phone_table)
     corpus.validate()
     return corpus
-
-
-# ---------------------------------------------------------------------------
-# context stacking
-
-
-def stack_context(fs: FeatureSequence, left: int, right: int) -> FeatureSequence:
-    """Concatenate each frame with its neighbours, replicating edge frames.
-
-    Output frame t is the concatenation of input frames t-left .. t+right
-    (indices clamped to [0, T-1]), so the output has D*(left+right+1)
-    columns and the same number of rows.
-    """
-    if left < 0 or right < 0:
-        raise ValueError("context sizes must be non-negative")
-    T = fs.num_frames
-    idx = np.arange(T)
-    cols = [fs.frames[np.clip(idx + off, 0, T - 1)] for off in range(-left, right + 1)]
-    return FeatureSequence(fs.utterance_id, np.hstack(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Binary serialization helpers shared by all model/file formats.
+"""Serialization helpers shared by all model and text file formats.
 
-Every format starts with a 4-byte ASCII magic and a u32 version, and a
-reader accepts only the version in `VERSIONS`. All integers are unsigned
-32-bit little-endian, all reals are 64-bit IEEE-754 little-endian.
+Every binary format starts with a 4-byte ASCII magic and a u32 version,
+and a reader accepts only the version in `VERSIONS`. All integers are
+unsigned 32-bit little-endian, all reals are 64-bit IEEE-754 little-endian.
 Matrices are row-major. A model that holds another model (the UBM of a
 PIVM, the backbone of a PDNF) writes it inline, magic and version
 included, since its reader knows where it ends. Serialization is
 canonical: writing what was just read reproduces the bytes exactly.
+
+Text tables (manifests, alignments, labels, splits, embeddings, score
+tables) are TSV: one row per line, fields separated by tabs, blank lines
+skipped, floats written as `%.17g` so that they read back exactly.
 """
 
 from __future__ import annotations
@@ -117,3 +121,44 @@ def read_string(f: BinaryIO) -> str:
     if len(raw) != n:
         raise FormatError("truncated file while reading string")
     return raw.decode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# text tables
+
+
+def read_tsv(path, error, columns=None):
+    """Yield ("PATH:LINE", fields) for each non-blank line of a TSV file.
+
+    Every line must have `columns` fields, or as many as the first line
+    when `columns` is None; any other count raises `error`.
+    """
+    name = str(path)
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if columns is None:
+                columns = len(fields)
+            where = f"{name}:{lineno}"
+            if len(fields) != columns:
+                raise error(f"{where}: expected {columns} TSV columns,"
+                            f" got {len(fields)}")
+            yield where, fields
+
+
+def parse(where: str, error, convert, *values) -> list:
+    """[convert(v) for v in values], with a ValueError raised as `error`
+    at `where`."""
+    try:
+        return list(map(convert, values))
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
+def tsv(rows) -> str:
+    """TSV text of `rows`: floats as `%.17g`, every other value with str()."""
+    return "".join("\t".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                             for v in row) + "\n" for row in rows)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
 from .corpus import PhoneAlignment, PhonePrior, PosteriorGram
 
 POSTERIOR_FLOOR = 1e-12
@@ -130,7 +131,5 @@ def competition_sweep(a: float, deltas) -> list:
 
 def sweep_to_tsv(points) -> str:
     """Plot-ready TSV with header a<TAB>delta<TAB>posterior."""
-    lines = ["a\tdelta\tposterior"]
-    for pt in points:
-        lines.append(f"{pt.a:.17g}\t{pt.delta:.17g}\t{pt.posterior:.17g}")
-    return "\n".join(lines) + "\n"
+    return formats.tsv([("a", "delta", "posterior")] + [
+        (pt.a, pt.delta, pt.posterior) for pt in points])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,13 +87,26 @@ def validate_config(cfg: dict) -> None:
     for mode in cfg.get("fusion", {}).get("modes", DEFAULT_FUSION_MODES):
         if mode not in DEFAULT_FUSION_MODES:
             raise ConfigError(f"unknown fusion mode {mode!r}")
-    for key, known in default_config().items():
-        if isinstance(known, dict) and key != "corpus":
-            if key == "svr":  # SvrParams(**section) also reads tol, max_passes
-                known = {f.name for f in dataclasses.fields(regress.SvrParams)}
-            unknown = sorted(set(cfg.get(key, {})) - set(known))
-            if unknown:
-                raise ConfigError(f"{key}: unknown settings {unknown}")
+    for key, preset in default_config().items():
+        if not isinstance(preset, dict) or key == "corpus":
+            continue
+        if key == "svr":  # SvrParams(**section) also reads tol, max_passes
+            preset = {f.name: f.default
+                      for f in dataclasses.fields(regress.SvrParams)}
+        section = cfg.get(key, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{key}: expected an object, got {section!r}")
+        unknown = sorted(set(section) - set(preset))
+        if unknown:
+            raise ConfigError(f"{key}: unknown settings {unknown}")
+        for name, value in section.items():
+            want = type(preset[name])
+            if key == "svr" and name == "gamma" and value != "scale":
+                want = float
+            # an int may stand for a float; bool is not an int here
+            if type(value) is not want and (want, type(value)) != (float, int):
+                raise ConfigError(f"{key}.{name}: expected {want.__name__},"
+                                  f" got {value!r}")
 
 
 def _merged(cfg: dict, key: str) -> dict:
@@ -342,10 +356,13 @@ def train_svr(corpus: Corpus, emb: dict, section: dict) -> regress.SvrModel:
     train_ids = [uid for uid in corpus.splits.train_ids if uid in emb]
     if not train_ids:
         raise CorpusError("no train-split utterances among the embeddings")
-    return regress.svr_train(
+    model = regress.svr_train(
         np.array([emb[uid] for uid in train_ids]),
         np.array([corpus.labels[uid].mean_score for uid in train_ids]),
         regress.SvrParams(**section))
+    if model.warning:
+        warnings.warn(f"SVR: {model.warning}")
+    return model
 
 
 def predict(model: regress.SvrModel, emb: dict, ids) -> dict:
@@ -438,17 +455,19 @@ def _corpus_stage(cfg, work: Path, seed: int, force: bool):
         except TypeError as exc:
             raise ConfigError(f"bad synth config: {exc}") from exc
         corpus_dir = work / "corpus"
-        manifest = corpus_dir / "manifest.tsv"
         key = _digest("synth", synth_kwargs)
-        stamp = corpus_dir / "synth.digest"
-        corpus_obj, oracle = synth_corpus(synth)
-        if force or not (stamp.exists() and stamp.read_text() == key
-                         and manifest.exists()):
-            corpus_dir.mkdir(parents=True, exist_ok=True)
+
+        def compute():
+            corpus_obj, oracle = synth_corpus(synth)
+            for sub in ("features", "posteriors"):  # no other corpus's files
+                shutil.rmtree(corpus_dir / sub, ignore_errors=True)
             save_corpus(corpus_obj, corpus_dir)
             _write_oracle(corpus_dir / "oracle.tsv", oracle)
-            stamp.write_text(key)
-        return corpus_obj, key
+            return corpus_obj
+
+        return StageCache(corpus_dir, force).run(
+            "synth", key, ["manifest.tsv", "oracle.tsv"], compute,
+            lambda: load_corpus(corpus_dir / "manifest.tsv")), key
     manifest = Path(corpus_cfg["manifest"])
     if not manifest.is_absolute():
         manifest = work / manifest
@@ -471,7 +490,5 @@ def _corpus_digest(corpus: Corpus) -> str:
 
 
 def _write_oracle(path, oracle: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("utterance_id\trho\n")
-        for uid in sorted(oracle):
-            f.write(f"{uid}\t{oracle[uid]:.17g}\n")
+    Path(path).write_text(formats.tsv(
+        [("utterance_id", "rho")] + sorted(oracle.items())), encoding="utf-8")

@@ -130,11 +130,13 @@ def svr_train(X: np.ndarray, y: np.ndarray,
     G2, s2 = G.reshape(2, n), s.reshape(2, n)
     C = params.C
 
-    for _ in range(params.max_passes * n):
+    budget = params.max_passes * n
+    for updates in range(budget + 1):
         vi, vj = _violations(s, t, G, C)
         i = int(vi.argmax())
         j = int(vj.argmin())
-        if vi[i] - vj[j] <= params.tol:
+        gap = vi[i] - vj[j]
+        if gap <= params.tol or updates == budget:
             break
         ci, cj = i % n, j % n
         eta = max(K[ci, ci] + K[cj, cj] - 2.0 * K[ci, cj], 1e-12)
@@ -152,14 +154,18 @@ def svr_train(X: np.ndarray, y: np.ndarray,
         t[i] += delta
         t[j] += dt_j
         G2 += s2 * (s[i] * delta) * K[:, ci] + s2 * (s[j] * dt_j) * K[:, cj]
-    vi, vj = _violations(s, t, G, C)
-    b = 0.5 * (vi.max() + vj.min())
+    # every exit leaves (vi, vj) current: t has not moved since they were taken
+    b = 0.5 * (vi[i] + vj[j])
+    warning = None
+    if gap > params.tol:
+        warning = (f"SMO stopped after {updates} updates with KKT gap"
+                   f" {gap:.3g} > tol {params.tol:g}")
 
     beta = t[:n] - t[n:]
     obj = dual_objective(K, y, beta, params.epsilon)
     keep = np.abs(beta) > 1e-10
     return SvrModel(params.kernel, C, params.epsilon, gamma, mean, std,
-                    Xs[keep], beta[keep], float(b), dual_objective=obj)
+                    Xs[keep], beta[keep], float(b), warning, obj)
 
 
 def _violations(s, t, G, C):
@@ -251,7 +257,10 @@ def write_svr(f, m: SvrModel) -> None:
 
 def read_svr(f, path: str = "<stream>") -> SvrModel:
     formats.read_magic(f, SVR_MAGIC, path)
-    kernel = KERNEL_NAMES[formats.read_u32(f)]
+    kernel_id = formats.read_u32(f)
+    if kernel_id not in KERNEL_NAMES:
+        raise formats.FormatError(f"{path}: unknown SVR kernel id {kernel_id}")
+    kernel = KERNEL_NAMES[kernel_id]
     C = formats.read_f64(f)
     epsilon = formats.read_f64(f)
     gamma = formats.read_f64(f)

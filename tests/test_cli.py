@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -240,6 +241,15 @@ def _svr_of_dim_2(d):
     return str(path)
 
 
+def _svr_with_kernel_7(d):
+    """A PSVR file whose kernel id field reads 7."""
+    path = d / "k7.psvr"
+    _svr_of_dim_2(d)
+    raw = (d / "s.psvr").read_bytes()
+    path.write_bytes(raw[:8] + (7).to_bytes(4, "little") + raw[12:])
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(lambda m, d: [
         "train-svr", *m, "--out", str(d / "x.psvr"), "--embeddings",
@@ -277,11 +287,51 @@ def _svr_of_dim_2(d):
     pytest.param(lambda m, d: [
         "score", *m, "--svr", _svr_of_dim_2(d),
         "--embeddings", _embeddings(m, d, dim=3)], id="SvrDataError-shape"),
+    pytest.param(lambda m, d: [
+        "score", *m, "--svr", _svr_with_kernel_7(d),
+        "--embeddings", _embeddings(m, d)], id="FormatError-kernel"),
 ])
 def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv):
     _, manifest = corpus_dir
     assert main(argv(["--manifest", str(manifest)], tmp_path)) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, lineno, line", [
+    ("manifest.tsv", 1, "features\tfeatures\textra"),
+    ("alignments.tsv", 2, "spk000_utt00\tph00\tabc\t9"),
+    ("alignments.tsv", 3, "spk000_utt00\tph00\t3"),
+    ("labels.tsv", 2, "spk000_utt01\t4,x,3"),
+    ("labels.tsv", 2, "spk000_utt01"),
+    ("splits.tsv", 3, "spk000_utt00\ttrain\t1"),
+    ("e.tsv", 2, "spk000_utt01\t0.5\tabc"),
+    ("e.tsv", 2, "spk000_utt01\t0.5"),
+    ("s.tsv", 3, "u2\tabc\t1\t2"),
+    ("s.tsv", 3, "u2\t1\t2"),
+])
+def test_malformed_text_line_exits_2(corpus_dir, tmp_path, capsys, name,
+                                     lineno, line):
+    """A non-numeric field or a wrong field count in any text input is a
+    data error that names the file and the line."""
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus_dir[1].parent, root)
+    m = ["--manifest", str(root / "manifest.tsv")]
+    _embeddings(m, root)
+    _text_file(root / "s.tsv", "utterance_id\tgop\tpredicted\tlabel_mean\n"
+               "u1\t1\t2\t3\nu2\t2\t3\t4\nu3\t3\t4\t5\n")
+    path = root / name
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = line
+    path.write_text("\n".join(lines))
+    if name == "e.tsv":
+        argv = ["train-svr", *m, "--embeddings", str(path),
+                "--out", str(tmp_path / "x.psvr")]
+    elif name == "s.tsv":
+        argv = ["fuse", "--scores", str(path), "--dev-scores", str(path)]
+    else:  # a corpus file
+        argv = ["score", *m, "--gop"]
+    assert main(argv) == 2
+    assert f"data error: {path}:{lineno}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", [
@@ -292,6 +342,22 @@ def test_unknown_section_key_exits_1(tmp_path, capsys, section):
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "unknown settings" in err
+
+
+@pytest.mark.parametrize("section", [
+    {"svr": {"C": "x"}}, {"svr": {"gamma": "auto"}},
+    {"svr": {"max_passes": 1.5}}, {"svr": {"tol": "0.001"}},
+    {"gmm": {"components": 8.0}}, {"nf": {"epochs": True}},
+    {"fusion": {"grid_step": "0.1"}}, {"ivector": 5}])
+def test_bad_section_value_type_exits_1(tmp_path, capsys, section):
+    """A value of another type than the preset's fails before any work."""
+    cfg = tmp_path / "cfg.json"
+    tiny = {"num_speakers": 10, "utterances_per_speaker": 3, "feature_dim": 6}
+    cfg.write_text(json.dumps({"seed": 1, "corpus": {"synth": tiny},
+                               "systems": ["gop", "ivector"], **section}))
+    assert main(["run", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_bad_svr_setting_exits_1(corpus_dir, tmp_path, capsys):

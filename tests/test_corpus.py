@@ -4,8 +4,8 @@ import pytest
 from proscore.corpus import (Corpus, CorpusError, FeatureSequence,
                              PhoneAlignment, PhonePrior, PosteriorGram,
                              RatedUtterance, SplitManifest, SynthConfig,
-                             load_corpus, save_corpus, stack_context,
-                             synth_corpus, write_manifest)
+                             load_corpus, save_corpus, synth_corpus,
+                             write_manifest)
 from proscore.assess import pcc
 
 from conftest import TINY_SYNTH
@@ -63,50 +63,6 @@ def test_split_manifest_disjoint_and_coverage():
     m.check_covers(["a", "b", "c"])
     with pytest.raises(CorpusError):
         m.check_covers(["a", "b", "c", "d"])
-
-
-# ---------------------------------------------------------------------------
-# context stacking
-
-
-def _fs(frames):
-    return FeatureSequence("u", np.asarray(frames, dtype=np.float64))
-
-
-def test_stack_context_output_dim():
-    fs = _fs(np.random.default_rng(0).standard_normal((20, 40)))
-    out = stack_context(fs, 5, 5)
-    assert out.dim == 440
-    assert out.num_frames == 20
-
-
-def test_stack_context_identity_window():
-    fs = _fs(np.random.default_rng(1).standard_normal((7, 3)))
-    out = stack_context(fs, 0, 0)
-    np.testing.assert_array_equal(out.frames, fs.frames)
-
-
-def test_stack_context_single_frame_replication():
-    fs = _fs([[1.0, 2.0]])
-    out = stack_context(fs, 5, 5)
-    np.testing.assert_array_equal(out.frames, np.tile([1.0, 2.0], 11)[None, :])
-
-
-def test_stack_context_locality():
-    # row t depends only on the clamped window of input rows
-    rng = np.random.default_rng(2)
-    frames = rng.standard_normal((10, 2))
-    base = stack_context(_fs(frames), 1, 1).frames
-    perturbed = frames.copy()
-    perturbed[7] += 100.0
-    out = stack_context(_fs(perturbed), 1, 1).frames
-    changed = np.nonzero(np.any(out != base, axis=1))[0]
-    np.testing.assert_array_equal(changed, [6, 7, 8])
-
-
-def test_stack_context_rejects_negative_window():
-    with pytest.raises(ValueError):
-        stack_context(_fs([[0.0, 1.0]]), -1, 0)
 
 
 # ---------------------------------------------------------------------------

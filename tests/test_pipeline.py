@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from proscore import pipeline
-from proscore.corpus import save_corpus, synth_corpus
+from proscore import corpus, pipeline
+from proscore.corpus import load_corpus, save_corpus, synth_corpus
 from proscore.pipeline import (ConfigError, default_config, load_config,
                                run_pipeline, validate_config)
 
@@ -25,6 +25,13 @@ def test_validate_config_messages():
     with pytest.raises(ConfigError, match="unknown fusion mode"):
         validate_config({"seed": 1, "corpus": {"synth": {}},
                          "fusion": {"modes": ["late"]}})
+    with pytest.raises(ConfigError, match="svr.C: expected float"):
+        validate_config({"seed": 1, "corpus": {"synth": {}},
+                         "svr": {"C": "1"}})
+    # an int stands for a float, and gamma is "scale" or a number
+    validate_config({"seed": 1, "corpus": {"synth": {}},
+                     "svr": {"C": 2, "gamma": 0.5, "max_passes": 10},
+                     "nf": {"learning_rate": 1}})
 
 
 def test_load_config_errors(tmp_path):
@@ -148,3 +155,32 @@ def test_interrupted_retrain_serves_no_stale_model(tmp_path, monkeypatch):
     run(tmp_path / "b", 1)
     assert (tmp_path / "a" / "models" / "gmm.pgmm").read_bytes() == \
         (tmp_path / "b" / "models" / "gmm.pgmm").read_bytes()
+
+
+def test_interrupted_synth_corpus_is_rewritten(tmp_path, monkeypatch):
+    """A synthetic corpus write that dies leaves no stamp behind, so the
+    next run rewrites the corpus instead of serving the mixed files."""
+    def run(seed, speakers):
+        synth = dict(vars(TINY_SYNTH), seed=seed, num_speakers=speakers)
+        return run_pipeline({"seed": 7, "work_dir": str(tmp_path),
+                             "corpus": {"synth": synth}, "systems": ["gop"]})
+
+    first = run(7, 10)
+    write = corpus.write_feature_file
+    calls = []
+
+    def write_then_die(path, fs):
+        calls.append(path)
+        if len(calls) > 35:
+            raise RuntimeError("interrupted")
+        write(path, fs)
+
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "write_feature_file", write_then_die)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run(8, 12)  # 36 utterances; 35 feature files written
+    rerun = run(7, 10)
+    cached = run(7, 10)  # loads the corpus it wrote
+    assert load_corpus(tmp_path / "corpus" / "manifest.tsv").features.keys() \
+        == first.corpus.features.keys()
+    assert rerun.report_rows == cached.report_rows == first.report_rows

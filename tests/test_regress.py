@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proscore import pipeline
 from proscore.regress import (SvrError, SvrParams, kkt_residual,
                               svr_predict, svr_predict_batch, svr_train)
 
@@ -26,6 +27,20 @@ def test_constant_targets_constant_model():
     assert m.support_vectors.shape[0] == 0
     np.testing.assert_allclose(svr_predict_batch(m, X), 3.0)
     assert svr_predict(m, X[0]) == pytest.approx(3.0)
+
+
+def test_exhausted_update_budget_warns(tiny_corpus):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 3))
+    y = X @ np.array([1.0, -2.0, 0.5])
+    assert svr_train(X, y).warning is None
+    stopped = svr_train(X, y, SvrParams(max_passes=0))
+    assert stopped.warning.startswith("SMO stopped after 0 updates")
+    # the pipeline stage passes the warning on
+    corpus, _ = tiny_corpus
+    emb = {uid: rng.standard_normal(3) for uid in corpus.features}
+    with pytest.warns(UserWarning, match="SVR: SMO stopped after 0 updates"):
+        pipeline.train_svr(corpus, emb, {"max_passes": 0})
 
 
 def test_exact_line_fit_linear_kernel():
