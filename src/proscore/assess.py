@@ -8,6 +8,7 @@ appends the utterance GOP to the embedding before regression.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -40,11 +41,13 @@ class ScoreTable:
         if len(set(ids)) != len(ids):
             raise AssessError("duplicate utterance ids in score table")
         for r in self.rows:
-            vals = [r.gop, r.predicted, r.label_mean]
+            vals = [r.gop, r.predicted]
             if r.fused is not None:
                 vals.append(r.fused)
             if not np.all(np.isfinite(vals)):
                 raise AssessError(f"{r.utterance_id}: non-finite score")
+            if math.isinf(r.label_mean):  # nan marks an unlabeled utterance
+                raise AssessError(f"{r.utterance_id}: infinite label_mean")
 
     def column(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.rows]
@@ -59,6 +62,14 @@ class ScoreTable:
         if missing:
             raise AssessError(f"missing utterances in score table: {missing[:5]}")
         return ScoreTable(tuple(r for r in self.rows if r.utterance_id in wanted))
+
+    def labels(self) -> np.ndarray:
+        """The label_mean column, which correlations need for every row."""
+        for r in self.rows:
+            if math.isnan(r.label_mean):
+                raise AssessError(f"{r.utterance_id}: unlabeled utterance"
+                                  " (label_mean is nan)")
+        return self.column("label_mean")
 
     @property
     def utterance_ids(self) -> tuple:
@@ -142,7 +153,7 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
     """
     if grid_step <= 0:
         raise AssessError("grid_step must be positive")
-    labels = dev_table.column("label_mean")
+    labels = dev_table.labels()
     if float(labels.std()) == 0.0:
         raise AssessError("degenerate dev labels: constant")
     stats = fusion_stats(dev_table) if normalization == "zscore" else None
@@ -247,7 +258,7 @@ def evaluate(table: ScoreTable, split: SplitManifest,
     ids = {"train": split.train_ids, "dev": split.dev_ids,
            "eval": split.eval_ids}[split_name]
     sub = table.subset(ids)
-    labels = sub.column("label_mean")
+    labels = sub.labels()
     rows = []
     for name in ("gop", "predicted", "fused"):
         try:

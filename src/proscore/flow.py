@@ -57,6 +57,8 @@ class AdamConfig:
 class CouplingNet:
     """Two-hidden-layer tanh perceptron used for scale/shift prediction."""
 
+    PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
     def __init__(self, w1, b1, w2, b2, w3, b3):
         self.w1, self.b1 = w1, b1
         self.w2, self.b2 = w2, b2
@@ -90,7 +92,23 @@ class CouplingNet:
         return dx, [dw1, db1, dw2, db2, dw3, db3]
 
     def params(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+        return [getattr(self, name) for name in self.PARAMS]
+
+
+def mask_halves(mask):
+    """Slices of the conditioning (True) and transformed (False) halves.
+
+    The mask must be one prefix block and one suffix block, both non-empty.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    dim, k = mask.shape[0], int(mask.sum())
+    if 0 < k < dim:
+        if mask[:k].all():
+            return slice(0, k), slice(k, dim)
+        if mask[dim - k:].all():
+            return slice(dim - k, dim), slice(0, dim - k)
+    raise FlowError("coupling mask must split dimensions into a prefix"
+                    " block and a suffix block")
 
 
 class CouplingLayer:
@@ -99,6 +117,7 @@ class CouplingLayer:
     def __init__(self, mask, scale_net: CouplingNet, shift_net: CouplingNet,
                  cap: float):
         self.mask = np.asarray(mask, dtype=bool)
+        self.cond, self.trans = mask_halves(self.mask)
         self.scale_net = scale_net
         self.shift_net = shift_net
         self.cap = np.asarray(float(cap))
@@ -107,9 +126,7 @@ class CouplingLayer:
     def create(cls, mask, width: int, rng) -> "CouplingLayer":
         mask = np.asarray(mask, dtype=bool)
         d_in = int(mask.sum())
-        d_out = int((~mask).sum())
-        if d_in == 0 or d_out == 0:
-            raise FlowError("coupling mask must split dimensions into two parts")
+        d_out = mask.shape[0] - d_in
         return cls(mask,
                    CouplingNet.create(d_in, d_out, width, rng),
                    CouplingNet.create(d_in, d_out, width, rng),
@@ -123,10 +140,11 @@ class CouplingLayer:
         return s, t, th, sc_cache, sh_cache
 
     def forward(self, x):
-        a = x[:, self.mask]
+        a = x[:, self.cond]
         s, t, *_ = self._scale_shift(a)
-        y = x.copy()
-        y[:, ~self.mask] = x[:, ~self.mask] * np.exp(s) + t
+        y = np.empty_like(x)
+        y[:, self.cond] = a
+        y[:, self.trans] = x[:, self.trans] * np.exp(s) + t
         return y, s.sum(axis=1)
 
     def inverse(self, y):
@@ -134,12 +152,13 @@ class CouplingLayer:
         return x, -sum_s
 
     def inverse_cached(self, y):
-        a = y[:, self.mask]
+        a = y[:, self.cond]
         s, t, th, sc_cache, sh_cache = self._scale_shift(a)
         exp_neg = np.exp(-s)
-        x = y.copy()
-        xb = (y[:, ~self.mask] - t) * exp_neg
-        x[:, ~self.mask] = xb
+        xb = (y[:, self.trans] - t) * exp_neg
+        x = np.empty_like(y)
+        x[:, self.cond] = a
+        x[:, self.trans] = xb
         cache = (th, sc_cache, sh_cache, exp_neg, xb)
         return x, s.sum(axis=1), cache
 
@@ -151,7 +170,7 @@ class CouplingLayer:
         dLoss/d(inverse input) and the parameter gradients.
         """
         th, sc_cache, sh_cache, exp_neg, xb = cache
-        gxb = gx[:, ~self.mask]
+        gxb = gx[:, self.trans]
         gs = -gxb * xb + weight
         gt = -gxb * exp_neg
         graw = gs * float(self.cap) * (1.0 - th ** 2)
@@ -159,12 +178,9 @@ class CouplingLayer:
         ga_s, g_scale = self.scale_net.backward(sc_cache, graw)
         ga_t, g_shift = self.shift_net.backward(sh_cache, gt)
         gy = np.empty_like(gx)
-        gy[:, ~self.mask] = gxb * exp_neg
-        gy[:, self.mask] = gx[:, self.mask] + ga_s + ga_t
+        gy[:, self.trans] = gxb * exp_neg
+        gy[:, self.cond] = gx[:, self.cond] + ga_s + ga_t
         return gy, g_scale + g_shift + [gcap]
-
-    def params(self):
-        return self.scale_net.params() + self.shift_net.params() + [self.cap]
 
     @property
     def width(self) -> int:
@@ -199,15 +215,25 @@ class FlowModel:
             logdet += ld
         return out, logdet
 
-    def params(self):
-        out = []
+    def _slots(self):
+        """(owner, attribute) of every parameter, in params() order."""
         for layer in self.layers:
-            out.extend(layer.params())
-        return out
+            for net in (layer.scale_net, layer.shift_net):
+                for name in CouplingNet.PARAMS:
+                    yield net, name
+            yield layer, "cap"
+
+    def params(self):
+        return [getattr(owner, name) for owner, name in self._slots()]
+
+    def bind(self, arrays) -> None:
+        """Make `arrays` (in params() order) the model's parameters."""
+        for (owner, name), arr in zip(self._slots(), arrays, strict=True):
+            setattr(owner, name, arr)
 
 
 def alternating_masks(dim: int, count: int):
-    """Half/half masks, swapping halves between consecutive layers."""
+    """Half/half masks, a prefix block then a suffix block, alternating."""
     if dim < 2:
         raise FlowError("a coupling flow needs at least 2 dimensions")
     half = dim // 2
@@ -262,6 +288,30 @@ def flow_embed(m: FlowModel, fs: FeatureSequence) -> np.ndarray:
 # training
 
 
+def _inverse_nll(m: FlowModel, batch: np.ndarray, prior_means, caches):
+    """Mean NLL of the batch and its residuals z - mu, by the inverse pass.
+
+    Each layer's backward cache is appended to `caches` unless it is None.
+    """
+    out = batch
+    sum_s_total = np.zeros(batch.shape[0])
+    for layer in reversed(m.layers):
+        out, sum_s, cache = layer.inverse_cached(out)
+        if caches is not None:
+            caches.append((layer, cache))
+        sum_s_total += sum_s
+    mu = np.zeros_like(out) if prior_means is None else prior_means
+    resid = out - mu
+    loss = float((0.5 * (resid ** 2).sum(axis=1)
+                  + 0.5 * m.dim * LOG_2PI + sum_s_total).mean())
+    return loss, resid
+
+
+def mean_nll(m: FlowModel, batch: np.ndarray, prior_means=None) -> float:
+    """Mean NLL of the batch, the loss of nll_and_grads without gradients."""
+    return _inverse_nll(m, batch, prior_means, None)[0]
+
+
 def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None):
     """Mean NLL of the batch, gradients for all flow params, and residuals.
 
@@ -269,20 +319,9 @@ def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None):
     the discriminative variant); the returned residuals z - mu let the
     caller form gradients for those means.
     """
-    n = batch.shape[0]
-    out = batch
     caches = []
-    sum_s_total = np.zeros(n)
-    for layer in reversed(m.layers):
-        out, sum_s, cache = layer.inverse_cached(out)
-        caches.append((layer, cache))
-        sum_s_total += sum_s
-    z = out
-    mu = np.zeros_like(z) if prior_means is None else prior_means
-    resid = z - mu
-    loss = float((0.5 * (resid ** 2).sum(axis=1)
-                  + 0.5 * m.dim * LOG_2PI + sum_s_total).mean())
-
+    loss, resid = _inverse_nll(m, batch, prior_means, caches)
+    n = batch.shape[0]
     g = resid / n
     weight = 1.0 / n
     all_grads = []
@@ -294,45 +333,51 @@ def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None):
 
 
 class Adam:
-    """Adam over a list of parameter arrays (updates in place)."""
+    """Adam over one flat parameter buffer (updated in place)."""
 
     def __init__(self, params, cfg: AdamConfig):
         self.cfg = cfg
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g ** 2
-            mhat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
-            vhat = self.v[i] / (1 - ADAM_BETA2 ** self.t)
-            p -= self.cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grads
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grads ** 2
+        mhat = self.m / (1 - ADAM_BETA1 ** self.t)
+        vhat = self.v / (1 - ADAM_BETA2 ** self.t)
+        params -= self.cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def _flat_views(arrays):
+    """One float64 buffer holding `arrays` end to end, and a view per array."""
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(np.shape(a)))
+        start += a.size
+    return flat, views
 
 
 def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
                class_means=None, frame_class=None, train_means: bool = False):
     """Shared minibatch NLL training loop for NF and DNF.
 
-    Mutates `m` (and `class_means` when trainable) in place; returns the
-    per-epoch full-data mean NLL trace.
+    Trains `m` (and `class_means` when trainable) in place; returns the
+    per-epoch full-data mean NLL trace. The trained arrays live in one flat
+    buffer for the optimizer, and the model's parameters become views of it.
     """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[0]
     if n < cfg.batch_size:
         raise FlowError(f"need at least batch_size={cfg.batch_size} frames, got {n}")
     params = m.params()
-    if train_means:
-        params = params + [class_means]
-    opt = Adam(params, cfg)
+    flat, views = _flat_views(params + ([class_means] if train_means else []))
+    m.bind(views[:len(params)])
+    means = views[-1] if train_means else class_means
+    opt = Adam(flat, cfg)
     rng = np.random.default_rng(cfg.seed)
-
-    def full_nll():
-        mu = None if class_means is None else class_means[frame_class]
-        loss, _, _ = nll_and_grads(m, frames, mu)
-        return loss
 
     trace = []
     for epoch in range(cfg.epochs):
@@ -340,23 +385,22 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
         for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             batch = frames[idx]
-            if class_means is None:
-                mu = None
-            else:
-                mu = class_means[frame_class[idx]]
+            mu = None if means is None else means[frame_class[idx]]
             loss, grads, resid = nll_and_grads(m, batch, mu)
             if not np.isfinite(loss):
                 raise TrainingDivergence(epoch)
             if train_means:
-                gmu = np.zeros_like(class_means)
+                gmu = np.zeros_like(means)
                 np.add.at(gmu, frame_class[idx], -resid / len(idx))
                 grads = grads + [gmu]
-            # params hold references into the model, so the step is in place
-            opt.step(params, grads)
-        epoch_nll = full_nll()
+            opt.step(flat, np.concatenate([np.ravel(g) for g in grads]))
+        epoch_nll = mean_nll(m, frames,
+                             None if means is None else means[frame_class])
         if not np.isfinite(epoch_nll):
             raise TrainingDivergence(epoch)
         trace.append(epoch_nll)
+    if train_means:
+        class_means[...] = means
     return trace
 
 
@@ -395,6 +439,10 @@ def read_flow(f, path: str = "<stream>") -> FlowModel:
         if len(mask_raw) != dim:
             raise formats.FormatError(f"{path}: truncated mask")
         mask = np.frombuffer(mask_raw, dtype=np.uint8).astype(bool)
+        try:
+            mask_halves(mask)
+        except FlowError as exc:
+            raise formats.FormatError(f"{path}: {exc}") from exc
         cap = formats.read_f64(f)
         d_in = int(mask.sum())
         d_out = dim - d_in

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import warnings
 from dataclasses import dataclass
@@ -73,40 +74,82 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _check_type(name: str, value, preset) -> None:
+    """ConfigError unless `value` has the type of `preset`.
+
+    An int may stand for a float (bool is not an int here), and a list for
+    a tuple of as many values of the tuple's types.
+    """
+    if isinstance(preset, tuple):
+        if type(value) not in (list, tuple) or len(value) != len(preset):
+            raise ConfigError(f"{name}: expected a list like {list(preset)},"
+                              f" got {value!r}")
+        for item, item_preset in zip(value, preset):
+            _check_type(name, item, item_preset)
+        return
+    want = type(preset)
+    if type(value) is not want and (want, type(value)) != (float, int):
+        raise ConfigError(f"{name}: expected {want.__name__}, got {value!r}")
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def _check_section(key: str, section, preset: dict) -> None:
+    """ConfigError unless `section` sets only keys of `preset`, each to a
+    value of the preset's type."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected an object, got {section!r}")
+    unknown = sorted(set(section) - set(preset))
+    if unknown:
+        raise ConfigError(f"{key}: unknown settings {unknown}")
+    for name, value in section.items():
+        want = preset[name]
+        if key == "svr" and name == "gamma" and value != "scale":
+            want = 0.0  # "scale" or a number
+        _check_type(f"{key}.{name}", value, want)
+
+
+def _check_names(name: str, value, allowed, what: str) -> None:
+    if (type(value) not in (list, tuple)
+            or not all(type(v) is str for v in value)):
+        raise ConfigError(f"{name}: expected a list of strings, got {value!r}")
+    for v in value:
+        if v not in allowed:
+            raise ConfigError(f"unknown {what} {v!r}")
+
+
 def validate_config(cfg: dict) -> None:
     if "seed" not in cfg:
         raise ConfigError("missing required field: seed")
+    _check_type("seed", cfg["seed"], 0)
     corpus_cfg = cfg.get("corpus")
     if not isinstance(corpus_cfg, dict):
         raise ConfigError("missing required field: corpus")
-    if "synth" not in corpus_cfg and "manifest" not in corpus_cfg:
+    paths = {key: cfg[key] for key in ("work_dir", "model_dir", "report_dir")
+             if key in cfg}
+    if "manifest" in corpus_cfg:
+        paths["corpus.manifest"] = corpus_cfg["manifest"]
+    for name, value in paths.items():
+        if not isinstance(value, (str, os.PathLike)):
+            raise ConfigError(f"{name}: expected a path, got {value!r}")
+    if "synth" in corpus_cfg:
+        _check_section("corpus.synth", corpus_cfg["synth"],
+                       _defaults(SynthConfig))
+    elif "manifest" not in corpus_cfg:
         raise ConfigError("corpus must define either 'synth' or 'manifest'")
-    for sys_name in cfg.get("systems", DEFAULT_SYSTEMS):
-        if sys_name not in DEFAULT_SYSTEMS:
-            raise ConfigError(f"unknown system {sys_name!r}")
-    for mode in cfg.get("fusion", {}).get("modes", DEFAULT_FUSION_MODES):
-        if mode not in DEFAULT_FUSION_MODES:
-            raise ConfigError(f"unknown fusion mode {mode!r}")
     for key, preset in default_config().items():
         if not isinstance(preset, dict) or key == "corpus":
             continue
         if key == "svr":  # SvrParams(**section) also reads tol, max_passes
-            preset = {f.name: f.default
-                      for f in dataclasses.fields(regress.SvrParams)}
-        section = cfg.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"{key}: expected an object, got {section!r}")
-        unknown = sorted(set(section) - set(preset))
-        if unknown:
-            raise ConfigError(f"{key}: unknown settings {unknown}")
-        for name, value in section.items():
-            want = type(preset[name])
-            if key == "svr" and name == "gamma" and value != "scale":
-                want = float
-            # an int may stand for a float; bool is not an int here
-            if type(value) is not want and (want, type(value)) != (float, int):
-                raise ConfigError(f"{key}.{name}: expected {want.__name__},"
-                                  f" got {value!r}")
+            preset = _defaults(regress.SvrParams)
+        _check_section(key, cfg.get(key, {}), preset)
+    _check_names("systems", cfg.get("systems", list(DEFAULT_SYSTEMS)),
+                 DEFAULT_SYSTEMS, "system")
+    _check_names("fusion.modes",
+                 cfg.get("fusion", {}).get("modes", list(DEFAULT_FUSION_MODES)),
+                 DEFAULT_FUSION_MODES, "fusion mode")
 
 
 def _merged(cfg: dict, key: str) -> dict:
@@ -449,11 +492,8 @@ def _corpus_stage(cfg, work: Path, seed: int, force: bool):
     if "synth" in corpus_cfg:
         synth_kwargs = dict(corpus_cfg["synth"])
         synth_kwargs.setdefault("seed", seed)
-        try:
-            synth = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                   for k, v in synth_kwargs.items()})
-        except TypeError as exc:
-            raise ConfigError(f"bad synth config: {exc}") from exc
+        synth = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in synth_kwargs.items()})
         corpus_dir = work / "corpus"
         key = _digest("synth", synth_kwargs)
 

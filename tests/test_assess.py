@@ -54,6 +54,24 @@ def test_score_table_rejects_duplicates_and_nonfinite():
         _table([0.0, 0.0], [1.0, 1.0], [2.0, 2.0], ids=["a", "a"])
     with pytest.raises(AssessError, match="non-finite"):
         _table([np.inf], [1.0], [2.0])
+    with pytest.raises(AssessError, match="non-finite"):
+        _table([1.0], [np.nan], [2.0])
+    with pytest.raises(AssessError, match="infinite label_mean"):
+        _table([1.0], [2.0], [-np.inf])
+
+
+def test_unlabeled_rows_are_kept_but_not_correlated():
+    """A nan label_mean marks an unlabeled utterance: the table holds it,
+    and only a correlation over it fails, naming the first one."""
+    t = _table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 3.0, 2.0],
+               [1.0, np.nan, 3.0, np.nan])
+    labeled = t.subset(["u0", "u2"])
+    np.testing.assert_array_equal(labeled.labels(), [1.0, 3.0])
+    assert evaluate(t, _split_for(["u0", "u2"]))[0].pcc == pytest.approx(1.0)
+    with pytest.raises(AssessError, match="u1: unlabeled"):
+        evaluate(t, _split_for(["u0", "u1", "u2", "u3"]))
+    with pytest.raises(AssessError, match="u1: unlabeled"):
+        select_lambda(t)
 
 
 def test_score_table_subset_and_missing():

@@ -165,6 +165,25 @@ def test_fuse_from_score_tables(corpus_dir, tmp_path, capsys):
     assert header.endswith("\tfused")
 
 
+def test_fuse_with_an_unlabeled_row(tmp_path, capsys):
+    """An unlabeled row (label_mean nan) is fused, but a dev table that
+    holds one cannot select the weight: a data error that names it."""
+    header = "utterance_id\tgop\tpredicted\tlabel_mean\n"
+    labeled = "".join(f"u{i}\t{i}\t{i % 3}\t{i % 4 + 1}\n" for i in range(6))
+    dev = tmp_path / "dev.tsv"
+    dev.write_text(header + labeled)
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(header + labeled + "x9\t1\t2\tnan\n")
+    out = tmp_path / "fused.tsv"
+    assert main(["fuse", "--scores", str(scores), "--dev-scores", str(dev),
+                 "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[-2].startswith("x9\t1\t2\tnan\t")
+    capsys.readouterr()
+    assert main(["fuse", "--scores", str(dev),
+                 "--dev-scores", str(scores)]) == 2
+    assert "data error: x9: unlabeled utterance" in capsys.readouterr().err
+
+
 def test_score_fuse_evaluate_chain(corpus_dir, tmp_path, capsys):
     """`score` output feeds `fuse`, whose output feeds `evaluate`."""
     _, manifest = corpus_dir
@@ -348,7 +367,16 @@ def test_unknown_section_key_exits_1(tmp_path, capsys, section):
     {"svr": {"C": "x"}}, {"svr": {"gamma": "auto"}},
     {"svr": {"max_passes": 1.5}}, {"svr": {"tol": "0.001"}},
     {"gmm": {"components": 8.0}}, {"nf": {"epochs": True}},
-    {"fusion": {"grid_step": "0.1"}}, {"ivector": 5}])
+    {"fusion": {"grid_step": "0.1"}}, {"ivector": 5},
+    {"corpus": {"synth": {"num_speakers": "x"}}},
+    {"corpus": {"synth": {"frames_per_phone": [3]}}},
+    {"corpus": {"synth": {"frames_per_phone": [3, 6.5]}}},
+    {"corpus": {"synth": {"num_raters": True}}},
+    {"corpus": {"synth": {"feature_dimm": 6}}}, {"corpus": {"synth": 5}},
+    {"corpus": {"manifest": 5}}, {"model_dir": 5},
+    {"systems": 5}, {"systems": "gop"}, {"systems": ["gop", 3]},
+    {"fusion": {"modes": "score"}}, {"fusion": {"modes": [None]}},
+    {"seed": 1.5}, {"seed": "7"}, {"seed": True}])
 def test_bad_section_value_type_exits_1(tmp_path, capsys, section):
     """A value of another type than the preset's fails before any work."""
     cfg = tmp_path / "cfg.json"

@@ -3,9 +3,12 @@ import pytest
 
 from proscore.corpus import FeatureSequence
 from proscore.dnf import (DnfError, DnfModel, classes_from_mean_scores,
-                          dnf_embed, dnf_logprob, dnf_train, init_class_means)
+                          dnf_embed, dnf_logprob, dnf_train, init_class_means,
+                          save_dnf)
 from proscore.flow import (AdamConfig, build_flow, flow_embed, flow_logprob,
-                           flow_train, flow_transform)
+                           flow_train, flow_transform, nll_and_grads)
+from proscore.formats import FormatError
+from proscore.pipeline import load_model
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -120,8 +123,6 @@ def test_zero_frozen_means_reduces_to_flow_train():
 
 
 def test_gradient_check_including_class_means():
-    from proscore.flow import nll_and_grads
-
     rng = np.random.default_rng(6)
     frames = rng.standard_normal((8, 4))
     classes = np.array([0, 1, 0, 1, 1, 0, 0, 1])
@@ -196,3 +197,20 @@ def test_embed_matches_flow_embed():
     m = DnfModel(backbone, np.zeros((2, 4)))
     fs = FeatureSequence("u", rng.standard_normal((7, 4)))
     np.testing.assert_array_equal(dnf_embed(m, fs), flow_embed(backbone, fs))
+
+
+def test_trace_ends_with_the_full_batch_loss():
+    rng = np.random.default_rng(23)
+    frames, classes = _two_class_data(rng, n=100)
+    cfg = AdamConfig(learning_rate=0.01, batch_size=50, epochs=3, seed=24)
+    m, trace = dnf_train(frames, classes, cfg, num_layers=2, width=8)
+    assert trace[-1] == nll_and_grads(m.backbone, frames,
+                                      m.class_means[classes])[0]
+
+
+def test_interleaved_mask_is_a_format_error(tmp_path):
+    m = DnfModel(build_flow(4, 2, 8, seed=25), np.zeros((2, 4)))
+    m.backbone.layers[0].mask = np.array([False, True, False, True])
+    save_dnf(tmp_path / "bad.pdnf", m)
+    with pytest.raises(FormatError, match="prefix block"):
+        load_model(tmp_path / "bad.pdnf")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from proscore import flow
 from proscore.corpus import FeatureSequence
 from proscore.flow import (AdamConfig, FlowError, TrainingDivergence,
                            build_flow, flow_embed, flow_logprob, flow_train,
-                           flow_transform, nll_and_grads)
+                           flow_transform, mean_nll, nll_and_grads, train_core)
+from proscore.formats import FormatError
+from proscore.pipeline import load_model
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -193,3 +196,100 @@ def test_adam_config_validation():
         AdamConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         AdamConfig(epochs=0)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness oracles: the training loop's shortcuts change no bit
+
+
+def test_mean_nll_is_the_loss_of_nll_and_grads():
+    frames = np.random.default_rng(14).standard_normal((96, 4)) + 0.5
+    m = build_flow(4, 4, 8, seed=14)
+    # three Adam steps, so that the flow is not the identity
+    train_core(m, frames, AdamConfig(learning_rate=0.05, batch_size=32,
+                                     epochs=1, seed=14))
+    assert mean_nll(m, frames) != mean_nll(build_flow(4, 4, 8, seed=14), frames)
+    mu = np.random.default_rng(15).standard_normal(frames.shape)
+    for prior in (None, mu):
+        assert mean_nll(m, frames, prior) == nll_and_grads(m, frames, prior)[0]
+
+
+def test_trace_ends_with_the_full_batch_loss():
+    rng = np.random.default_rng(16)
+    frames = rng.standard_normal((200, 4)) * 1.5 - 1.0
+    m = build_flow(4, 3, 8, seed=17)
+    trace = train_core(m, frames, AdamConfig(learning_rate=0.01,
+                                             batch_size=50, epochs=3, seed=18))
+    assert trace[-1] == nll_and_grads(m, frames)[0]
+
+
+class _ListAdam:
+    """Adam as one update per parameter array: the oracle that the flat
+    buffer update must match bit for bit."""
+
+    def __init__(self, params, cfg):
+        self.cfg = cfg
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = flow.ADAM_BETA1 * self.m[i] + (1 - flow.ADAM_BETA1) * g
+            self.v[i] = (flow.ADAM_BETA2 * self.v[i]
+                         + (1 - flow.ADAM_BETA2) * g ** 2)
+            mhat = self.m[i] / (1 - flow.ADAM_BETA1 ** self.t)
+            vhat = self.v[i] / (1 - flow.ADAM_BETA2 ** self.t)
+            p -= self.cfg.learning_rate * mhat / (np.sqrt(vhat) + flow.ADAM_EPS)
+
+
+def _list_adam_train(m, frames, cfg, class_means=None, frame_class=None):
+    """The minibatch loop of train_core, stepping each array on its own."""
+    params = m.params() + ([] if class_means is None else [class_means])
+    opt = _ListAdam(params, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    n = frames.shape[0]
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            mu = None if class_means is None else class_means[frame_class[idx]]
+            _, grads, resid = nll_and_grads(m, frames[idx], mu)
+            if class_means is not None:
+                gmu = np.zeros_like(class_means)
+                np.add.at(gmu, frame_class[idx], -resid / len(idx))
+                grads = grads + [gmu]
+            opt.step(params, grads)
+
+
+@pytest.mark.parametrize("with_means", [False, True])
+def test_flat_adam_matches_per_array_adam(with_means):
+    rng = np.random.default_rng(19)
+    frames = rng.standard_normal((150, 4)) + [1.0, 0.0, -1.0, 2.0]
+    frame_class = rng.integers(0, 3, size=150)
+    cfg = AdamConfig(learning_rate=0.02, batch_size=40, epochs=3, seed=20)
+    means = rng.standard_normal((3, 4))
+    ref, ref_means = build_flow(4, 3, 8, seed=21), means.copy()
+    _list_adam_train(ref, frames, cfg, ref_means if with_means else None,
+                     frame_class)
+    m, trained_means = build_flow(4, 3, 8, seed=21), means.copy()
+    train_core(m, frames, cfg,
+               class_means=trained_means if with_means else None,
+               frame_class=frame_class, train_means=with_means)
+    assert len(m.params()) == len(ref.params())
+    for p, q in zip(m.params(), ref.params()):
+        np.testing.assert_array_equal(p, q)
+    if with_means:
+        assert not np.array_equal(trained_means, means)
+        np.testing.assert_array_equal(trained_means, ref_means)
+
+
+def test_interleaved_mask_is_a_format_error(tmp_path):
+    m = build_flow(4, 2, 8, seed=22)
+    flow.save_flow(tmp_path / "ok.pnf1", m)
+    assert isinstance(load_model(tmp_path / "ok.pnf1"), flow.FlowModel)
+    m.layers[1].mask = np.array([True, False, True, False])
+    flow.save_flow(tmp_path / "bad.pnf1", m)
+    with pytest.raises(FormatError, match="prefix block"):
+        load_model(tmp_path / "bad.pnf1")

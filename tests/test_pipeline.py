@@ -28,8 +28,16 @@ def test_validate_config_messages():
     with pytest.raises(ConfigError, match="svr.C: expected float"):
         validate_config({"seed": 1, "corpus": {"synth": {}},
                          "svr": {"C": "1"}})
-    # an int stands for a float, and gamma is "scale" or a number
-    validate_config({"seed": 1, "corpus": {"synth": {}},
+    with pytest.raises(ConfigError,
+                       match=r"corpus.synth.num_speakers: expected int"):
+        validate_config({"seed": 1,
+                         "corpus": {"synth": {"num_speakers": "x"}}})
+    with pytest.raises(ConfigError, match="systems: expected a list"):
+        validate_config({"seed": 1, "corpus": {"synth": {}}, "systems": 5})
+    # an int stands for a float, a list for a tuple, and gamma is "scale"
+    # or a number
+    validate_config({"seed": 1, "corpus": {"synth": {
+                         "native_scale": 2, "frames_per_phone": [2, 4]}},
                      "svr": {"C": 2, "gamma": 0.5, "max_passes": 10},
                      "nf": {"learning_rate": 1}})
 
