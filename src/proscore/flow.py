@@ -435,10 +435,8 @@ def read_flow(f, path: str = "<stream>") -> FlowModel:
     layers = []
     for _ in range(count):
         width = formats.read_u32(f)
-        mask_raw = f.read(dim)
-        if len(mask_raw) != dim:
-            raise formats.FormatError(f"{path}: truncated mask")
-        mask = np.frombuffer(mask_raw, dtype=np.uint8).astype(bool)
+        mask = np.frombuffer(formats.read_bytes(f, dim, "mask"),
+                             dtype=np.uint8).astype(bool)
         try:
             mask_halves(mask)
         except FlowError as exc:

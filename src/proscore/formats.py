@@ -15,6 +15,8 @@ skipped, floats written as `%.17g` so that they read back exactly.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -22,6 +24,11 @@ import numpy as np
 
 # magic -> the one version that is written and read
 VERSIONS = {"PRF1": 1, "PGMM": 1, "PIVM": 2, "PNF1": 1, "PDNF": 2, "PSVR": 1}
+# a read of more bytes than this is first checked against the bytes left in
+# the stream, so that a corrupt length fails before a buffer that size is
+# allocated; every field of a model or corpus file the program writes at
+# its presets is smaller
+_UNCHECKED_READ = 1 << 20
 
 
 class FormatError(ValueError):
@@ -58,15 +65,27 @@ def read_magic(f: BinaryIO, magic: str, path: str = "<stream>") -> None:
                           f" (expected version {VERSIONS[magic]})")
 
 
+def read_bytes(f: BinaryIO, n: int, what: str) -> bytes:
+    """Exactly n bytes of f, else FormatError naming `what`."""
+    if n > _UNCHECKED_READ:
+        pos = f.tell()
+        left = f.seek(0, os.SEEK_END) - pos
+        f.seek(pos)
+        if n > left:
+            raise FormatError(f"truncated file while reading {what}"
+                              f" ({n} bytes, {left} left)")
+    raw = f.read(n)
+    if len(raw) != n:
+        raise FormatError(f"truncated file while reading {what}")
+    return raw
+
+
 def write_u32(f: BinaryIO, value: int) -> None:
     f.write(struct.pack("<I", value))
 
 
 def read_u32(f: BinaryIO) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise FormatError("truncated file while reading u32")
-    return struct.unpack("<I", raw)[0]
+    return struct.unpack("<I", read_bytes(f, 4, "u32"))[0]
 
 
 def write_f64(f: BinaryIO, value: float) -> None:
@@ -74,10 +93,10 @@ def write_f64(f: BinaryIO, value: float) -> None:
 
 
 def read_f64(f: BinaryIO) -> float:
-    raw = f.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated file while reading f64")
-    return struct.unpack("<d", raw)[0]
+    value = struct.unpack("<d", read_bytes(f, 8, "f64"))[0]
+    if value != value:
+        raise FormatError("NaN in a real-valued field")
+    return value
 
 
 def write_array(f: BinaryIO, arr: np.ndarray) -> None:
@@ -86,10 +105,7 @@ def write_array(f: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_array(f: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    raw = f.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError("truncated file while reading array payload")
+    raw = read_bytes(f, 8 * math.prod(shape), "array payload")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
@@ -116,11 +132,11 @@ def write_string(f: BinaryIO, s: str) -> None:
 
 
 def read_string(f: BinaryIO) -> str:
-    n = read_u32(f)
-    raw = f.read(n)
-    if len(raw) != n:
-        raise FormatError("truncated file while reading string")
-    return raw.decode("utf-8")
+    raw = read_bytes(f, read_u32(f), "string")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"string is not UTF-8 ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 # variance floor, as a fraction of the global per-dimension variance
 VARIANCE_FLOOR_FRACTION = 1e-4
+# k-means assigns frames in blocks of this many rows, so its distance
+# tensor is (block, K, D) rather than (N, K, D)
+_KMEANS_BLOCK = 8192
 
 
 class GmmError(ValueError):
@@ -59,15 +62,21 @@ def _component_loglik(m: GmmModel, frames: np.ndarray) -> np.ndarray:
     """(N, K) matrix of ln[w_k * N(o; mu_k, diag(var_k))]."""
     inv = 1.0 / m.variances
     const = -0.5 * (m.dim * LOG_2PI + np.log(m.variances).sum(axis=1))
-    # expand ||o - mu||^2_inv without forming an N x K x D tensor
-    quad = (frames ** 2) @ inv.T - 2.0 * frames @ (m.means * inv).T \
-        + ((m.means ** 2) * inv).sum(axis=1)
-    return np.log(m.weights) + const - 0.5 * quad
+    # expand ||o - mu||^2_inv without forming an N x K x D tensor; every
+    # step after the first product is written over it
+    ll = (frames ** 2) @ inv.T
+    ll -= 2.0 * frames @ (m.means * inv).T
+    ll += ((m.means ** 2) * inv).sum(axis=1)
+    ll *= -0.5  # (-0.5 q) + c is c - 0.5 q exactly
+    ll += np.log(m.weights) + const
+    return ll
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     hi = a.max(axis=axis, keepdims=True)
-    return (hi + np.log(np.exp(a - hi).sum(axis=axis, keepdims=True))).squeeze(axis)
+    e = a - hi
+    np.exp(e, out=e)
+    return (hi + np.log(e.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def responsibilities(m: GmmModel, frames: np.ndarray) -> np.ndarray:
@@ -89,16 +98,39 @@ def gmm_loglik(m: GmmModel, fs: FeatureSequence):
 
 def _kmeans_init(frames: np.ndarray, K: int, rng, iters: int = 10) -> np.ndarray:
     """Seeded k-means on a random subset of starting centers."""
-    idx = rng.choice(frames.shape[0], size=K, replace=False)
+    N = frames.shape[0]
+    idx = rng.choice(N, size=K, replace=False)
     centers = frames[idx].copy()
+    assign = np.empty(N, dtype=np.intp)
     for _ in range(iters):
-        d2 = ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        # each row's distances and argmin are those of the whole-array form
+        for lo in range(0, N, _KMEANS_BLOCK):
+            blk = frames[lo:lo + _KMEANS_BLOCK]
+            assign[lo:lo + len(blk)] = ((blk[:, None, :] - centers[None, :, :])
+                                        ** 2).sum(axis=2).argmin(axis=1)
         for k in range(K):
             sel = frames[assign == k]
             if len(sel):
                 centers[k] = sel.mean(axis=0)
     return centers
+
+
+def _em_step(m: GmmModel, frames: np.ndarray, floor: np.ndarray):
+    """One EM update; returns (updated model, mean log-likelihood under m).
+
+    Its (N, K) temporaries die on return, before the next step allocates.
+    """
+    g = _component_loglik(m, frames)
+    per_frame = _logsumexp(g, axis=1)
+    g -= per_frame[:, None]
+    np.exp(g, out=g)  # responsibilities, in the log-likelihoods' memory
+    nk = np.maximum(g.sum(axis=0), 1e-300)
+    weights = nk / frames.shape[0]
+    means = (g.T @ frames) / nk[:, None]
+    sq = (g.T @ (frames ** 2)) / nk[:, None]
+    variances = np.maximum(sq - means ** 2, floor)
+    return (GmmModel(weights / weights.sum(), means, variances),
+            float(per_frame.mean()))
 
 
 def gmm_train(frames: np.ndarray, K: int, iters: int, seed: int):
@@ -125,17 +157,8 @@ def gmm_train(frames: np.ndarray, K: int, iters: int, seed: int):
 
     trace = []
     for _ in range(iters):
-        ll = _component_loglik(model, frames)
-        per_frame = _logsumexp(ll, axis=1)
-        trace.append(float(per_frame.mean()))
-        g = np.exp(ll - per_frame[:, None])
-        nk = g.sum(axis=0)
-        nk = np.maximum(nk, 1e-300)
-        weights = nk / N
-        means = (g.T @ frames) / nk[:, None]
-        sq = (g.T @ (frames ** 2)) / nk[:, None]
-        variances = np.maximum(sq - means ** 2, floor)
-        model = GmmModel(weights / weights.sum(), means, variances)
+        model, mean_ll = _em_step(model, frames, floor)
+        trace.append(mean_ll)
     trace.append(float(_logsumexp(_component_loglik(model, frames), axis=1).mean()))
     return model, trace
 

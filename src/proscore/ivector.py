@@ -70,22 +70,27 @@ def ubm_stats(m: GmmModel, fs: FeatureSequence) -> BaumWelchStats:
     return BaumWelchStats(fs.utterance_id, zeroth, first)
 
 
-def _posterior(loadings, inv_var, st: BaumWelchStats):
+def _precision_terms(loadings, inv_var):
+    """Sigma_k^-1 T_k, (K, D, R), and T_k' Sigma_k^-1 T_k, (K, R, R): the
+    utterance-independent parts of every posterior."""
+    TS = loadings * inv_var[:, :, None]
+    return TS, np.array([T.T @ ts for T, ts in zip(loadings, TS)])
+
+
+def _posterior(TS, P, st: BaumWelchStats):
     """Posterior precision L and mean of z given one utterance's stats."""
-    K, D, R = loadings.shape
+    K, D, R = TS.shape
     L = np.eye(R)
     b = np.zeros(R)
     for k in range(K):
-        TS = loadings[k] * inv_var[k][:, None]        # Sigma_k^-1 T_k, (D, R)
-        L += st.zeroth[k] * (loadings[k].T @ TS)
-        b += TS.T @ st.first_centered[k]
+        L += st.zeroth[k] * P[k]
+        b += TS[k].T @ st.first_centered[k]
     return L, b
 
 
 def ivector_infer(m: IVectorModel, st: BaumWelchStats):
     """Posterior mean of z (the i-vector) and its precision matrix L."""
-    inv_var = 1.0 / m.ubm.variances
-    L, b = _posterior(m.loadings, inv_var, st)
+    L, b = _posterior(*_precision_terms(m.loadings, 1.0 / m.ubm.variances), st)
     z = np.linalg.solve(L, b)
     return z, L
 
@@ -105,9 +110,10 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
     inv_var = 1.0 / ubm.variances
 
     def objective(T):
+        terms = _precision_terms(T, inv_var)
         total = 0.0
         for st in stats:
-            L, b = _posterior(T, inv_var, st)
+            L, b = _posterior(*terms, st)
             zbar = np.linalg.solve(L, b)
             sign, logdet = np.linalg.slogdet(L)
             total += -0.5 * logdet + 0.5 * float(b @ zbar)
@@ -117,8 +123,9 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
     for _ in range(iters):
         A = np.zeros((K, R, R))
         C = np.zeros((K, D, R))
+        terms = _precision_terms(loadings, inv_var)
         for st in stats:
-            L, b = _posterior(loadings, inv_var, st)
+            L, b = _posterior(*terms, st)
             cov = np.linalg.inv(L)
             zbar = cov @ b
             Ezz = cov + np.outer(zbar, zbar)

@@ -150,6 +150,37 @@ def validate_config(cfg: dict) -> None:
     _check_names("fusion.modes",
                  cfg.get("fusion", {}).get("modes", list(DEFAULT_FUSION_MODES)),
                  DEFAULT_FUSION_MODES, "fusion mode")
+    _check_ranges(cfg)
+
+
+# counts that a stage needs to be at least 1; the gmm, nf and dnf stages
+# check their own, for the CLI
+_AT_LEAST_ONE = {"gmm": ("components",),
+                 "ivector": ("dim", "iters", "ubm_components"),
+                 "nf": ("layers",), "dnf": ("layers", "classes")}
+
+
+def _check_counts(key: str, section: dict) -> None:
+    for name in _AT_LEAST_ONE[key]:
+        if section[name] < 1:
+            raise ConfigError(f"{key}.{name} must be >= 1, got {section[name]}")
+
+
+def _check_ranges(cfg: dict) -> None:
+    """ConfigError for a value that a stage's own check would reject, so
+    that a run fails before its first stage rather than in it."""
+    for key in _AT_LEAST_ONE:
+        _check_counts(key, _merged(cfg, key))
+    checks = [("svr", lambda: regress.SvrParams(**_merged(cfg, "svr"))),
+              ("nf", lambda: _adam(_merged(cfg, "nf"), 0)),
+              ("dnf", lambda: _adam(_merged(cfg, "dnf"), 0))]
+    if "synth" in cfg["corpus"]:
+        checks.append(("corpus.synth", lambda: _synth_config(cfg)[0].validate()))
+    for key, check in checks:
+        try:
+            check()
+        except ValueError as exc:  # SvrError, CorpusError, AdamConfig's
+            raise ConfigError(f"{key}: {exc}") from None
 
 
 def _merged(cfg: dict, key: str) -> dict:
@@ -211,7 +242,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     cache = StageCache(model_dir, force)
     systems = list(cfg.get("systems", DEFAULT_SYSTEMS))
 
-    corpus, corpus_key = _corpus_stage(cfg, work, seed, force)
+    corpus, corpus_key = _corpus_stage(cfg, work, force)
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
@@ -342,6 +373,7 @@ def score_gop(corpus: Corpus, section: dict, ids) -> dict:
 
 
 def train_gmm(corpus: Corpus, section: dict, seed: int) -> gmm.GmmModel:
+    _check_counts("gmm", section)
     model, _trace = gmm.gmm_train(corpus.frames_for(corpus.splits.train_ids),
                                   int(section["components"]),
                                   int(section["iters"]), seed)
@@ -366,6 +398,7 @@ def _adam(section: dict, seed: int) -> flow.AdamConfig:
 
 def train_flow(corpus: Corpus, section: dict, seed: int):
     """Returns (model, per-epoch NLL trace)."""
+    _check_counts("nf", section)
     frames = corpus.frames_for(corpus.splits.train_ids)
     base = flow.build_flow(frames.shape[1], int(section["layers"]),
                            int(section["width"]), seed=seed)
@@ -375,9 +408,8 @@ def train_flow(corpus: Corpus, section: dict, seed: int):
 def train_dnf(corpus: Corpus, section: dict, seed: int) -> dnf.DnfModel:
     """DNF over rounded mean-score classes; classes with no train frames
     are dropped and the rest renumbered densely."""
+    _check_counts("dnf", section)
     num_classes = int(section["classes"])
-    if num_classes < 1:
-        raise ConfigError("dnf classes must be >= 1")
     train_ids = corpus.splits.train_ids
     utt_class = dnf.classes_from_mean_scores(
         [corpus.labels[uid].mean_score for uid in train_ids], num_classes)
@@ -487,13 +519,19 @@ def load_model(path):
 # corpus stage
 
 
-def _corpus_stage(cfg, work: Path, seed: int, force: bool):
+def _synth_config(cfg):
+    """(SynthConfig, its settings) of a config's synth corpus; the corpus
+    seed defaults to the run seed."""
+    synth_kwargs = dict(cfg["corpus"]["synth"])
+    synth_kwargs.setdefault("seed", int(cfg["seed"]))
+    return SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in synth_kwargs.items()}), synth_kwargs
+
+
+def _corpus_stage(cfg, work: Path, force: bool):
     corpus_cfg = cfg["corpus"]
     if "synth" in corpus_cfg:
-        synth_kwargs = dict(corpus_cfg["synth"])
-        synth_kwargs.setdefault("seed", seed)
-        synth = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in synth_kwargs.items()})
+        synth, synth_kwargs = _synth_config(cfg)
         corpus_dir = work / "corpus"
         key = _digest("synth", synth_kwargs)
 

@@ -19,6 +19,9 @@ SVR_MAGIC = "PSVR"
 KERNEL_IDS = {"linear": 0, "rbf": 1}
 KERNEL_NAMES = {v: k for k, v in KERNEL_IDS.items()}
 _BOUND_EPS = 1e-12  # t this close to 0 or C is at its bound
+# the RBF kernel is finished in place over blocks of this many rows, so
+# its temporaries are (block, len(B)) rather than three full matrices
+_KERNEL_BLOCK = 512
 
 
 class SvrError(ValueError):
@@ -75,9 +78,19 @@ def _standardize(X, mean, std):
 def _kernel_matrix(kernel, gamma, A, B):
     if kernel == "linear":
         return A @ B.T
-    d2 = ((A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :]
-          - 2.0 * A @ B.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    # exp(-gamma * max(|a|^2 + |b|^2 - 2a.b, 0)), each step written over the
+    # one product matrix. The product stays one BLAS call: splitting it
+    # into row blocks changes the last bit of some entries.
+    K = 2.0 * A @ B.T
+    sa = (A ** 2).sum(axis=1)
+    sb = (B ** 2).sum(axis=1)
+    for lo in range(0, A.shape[0], _KERNEL_BLOCK):
+        rows = K[lo:lo + _KERNEL_BLOCK]
+        np.subtract(sa[lo:lo + _KERNEL_BLOCK, None] + sb[None, :], rows,
+                    out=rows)
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def resolve_gamma(params: SvrParams, X_std: np.ndarray) -> float:
@@ -206,8 +219,9 @@ def svr_predict_batch(m: SvrModel, X: np.ndarray) -> np.ndarray:
 def kkt_residual(m: SvrModel, X: np.ndarray, y: np.ndarray) -> float:
     """Maximum epsilon-insensitive complementarity violation on (X, y).
 
-    Only meaningful for the training set the model was fitted on; support
-    vectors are matched to rows of X by their standardized coordinates.
+    Only meaningful for the training set the model was fitted on: each
+    support vector is the standardized row of X it was trained on, bit for
+    bit, and one that equals no row raises SvrDataError.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -215,9 +229,11 @@ def kkt_residual(m: SvrModel, X: np.ndarray, y: np.ndarray) -> float:
     pred = svr_predict_batch(m, X)
     e = pred - y
     beta = np.zeros(X.shape[0])
-    for sv, c in zip(m.support_vectors, m.coef):
-        idx = int(np.argmin(((Xs - sv) ** 2).sum(axis=1)))
-        beta[idx] += c
+    for n, (sv, c) in enumerate(zip(m.support_vectors, m.coef)):
+        rows = np.flatnonzero((Xs == sv).all(axis=1))
+        if len(rows) == 0:
+            raise SvrDataError(f"support vector {n} is no row of X")
+        beta[rows[0]] += c
     eps, C = m.epsilon, m.C
     worst = 0.0
     for i in range(X.shape[0]):

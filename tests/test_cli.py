@@ -388,6 +388,44 @@ def test_bad_section_value_type_exits_1(tmp_path, capsys, section):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"corpus": {"synth": {"num_speakers": 0}}}, "corpus.synth: all synth"),
+    ({"corpus": {"synth": {"frames_per_phone": [5, 2]}}},
+     "corpus.synth: bad frames_per_phone"),
+    ({"corpus": {"synth": {"eval_fraction": 1.0}}},
+     "corpus.synth: split fractions"),
+    ({"nf": {"epochs": 0}}, "nf: batch_size and epochs"),
+    ({"dnf": {"learning_rate": 0.0}}, "dnf: learning_rate"),
+    ({"dnf": {"classes": 0}}, "dnf.classes must be >= 1"),
+    ({"nf": {"layers": 0}}, "nf.layers must be >= 1"),
+    ({"gmm": {"components": 0}}, "gmm.components must be >= 1"),
+    ({"ivector": {"iters": 0}}, "ivector.iters must be >= 1"),
+    ({"ivector": {"ubm_components": 0}}, "ivector.ubm_components"),
+    ({"svr": {"C": 0.0}}, "svr: C must be positive"),
+    ({"svr": {"gamma": -1.0}}, "svr: gamma")])
+def test_out_of_range_config_value_exits_1(tmp_path, capsys, section, message):
+    """A value that a stage's own check rejects fails before any work."""
+    cfg = tmp_path / "cfg.json"
+    tiny = {"num_speakers": 10, "utterances_per_speaker": 3, "feature_dim": 6}
+    cfg.write_text(json.dumps({"seed": 1, "corpus": {"synth": tiny},
+                               "systems": ["gop", "gmm", "nf"], **section}))
+    assert main(["run", str(cfg)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-gmm", "--components", "0"], "gmm.components must be >= 1"),
+    (["train-flow", "--layers", "0"], "nf.layers must be >= 1"),
+    (["train-dnf", "--classes", "0"], "dnf.classes must be >= 1")])
+def test_stage_flag_below_one_exits_1(corpus_dir, tmp_path, capsys, argv,
+                                      message):
+    assert main([*argv, "--manifest", str(corpus_dir[1]),
+                 "--out", str(tmp_path / "m.bin")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_bad_svr_setting_exits_1(corpus_dir, tmp_path, capsys):
     m = ["--manifest", str(corpus_dir[1])]
     assert main(["train-svr", *m, "--out", str(tmp_path / "x.psvr"),

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from proscore import gmm
 from proscore.corpus import FeatureSequence
 from proscore.gmm import (GmmError, GmmModel, gmm_loglik, gmm_train,
                           responsibilities)
@@ -130,3 +133,94 @@ def test_dimension_mismatch():
     m = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     with pytest.raises(GmmError, match="dim"):
         gmm_loglik(m, FeatureSequence("u", [[0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the blocked k-means and in-place EM reproduce the whole-array forms
+
+
+def _dense_kmeans(frames, K, rng, iters=10):
+    """k-means with one (N, K, D) distance tensor per iteration."""
+    centers = frames[rng.choice(frames.shape[0], size=K, replace=False)].copy()
+    for _ in range(iters):
+        d2 = ((frames[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        for k in range(K):
+            sel = frames[assign == k]
+            if len(sel):
+                centers[k] = sel.mean(axis=0)
+    return centers
+
+
+def _reference_em(frames, K, iters, seed):
+    """gmm_train written with whole-array temporaries throughout."""
+    def loglik(m):
+        inv = 1.0 / m.variances
+        const = -0.5 * (m.dim * np.log(2.0 * np.pi)
+                        + np.log(m.variances).sum(axis=1))
+        quad = (frames ** 2) @ inv.T - 2.0 * frames @ (m.means * inv).T \
+            + ((m.means ** 2) * inv).sum(axis=1)
+        return np.log(m.weights) + const - 0.5 * quad
+
+    def logsumexp(a):
+        hi = a.max(axis=1, keepdims=True)
+        return (hi + np.log(np.exp(a - hi).sum(axis=1, keepdims=True)))[:, 0]
+
+    N = frames.shape[0]
+    global_var = frames.var(axis=0)
+    floor = np.maximum(gmm.VARIANCE_FLOOR_FRACTION * global_var, 1e-12)
+    means = _dense_kmeans(frames, K, np.random.default_rng(seed))
+    model = GmmModel(np.full(K, 1.0 / K), means,
+                     np.tile(np.maximum(global_var, floor), (K, 1)))
+    trace = []
+    for _ in range(iters):
+        ll = loglik(model)
+        per_frame = logsumexp(ll)
+        trace.append(float(per_frame.mean()))
+        g = np.exp(ll - per_frame[:, None])
+        nk = np.maximum(g.sum(axis=0), 1e-300)
+        weights = nk / N
+        means = (g.T @ frames) / nk[:, None]
+        sq = (g.T @ (frames ** 2)) / nk[:, None]
+        model = GmmModel(weights / weights.sum(), means,
+                         np.maximum(sq - means ** 2, floor))
+    trace.append(float(logsumexp(loglik(model)).mean()))
+    return model, trace
+
+
+def _clustered_frames(n, d, seed):
+    rng = np.random.default_rng(seed)
+    centers = 3.0 * rng.standard_normal((6, d))
+    return centers[rng.integers(0, 6, n)] + rng.standard_normal((n, d))
+
+
+def test_kmeans_init_equals_dense_oracle():
+    n = 2 * gmm._KMEANS_BLOCK + 1237  # three blocks, the last one partial
+    frames = _clustered_frames(n, 5, 13)
+    for K in (1, 4, 9):
+        got = gmm._kmeans_init(frames, K, np.random.default_rng(K))
+        want = _dense_kmeans(frames, K, np.random.default_rng(K))
+        assert np.array_equal(got, want)
+
+
+def test_gmm_train_equals_reference_em():
+    frames = _clustered_frames(gmm._KMEANS_BLOCK + 311, 4, 14)
+    for K, iters, seed in ((1, 2, 0), (5, 6, 3), (8, 4, 9)):
+        model, trace = gmm_train(frames, K, iters, seed)
+        ref, ref_trace = _reference_em(frames, K, iters, seed)
+        assert trace == ref_trace
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name))
+
+
+def test_kmeans_init_memory_is_bounded():
+    """100,000 x 16 frames and K=16: the dense (N, K, D) tensor would take
+    205 MB; the blocked assignment keeps the peak to a few blocks."""
+    frames = _clustered_frames(100_000, 16, 15)
+    tracemalloc.start()
+    try:
+        gmm._kmeans_init(frames, 16, np.random.default_rng(0), iters=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6

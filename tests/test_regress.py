@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from proscore import pipeline
-from proscore.regress import (SvrError, SvrParams, kkt_residual,
+from proscore import pipeline, regress
+from proscore.regress import (SvrDataError, SvrError, SvrParams, kkt_residual,
                               svr_predict, svr_predict_batch, svr_train)
 
 from conftest import svr_dual_oracle
@@ -70,6 +72,22 @@ def test_kkt_residual_within_tolerance():
     params = SvrParams(C=1.0, epsilon=0.1, tol=1e-3)
     m = svr_train(X, y, params)
     assert kkt_residual(m, X, y) <= params.tol + 1e-9
+
+
+def test_kkt_residual_matches_support_vectors_exactly(tmp_path):
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((40, 3))
+    y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(40)
+    m = svr_train(X, y)
+    # the model file keeps the standardized rows and statistics exactly
+    regress.save_svr(tmp_path / "m.psvr", m)
+    assert kkt_residual(regress.load_svr(tmp_path / "m.psvr"), X, y) \
+        == kkt_residual(m, X, y)
+    # one ulp off its row is no support vector of this training set
+    sv = m.support_vectors.copy()
+    sv[1, 2] = np.nextafter(sv[1, 2], np.inf)
+    with pytest.raises(SvrDataError, match="support vector 1 is no row"):
+        kkt_residual(replace(m, support_vectors=sv), X, y)
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
@@ -146,3 +164,29 @@ def test_gamma_scale_resolution():
     m = svr_train(X, rng.standard_normal(20), SvrParams())
     Xs = (X - m.feat_mean) / m.feat_std
     assert m.gamma == pytest.approx(1.0 / (4 * Xs.var()))
+
+
+def _dense_kernel(kernel, gamma, A, B):
+    """The kernel matrix as whole-array expressions."""
+    if kernel == "linear":
+        return A @ B.T
+    d2 = ((A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :]
+          - 2.0 * A @ B.T)
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_blocked_kernel_equals_single_matrix_oracle(kernel):
+    """Prediction and the training kernel over several row blocks, the
+    last one partial, equal one whole-matrix evaluation bit for bit."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((300, 5))
+    m = svr_train(X, X[:, 0] - np.tanh(X[:, 1]), SvrParams(kernel=kernel))
+    assert m.support_vectors.shape[0] > 100
+    inputs = rng.standard_normal((2 * regress._KERNEL_BLOCK + 77, 5))
+    Xs = (inputs - m.feat_mean) / m.feat_std
+    want = _dense_kernel(kernel, m.gamma, Xs, m.support_vectors) @ m.coef \
+        + m.bias
+    assert np.array_equal(svr_predict_batch(m, inputs), want)
+    assert np.array_equal(regress._kernel_matrix(kernel, m.gamma, Xs, Xs),
+                          _dense_kernel(kernel, m.gamma, Xs, Xs))
