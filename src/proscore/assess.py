@@ -18,7 +18,10 @@ from . import formats
 from .corpus import SplitManifest
 
 
-class AssessError(ValueError):
+NORMALIZATIONS = ("zscore", "none")
+
+
+class AssessError(formats.DataError):
     pass
 
 
@@ -84,7 +87,7 @@ class FusionConfig:
     def __post_init__(self):
         if not 0.0 <= self.lambda_ <= 1.0:
             raise AssessError(f"lambda must lie in [0,1], got {self.lambda_}")
-        if self.normalization not in ("zscore", "none"):
+        if self.normalization not in NORMALIZATIONS:
             raise AssessError(f"unknown normalization {self.normalization!r}")
 
 

@@ -15,23 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, formats, gmm, gop, pipeline, regress
-from .assess import AssessError
 from .corpus import (CorpusError, SynthConfig, load_corpus, save_corpus,
                      synth_corpus)
-from .dnf import DnfError
-from .flow import FlowError, TrainingDivergence
-from .formats import FormatError
-from .gmm import GmmError
-from .ivector import IVectorError
+from .flow import TrainingDivergence
+from .formats import DataError
 from .pipeline import ConfigError
-from .regress import SvrDataError
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
-
-DATA_ERRORS = (CorpusError, FormatError, AssessError, GmmError, FlowError,
-               IVectorError, DnfError, SvrDataError, FileNotFoundError)
 
 
 def _write_text(path, text):
@@ -154,6 +146,8 @@ def cmd_score(args) -> int:
 def cmd_fuse(args) -> int:
     if args.lam is not None and not 0.0 <= args.lam <= 1.0:
         raise ConfigError(f"--lambda must lie in [0,1], got {args.lam}")
+    if not args.grid_step > 0:
+        raise ConfigError(f"--grid-step must be > 0, got {args.grid_step}")
     table = assess.read_score_table(args.scores)
     dev_table = assess.read_score_table(args.dev_scores)
     if args.lam is None:
@@ -272,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--grid-step", type=float, default=0.02)
-    p.add_argument("--normalization", choices=("zscore", "none"),
+    p.add_argument("--normalization", choices=assess.NORMALIZATIONS,
                    default="zscore")
 
     p = add("evaluate", cmd_evaluate, help="PCC report for a score table")
@@ -296,7 +290,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DATA_ERRORS as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:  # ConfigError, SvrError and other bad settings

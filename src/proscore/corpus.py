@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .formats import FormatError
 
 FEATURE_MAGIC = "PRF1"
 
 
-class CorpusError(ValueError):
+class CorpusError(formats.DataError):
     """Invalid, inconsistent or missing corpus data."""
 
 
@@ -261,8 +260,8 @@ def _write_frames(f, frames) -> None:
     formats.write_matrix(f, frames)
 
 
-def _read_frames(f, path: str) -> np.ndarray:
-    formats.read_magic(f, FEATURE_MAGIC, path)
+def _read_frames(f) -> np.ndarray:
+    formats.read_magic(f, FEATURE_MAGIC)
     return formats.read_matrix(f)
 
 
@@ -271,7 +270,8 @@ def write_feature_file(path, fs: FeatureSequence) -> None:
 
 
 def read_feature_file(path, utterance_id: str) -> FeatureSequence:
-    return FeatureSequence(utterance_id, formats.load(path, _read_frames))
+    return formats.load(
+        path, lambda f: FeatureSequence(utterance_id, _read_frames(f)))
 
 
 def _write_posteriorgram(f, pg: PosteriorGram) -> None:
@@ -282,11 +282,11 @@ def _write_posteriorgram(f, pg: PosteriorGram) -> None:
     formats.write_matrix(f, pg.post)
 
 
-def _read_posteriorgram(f, path: str):
-    formats.read_magic(f, FEATURE_MAGIC, path)
+def _read_posteriorgram(f, utterance_id: str) -> PosteriorGram:
+    formats.read_magic(f, FEATURE_MAGIC)
     count = formats.read_u32(f)
     table = tuple(formats.read_string(f) for _ in range(count))
-    return formats.read_matrix(f), table
+    return PosteriorGram(utterance_id, formats.read_matrix(f), table)
 
 
 def write_posteriorgram_file(path, pg: PosteriorGram) -> None:
@@ -294,11 +294,7 @@ def write_posteriorgram_file(path, pg: PosteriorGram) -> None:
 
 
 def read_posteriorgram_file(path, utterance_id: str) -> PosteriorGram:
-    mat, table = formats.load(path, _read_posteriorgram)
-    try:
-        return PosteriorGram(utterance_id, mat, table)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from exc
+    return formats.load(path, lambda f: _read_posteriorgram(f, utterance_id))
 
 
 def write_alignment_file(path, alignments, phone_table) -> None:
@@ -409,27 +405,17 @@ def load_corpus(manifest_path) -> Corpus:
 
     feat_dir = Path(roles["features"])
     post_dir = Path(roles["posteriors"])
-    features = {}
-    for p in sorted(feat_dir.glob("*.feat")):
-        uid = p.stem
-        try:
-            features[uid] = read_feature_file(p, uid)
-        except FormatError as exc:
-            raise CorpusError(str(exc)) from exc
+    features = {p.stem: read_feature_file(p, p.stem)
+                for p in sorted(feat_dir.glob("*.feat"))}
     if not features:
         raise CorpusError(f"empty corpus: no feature files under {feat_dir}")
 
     posteriors = {}
     phone_table = None
     for p in sorted(post_dir.glob("*.post")):
-        uid = p.stem
-        try:
-            pg = read_posteriorgram_file(p, uid)
-        except FormatError as exc:
-            raise CorpusError(str(exc)) from exc
+        pg = posteriors[p.stem] = read_posteriorgram_file(p, p.stem)
         if phone_table is None:
             phone_table = pg.phone_table
-        posteriors[uid] = pg
     if phone_table is None:
         raise CorpusError(f"no posteriorgram files under {post_dir}")
 

@@ -20,7 +20,7 @@ from .flow import (LOG_2PI, AdamConfig, FlowModel, build_flow, flow_embed,
 DNF_MAGIC = "PDNF"
 
 
-class DnfError(ValueError):
+class DnfError(formats.DataError):
     pass
 
 
@@ -32,8 +32,9 @@ class DnfModel:
     def __post_init__(self):
         means = np.asarray(self.class_means, dtype=np.float64)
         object.__setattr__(self, "class_means", means)
-        if means.ndim != 2 or means.shape[1] != self.backbone.dim:
-            raise DnfError(f"class means must be S x {self.backbone.dim}")
+        dim = self.backbone.dim
+        if means.ndim != 2 or len(means) < 1 or means.shape[1] != dim:
+            raise DnfError(f"class means must be S x {dim} with S >= 1")
         if not np.all(np.isfinite(means)):
             raise DnfError("non-finite class means")
 
@@ -115,9 +116,9 @@ def write_dnf(f, m: DnfModel) -> None:
     formats.write_array(f, m.class_means)
 
 
-def read_dnf(f, path: str = "<stream>") -> DnfModel:
-    formats.read_magic(f, DNF_MAGIC, path)
-    backbone = read_flow(f, path)
+def read_dnf(f) -> DnfModel:
+    formats.read_magic(f, DNF_MAGIC)
+    backbone = read_flow(f)
     S = formats.read_u32(f)
     means = formats.read_array(f, (S, backbone.dim))
     return DnfModel(backbone, means)

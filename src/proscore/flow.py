@@ -28,7 +28,7 @@ INIT_CAP = 2.0  # initial bound on the coupling log-scales
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-class FlowError(ValueError):
+class FlowError(formats.DataError):
     pass
 
 
@@ -95,39 +95,30 @@ class CouplingNet:
         return [getattr(self, name) for name in self.PARAMS]
 
 
-def mask_halves(mask):
-    """Slices of the conditioning (True) and transformed (False) halves.
-
-    The mask must be one prefix block and one suffix block, both non-empty.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    dim, k = mask.shape[0], int(mask.sum())
-    if 0 < k < dim:
-        if mask[:k].all():
-            return slice(0, k), slice(k, dim)
-        if mask[dim - k:].all():
-            return slice(dim - k, dim), slice(0, dim - k)
-    raise FlowError("coupling mask must split dimensions into a prefix"
-                    " block and a suffix block")
+def alternating_halves(dim: int, index: int):
+    """Slices of the conditioning and the transformed half of coupling
+    layer `index`: the first dim // 2 dimensions condition the even layers,
+    the others the odd ones."""
+    if dim < 2:
+        raise FlowError("a coupling flow needs at least 2 dimensions")
+    low, high = slice(0, dim // 2), slice(dim // 2, dim)
+    return (low, high) if index % 2 == 0 else (high, low)
 
 
 class CouplingLayer:
     """y_A = x_A;  y_B = x_B * exp(s(x_A)) + t(x_A);  log|det| = sum s."""
 
-    def __init__(self, mask, scale_net: CouplingNet, shift_net: CouplingNet,
+    def __init__(self, halves, scale_net: CouplingNet, shift_net: CouplingNet,
                  cap: float):
-        self.mask = np.asarray(mask, dtype=bool)
-        self.cond, self.trans = mask_halves(self.mask)
+        self.cond, self.trans = halves
         self.scale_net = scale_net
         self.shift_net = shift_net
         self.cap = np.asarray(float(cap))
 
     @classmethod
-    def create(cls, mask, width: int, rng) -> "CouplingLayer":
-        mask = np.asarray(mask, dtype=bool)
-        d_in = int(mask.sum())
-        d_out = mask.shape[0] - d_in
-        return cls(mask,
+    def create(cls, halves, width: int, rng) -> "CouplingLayer":
+        d_in, d_out = (h.stop - h.start for h in halves)
+        return cls(halves,
                    CouplingNet.create(d_in, d_out, width, rng),
                    CouplingNet.create(d_in, d_out, width, rng),
                    INIT_CAP)
@@ -232,22 +223,12 @@ class FlowModel:
             setattr(owner, name, arr)
 
 
-def alternating_masks(dim: int, count: int):
-    """Half/half masks, a prefix block then a suffix block, alternating."""
-    if dim < 2:
-        raise FlowError("a coupling flow needs at least 2 dimensions")
-    half = dim // 2
-    base = np.zeros(dim, dtype=bool)
-    base[:half] = True
-    return [base.copy() if i % 2 == 0 else ~base for i in range(count)]
-
-
 def build_flow(dim: int, num_layers: int = 10, width: int = 64,
                seed: int = 0) -> FlowModel:
-    """Identity-initialized flow with alternating half masks."""
+    """Identity-initialized flow whose layers alternate their halves."""
     rng = np.random.default_rng(seed)
-    layers = [CouplingLayer.create(mask, width, rng)
-              for mask in alternating_masks(dim, num_layers)]
+    layers = [CouplingLayer.create(alternating_halves(dim, i), width, rng)
+              for i in range(num_layers)]
     return FlowModel(layers, dim)
 
 
@@ -416,44 +397,34 @@ def flow_train(m: FlowModel, frames: np.ndarray, cfg: AdamConfig):
 
 
 def write_flow(f, m: FlowModel) -> None:
+    """Header (dim, layer count, hidden width), then per layer its cap and
+    the scale and shift nets; the halves follow from the layer index."""
     formats.write_magic(f, FLOW_MAGIC)
     formats.write_u32(f, m.dim)
     formats.write_u32(f, len(m.layers))
+    formats.write_u32(f, m.layers[0].width if m.layers else 0)
     for layer in m.layers:
-        formats.write_u32(f, layer.width)
-        f.write(layer.mask.astype(np.uint8).tobytes())
         formats.write_f64(f, float(layer.cap))
         for net in (layer.scale_net, layer.shift_net):
             for arr in net.params():
                 formats.write_array(f, arr)
 
 
-def read_flow(f, path: str = "<stream>") -> FlowModel:
-    formats.read_magic(f, FLOW_MAGIC, path)
+def read_flow(f) -> FlowModel:
+    formats.read_magic(f, FLOW_MAGIC)
     dim = formats.read_u32(f)
     count = formats.read_u32(f)
+    width = formats.read_u32(f)
     layers = []
-    for _ in range(count):
-        width = formats.read_u32(f)
-        mask = np.frombuffer(formats.read_bytes(f, dim, "mask"),
-                             dtype=np.uint8).astype(bool)
-        try:
-            mask_halves(mask)
-        except FlowError as exc:
-            raise formats.FormatError(f"{path}: {exc}") from exc
+    for i in range(count):
+        halves = alternating_halves(dim, i)
         cap = formats.read_f64(f)
-        d_in = int(mask.sum())
-        d_out = dim - d_in
-        nets = []
-        for _ in range(2):
-            w1 = formats.read_array(f, (width, d_in))
-            b1 = formats.read_array(f, (width,))
-            w2 = formats.read_array(f, (width, width))
-            b2 = formats.read_array(f, (width,))
-            w3 = formats.read_array(f, (d_out, width))
-            b3 = formats.read_array(f, (d_out,))
-            nets.append(CouplingNet(w1, b1, w2, b2, w3, b3))
-        layers.append(CouplingLayer(mask, nets[0], nets[1], cap))
+        d_in, d_out = (h.stop - h.start for h in halves)
+        shapes = ((width, d_in), (width,), (width, width), (width,),
+                  (d_out, width), (d_out,))  # CouplingNet.PARAMS
+        nets = [CouplingNet(*(formats.read_array(f, s) for s in shapes))
+                for _ in range(2)]
+        layers.append(CouplingLayer(halves, *nets, cap))
     return FlowModel(layers, dim)
 
 

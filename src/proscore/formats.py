@@ -5,8 +5,9 @@ and a reader accepts only the version in `VERSIONS`. All integers are
 unsigned 32-bit little-endian, all reals are 64-bit IEEE-754 little-endian.
 Matrices are row-major. A model that holds another model (the UBM of a
 PIVM, the backbone of a PDNF) writes it inline, magic and version
-included, since its reader knows where it ends. Serialization is
-canonical: writing what was just read reproduces the bytes exactly.
+included, since its reader knows where it ends. No field holds what a
+reader can derive from the fields before it. Serialization is canonical:
+writing what was just read reproduces the bytes exactly.
 
 Text tables (manifests, alignments, labels, splits, embeddings, score
 tables) are TSV: one row per line, fields separated by tabs, blank lines
@@ -23,7 +24,7 @@ from typing import BinaryIO
 import numpy as np
 
 # magic -> the one version that is written and read
-VERSIONS = {"PRF1": 1, "PGMM": 1, "PIVM": 2, "PNF1": 1, "PDNF": 2, "PSVR": 1}
+VERSIONS = {"PRF1": 1, "PGMM": 1, "PIVM": 3, "PNF1": 2, "PDNF": 3, "PSVR": 1}
 # a read of more bytes than this is first checked against the bytes left in
 # the stream, so that a corrupt length fails before a buffer that size is
 # allocated; every field of a model or corpus file the program writes at
@@ -31,7 +32,11 @@ VERSIONS = {"PRF1": 1, "PGMM": 1, "PIVM": 2, "PNF1": 1, "PDNF": 2, "PSVR": 1}
 _UNCHECKED_READ = 1 << 20
 
 
-class FormatError(ValueError):
+class DataError(ValueError):
+    """Input data the program cannot use (the CLI exits 2 on it)."""
+
+
+class FormatError(DataError):
     """Raised when a binary file does not match its declared format."""
 
 
@@ -42,11 +47,16 @@ def save(path, write, model) -> None:
 
 
 def load(path, read):
-    """Read one file with `read(f, path)`; trailing bytes are an error."""
+    """Read one file with `read(f)`; trailing bytes are an error. A
+    DataError raised while reading gets the path in front of its message."""
     with open(path, "rb") as f:
-        model = read(f, str(path))
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
+        try:
+            model = read(f)
+            if f.read(1):
+                raise FormatError("trailing bytes after payload")
+        except DataError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
     return model
 
 
@@ -55,13 +65,13 @@ def write_magic(f: BinaryIO, magic: str) -> None:
     write_u32(f, VERSIONS[magic])
 
 
-def read_magic(f: BinaryIO, magic: str, path: str = "<stream>") -> None:
+def read_magic(f: BinaryIO, magic: str) -> None:
     got = f.read(4)
     if got != magic.encode("ascii"):
-        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
     version = read_u32(f)
     if version != VERSIONS[magic]:
-        raise FormatError(f"{path}: {magic} version {version} is not supported"
+        raise FormatError(f"{magic} version {version} is not supported"
                           f" (expected version {VERSIONS[magic]})")
 
 
@@ -106,7 +116,10 @@ def write_array(f: BinaryIO, arr: np.ndarray) -> None:
 
 def read_array(f: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
     raw = read_bytes(f, 8 * math.prod(shape), "array payload")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise FormatError("non-finite value in an array payload")
+    return arr
 
 
 def write_matrix(f: BinaryIO, mat: np.ndarray) -> None:

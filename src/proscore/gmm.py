@@ -25,7 +25,7 @@ VARIANCE_FLOOR_FRACTION = 1e-4
 _KMEANS_BLOCK = 8192
 
 
-class GmmError(ValueError):
+class GmmError(formats.DataError):
     pass
 
 
@@ -176,8 +176,8 @@ def write_gmm(f, m: GmmModel) -> None:
     formats.write_array(f, m.variances)
 
 
-def read_gmm(f, path: str = "<stream>") -> GmmModel:
-    formats.read_magic(f, GMM_MAGIC, path)
+def read_gmm(f) -> GmmModel:
+    formats.read_magic(f, GMM_MAGIC)
     K = formats.read_u32(f)
     D = formats.read_u32(f)
     weights = formats.read_array(f, (K,))

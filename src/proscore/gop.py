@@ -18,6 +18,7 @@ from . import formats
 from .corpus import PhoneAlignment, PhonePrior, PosteriorGram
 
 POSTERIOR_FLOOR = 1e-12
+GOP_MODES = ("mean-then-log", "mean-of-log")
 
 
 @dataclass(frozen=True)

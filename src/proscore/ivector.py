@@ -20,7 +20,7 @@ from .gmm import GmmModel, read_gmm, responsibilities, write_gmm
 IVECTOR_MAGIC = "PIVM"
 
 
-class IVectorError(ValueError):
+class IVectorError(formats.DataError):
     pass
 
 
@@ -148,22 +148,17 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
 
 
 def write_ivector_model(f, m: IVectorModel) -> None:
-    K, D, R = m.loadings.shape
     formats.write_magic(f, IVECTOR_MAGIC)
-    formats.write_u32(f, K)
-    formats.write_u32(f, D)
-    formats.write_u32(f, R)
+    formats.write_u32(f, m.dim)
     write_gmm(f, m.ubm)
     formats.write_array(f, m.loadings)
 
 
-def read_ivector_model(f, path: str = "<stream>") -> IVectorModel:
-    formats.read_magic(f, IVECTOR_MAGIC, path)
-    K = formats.read_u32(f)
-    D = formats.read_u32(f)
+def read_ivector_model(f) -> IVectorModel:
+    formats.read_magic(f, IVECTOR_MAGIC)
     R = formats.read_u32(f)
-    ubm = read_gmm(f, path)
-    loadings = formats.read_array(f, (K, D, R))
+    ubm = read_gmm(f)
+    loadings = formats.read_array(f, (ubm.num_components, ubm.dim, R))
     return IVectorModel(ubm, loadings)
 
 

@@ -153,33 +153,47 @@ def validate_config(cfg: dict) -> None:
     _check_ranges(cfg)
 
 
-# counts that a stage needs to be at least 1; the gmm, nf and dnf stages
-# check their own, for the CLI
-_AT_LEAST_ONE = {"gmm": ("components",),
-                 "ivector": ("dim", "iters", "ubm_components"),
-                 "nf": ("layers",), "dnf": ("layers", "classes")}
+# the least value of each count, width and EM iteration setting; the
+# trainer stages check the settings they are given, for the CLI
+_LOWER_BOUNDS = {"gmm": {"components": 1, "iters": 0},
+                 "ivector": {"dim": 1, "iters": 1, "ubm_components": 1,
+                             "ubm_iters": 0},
+                 "nf": {"layers": 1, "width": 1},
+                 "dnf": {"layers": 1, "width": 1, "classes": 1}}
 
 
 def _check_counts(key: str, section: dict) -> None:
-    for name in _AT_LEAST_ONE[key]:
-        if section[name] < 1:
-            raise ConfigError(f"{key}.{name} must be >= 1, got {section[name]}")
+    for name, low in _LOWER_BOUNDS[key].items():
+        if name in section and section[name] < low:
+            raise ConfigError(f"{key}.{name} must be >= {low},"
+                              f" got {section[name]}")
 
 
 def _check_ranges(cfg: dict) -> None:
     """ConfigError for a value that a stage's own check would reject, so
     that a run fails before its first stage rather than in it."""
-    for key in _AT_LEAST_ONE:
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    for key in _LOWER_BOUNDS:
         _check_counts(key, _merged(cfg, key))
+    mode = _merged(cfg, "gop")["mode"]
+    if mode not in gop.GOP_MODES:
+        raise ConfigError(f"gop.mode: unknown GOP mode {mode!r}")
+    fusion = _merged(cfg, "fusion")
+    if not fusion["grid_step"] > 0:
+        raise ConfigError(
+            f"fusion.grid_step must be > 0, got {fusion['grid_step']}")
     checks = [("svr", lambda: regress.SvrParams(**_merged(cfg, "svr"))),
               ("nf", lambda: _adam(_merged(cfg, "nf"), 0)),
-              ("dnf", lambda: _adam(_merged(cfg, "dnf"), 0))]
+              ("dnf", lambda: _adam(_merged(cfg, "dnf"), 0)),
+              ("fusion", lambda: assess.FusionConfig(
+                  0.0, fusion["normalization"]))]
     if "synth" in cfg["corpus"]:
         checks.append(("corpus.synth", lambda: _synth_config(cfg)[0].validate()))
     for key, check in checks:
         try:
             check()
-        except ValueError as exc:  # SvrError, CorpusError, AdamConfig's
+        except ValueError as exc:  # the settings error of each check
             raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -269,8 +283,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
         warnings.warn("skipping inter-rater PCC: rater counts differ")
 
     # GOP is needed by every fusion mode, so it always runs
-    gop_scores = score_gop(corpus, _merged(cfg, "gop"),
-                           [u for u in all_ids if u in corpus.alignments])
+    gop_scores = score_gop(corpus, _merged(cfg, "gop"), all_ids)
     add_row("gop", eval_pcc(gop_scores))
 
     def cached(name, system, key_parts, train):
@@ -365,8 +378,18 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 # merged config section and its own stage seed; trainers fit the train split.
 
 
+def _check_ids(ids, have, what: str) -> None:
+    """CorpusError naming the first of `ids` that is not in `have`."""
+    missing = [uid for uid in ids if uid not in have]
+    if missing:
+        raise CorpusError(f"no {what} for utterance {missing[0]}"
+                          f" ({len(missing)} missing)")
+
+
 def score_gop(corpus: Corpus, section: dict, ids) -> dict:
     """Utterance GOP of each of `ids`."""
+    _check_ids(ids, corpus.alignments, "alignment")
+    _check_ids(ids, corpus.posteriors, "posteriorgram")
     return {uid: gop.gop_score(corpus.posteriors[uid], corpus.alignments[uid],
                                section["mode"]).gop
             for uid in ids}
@@ -383,6 +406,7 @@ def train_gmm(corpus: Corpus, section: dict, seed: int) -> gmm.GmmModel:
 def train_ivector(corpus: Corpus, ubm: gmm.GmmModel, section: dict,
                   seed: int) -> ivector.IVectorModel:
     """T-matrix EM on the train split's statistics under a trained UBM."""
+    _check_counts("ivector", section)
     stats = [ivector.ubm_stats(ubm, corpus.features[uid])
              for uid in corpus.splits.train_ids]
     model, _trace = ivector.tmatrix_train(ubm, stats, int(section["dim"]),
@@ -442,10 +466,7 @@ def train_svr(corpus: Corpus, emb: dict, section: dict) -> regress.SvrModel:
 
 def predict(model: regress.SvrModel, emb: dict, ids) -> dict:
     """SVR prediction for each of `ids` from its vector in `emb`."""
-    missing = [uid for uid in ids if uid not in emb]
-    if missing:
-        raise CorpusError(f"no embedding for utterance {missing[0]}"
-                          f" ({len(missing)} missing)")
+    _check_ids(ids, emb, "embedding")
     return dict(zip(ids, regress.svr_predict_batch(
         model, np.array([emb[uid] for uid in ids]))))
 

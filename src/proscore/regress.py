@@ -28,7 +28,7 @@ class SvrError(ValueError):
     """Bad SVR settings; its subclass SvrDataError is for bad data."""
 
 
-class SvrDataError(SvrError):
+class SvrDataError(SvrError, formats.DataError):
     """Training or prediction inputs the SVR cannot use."""
 
 
@@ -50,6 +50,10 @@ class SvrParams:
             raise SvrError(f"unknown kernel {self.kernel!r}")
         if self.gamma != "scale" and float(self.gamma) <= 0:
             raise SvrError("gamma must be positive or 'scale'")
+        if not self.tol > 0:
+            raise SvrError("tol must be positive")
+        if self.max_passes < 0:
+            raise SvrError("max_passes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -271,11 +275,11 @@ def write_svr(f, m: SvrModel) -> None:
     formats.write_f64(f, m.bias)
 
 
-def read_svr(f, path: str = "<stream>") -> SvrModel:
-    formats.read_magic(f, SVR_MAGIC, path)
+def read_svr(f) -> SvrModel:
+    formats.read_magic(f, SVR_MAGIC)
     kernel_id = formats.read_u32(f)
     if kernel_id not in KERNEL_NAMES:
-        raise formats.FormatError(f"{path}: unknown SVR kernel id {kernel_id}")
+        raise formats.FormatError(f"unknown SVR kernel id {kernel_id}")
     kernel = KERNEL_NAMES[kernel_id]
     C = formats.read_f64(f)
     epsilon = formats.read_f64(f)

@@ -1,13 +1,18 @@
+import importlib
 import json
+import pkgutil
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proscore
 from proscore import dnf, flow, formats, gmm, ivector, regress
 from proscore.cli import build_parser, main
 from proscore.corpus import load_corpus, save_corpus, synth_corpus
+from proscore.formats import DataError
 from proscore.pipeline import default_config
 
 from conftest import TINY_SYNTH
@@ -223,14 +228,28 @@ def _ubm_of_dim_2(d):
     return str(path)
 
 
-def _dnf_with_nan_means(d):
-    path = d / "nan.pdnf"
+def _dnf_without_classes(d):
+    path = d / "s0.pdnf"
     with open(path, "wb") as f:
         formats.write_magic(f, dnf.DNF_MAGIC)
         flow.write_flow(f, flow.build_flow(6, 2, 4))
-        formats.write_u32(f, 1)
-        formats.write_array(f, np.full((1, 6), np.nan))
+        formats.write_u32(f, 0)
     return str(path)
+
+
+def _corpus_without(m, d, what):
+    """A copy of the corpus of manifest `m[1]` in which spk000_utt00 has no
+    alignment or no posteriorgram."""
+    root = d / "corpus"
+    shutil.copytree(Path(m[1]).parent, root)
+    if what == "alignment":
+        path = root / "alignments.tsv"
+        path.write_text("".join(
+            line for line in path.read_text().splitlines(True)
+            if not line.startswith("spk000_utt00\t")))
+    else:
+        (root / "posteriors" / "spk000_utt00.post").unlink()
+    return str(root / "manifest.tsv")
 
 
 def _pivm_v1(d):
@@ -290,7 +309,7 @@ def _svr_with_kernel_7(d):
         "--ubm", _ubm_of_dim_2(d)], id="IVectorError"),
     pytest.param(lambda m, d: [
         "embed", *m, "--out", str(d / "e.tsv"),
-        "--model", _dnf_with_nan_means(d)], id="DnfError"),
+        "--model", _dnf_without_classes(d)], id="DnfError"),
     pytest.param(lambda m, d: [
         "embed", *m, "--out", str(d / "e.tsv"),
         "--model", str(d / "missing.pivm")], id="FileNotFoundError"),
@@ -309,11 +328,34 @@ def _svr_with_kernel_7(d):
     pytest.param(lambda m, d: [
         "score", *m, "--svr", _svr_with_kernel_7(d),
         "--embeddings", _embeddings(m, d)], id="FormatError-kernel"),
+    pytest.param(lambda m, d: [
+        "score", "--manifest", _corpus_without(m, d, "alignment"), "--gop"],
+        id="CorpusError-gop-alignment"),
+    pytest.param(lambda m, d: [
+        "score", "--manifest", _corpus_without(m, d, "posteriorgram"), "--gop"],
+        id="CorpusError-gop-posteriorgram"),
 ])
 def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv):
     _, manifest = corpus_dir
     assert main(argv(["--manifest", str(manifest)], tmp_path)) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_every_exception_class_but_settings_is_a_data_error():
+    """cli.main exits 2 on a DataError, so an exception class that a
+    proscore module defines derives from DataError unless it stands for bad
+    settings (exit 1) or a diverged training (exit 3)."""
+    not_data = {"ConfigError", "SvrError", "TrainingDivergence"}
+    classes = {}
+    for info in pkgutil.iter_modules(proscore.__path__):
+        module = importlib.import_module(f"proscore.{info.name}")
+        classes.update((obj.__name__, obj) for obj in vars(module).values()
+                       if isinstance(obj, type)
+                       and issubclass(obj, BaseException)
+                       and obj.__module__ == module.__name__)
+    assert not_data | {"DataError", "CorpusError", "SvrDataError"} <= set(classes)
+    for name, cls in classes.items():
+        assert issubclass(cls, DataError) != (name in not_data), name
 
 
 @pytest.mark.parametrize("name, lineno, line", [
@@ -402,7 +444,18 @@ def test_bad_section_value_type_exits_1(tmp_path, capsys, section):
     ({"ivector": {"iters": 0}}, "ivector.iters must be >= 1"),
     ({"ivector": {"ubm_components": 0}}, "ivector.ubm_components"),
     ({"svr": {"C": 0.0}}, "svr: C must be positive"),
-    ({"svr": {"gamma": -1.0}}, "svr: gamma")])
+    ({"svr": {"gamma": -1.0}}, "svr: gamma"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"gop": {"mode": "foo"}}, "gop.mode: unknown GOP mode 'foo'"),
+    ({"fusion": {"grid_step": 0}}, "fusion.grid_step must be > 0"),
+    ({"fusion": {"normalization": "minmax"}},
+     "fusion: unknown normalization 'minmax'"),
+    ({"gmm": {"iters": -1}}, "gmm.iters must be >= 0"),
+    ({"ivector": {"ubm_iters": -1}}, "ivector.ubm_iters must be >= 0"),
+    ({"nf": {"width": 0}}, "nf.width must be >= 1"),
+    ({"dnf": {"width": 0}}, "dnf.width must be >= 1"),
+    ({"svr": {"max_passes": -1}}, "svr: max_passes must be >= 0"),
+    ({"svr": {"tol": -1.0}}, "svr: tol must be positive")])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, section, message):
     """A value that a stage's own check rejects fails before any work."""
     cfg = tmp_path / "cfg.json"
@@ -417,11 +470,21 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys, section, message):
 @pytest.mark.parametrize("argv, message", [
     (["train-gmm", "--components", "0"], "gmm.components must be >= 1"),
     (["train-flow", "--layers", "0"], "nf.layers must be >= 1"),
-    (["train-dnf", "--classes", "0"], "dnf.classes must be >= 1")])
+    (["train-dnf", "--classes", "0"], "dnf.classes must be >= 1"),
+    (["train-ivector", "--ubm", "UBM", "--iters", "0"],
+     "ivector.iters must be >= 1"),
+    (["train-ivector", "--ubm", "UBM", "--dim", "0"], "ivector.dim must be >= 1"),
+    (["train-gmm", "--iters", "-1"], "gmm.iters must be >= 0"),
+    (["train-flow", "--width", "0"], "nf.width must be >= 1"),
+    (["fuse", "--scores", "s.tsv", "--dev-scores", "d.tsv", "--grid-step", "0"],
+     "--grid-step must be > 0")])
 def test_stage_flag_below_one_exits_1(corpus_dir, tmp_path, capsys, argv,
                                       message):
-    assert main([*argv, "--manifest", str(corpus_dir[1]),
-                 "--out", str(tmp_path / "m.bin")]) == 1
+    # UBM stands for a model file that loads; the check comes before its use
+    argv = [_ubm_of_dim_2(tmp_path) if a == "UBM" else a for a in argv]
+    if argv[0] != "fuse":
+        argv += ["--manifest", str(corpus_dir[1])]
+    assert main([*argv, "--out", str(tmp_path / "m.bin")]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
 

@@ -3,12 +3,9 @@ import pytest
 
 from proscore.corpus import FeatureSequence
 from proscore.dnf import (DnfError, DnfModel, classes_from_mean_scores,
-                          dnf_embed, dnf_logprob, dnf_train, init_class_means,
-                          save_dnf)
+                          dnf_embed, dnf_logprob, dnf_train, init_class_means)
 from proscore.flow import (AdamConfig, build_flow, flow_embed, flow_logprob,
                            flow_train, flow_transform, nll_and_grads)
-from proscore.formats import FormatError
-from proscore.pipeline import load_model
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -207,10 +204,3 @@ def test_trace_ends_with_the_full_batch_loss():
     assert trace[-1] == nll_and_grads(m.backbone, frames,
                                       m.class_means[classes])[0]
 
-
-def test_interleaved_mask_is_a_format_error(tmp_path):
-    m = DnfModel(build_flow(4, 2, 8, seed=25), np.zeros((2, 4)))
-    m.backbone.layers[0].mask = np.array([False, True, False, True])
-    save_dnf(tmp_path / "bad.pdnf", m)
-    with pytest.raises(FormatError, match="prefix block"):
-        load_model(tmp_path / "bad.pdnf")

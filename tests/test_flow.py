@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from proscore import flow
+from proscore import dnf, flow
 from proscore.corpus import FeatureSequence
 from proscore.flow import (AdamConfig, FlowError, TrainingDivergence,
                            build_flow, flow_embed, flow_logprob, flow_train,
                            flow_transform, mean_nll, nll_and_grads, train_core)
-from proscore.formats import FormatError
 from proscore.pipeline import load_model
 
 LOG_2PI = np.log(2 * np.pi)
@@ -285,11 +284,16 @@ def test_flat_adam_matches_per_array_adam(with_means):
         np.testing.assert_array_equal(trained_means, ref_means)
 
 
-def test_interleaved_mask_is_a_format_error(tmp_path):
-    m = build_flow(4, 2, 8, seed=22)
-    flow.save_flow(tmp_path / "ok.pnf1", m)
-    assert isinstance(load_model(tmp_path / "ok.pnf1"), flow.FlowModel)
-    m.layers[1].mask = np.array([True, False, True, False])
-    flow.save_flow(tmp_path / "bad.pnf1", m)
-    with pytest.raises(FormatError, match="prefix block"):
-        load_model(tmp_path / "bad.pnf1")
+@pytest.mark.parametrize("dim", [4, 5])
+def test_loaded_layer_halves_match_build_flow(tmp_path, dim):
+    """PNF1 and PDNF hold no masks: each loaded layer's halves are those
+    that build_flow gives it."""
+    m = build_flow(dim, 3, 8, seed=22)
+    flow.save_flow(tmp_path / "m.pnf1", m)
+    dnf.save_dnf(tmp_path / "m.pdnf", dnf.DnfModel(m, np.zeros((2, dim))))
+    for loaded in (load_model(tmp_path / "m.pnf1"),
+                   load_model(tmp_path / "m.pdnf").backbone):
+        assert [(lay.cond, lay.trans) for lay in loaded.layers] == \
+            [(lay.cond, lay.trans) for lay in m.layers]
+        for p, q in zip(loaded.params(), m.params()):
+            np.testing.assert_array_equal(p, q)

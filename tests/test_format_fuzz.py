@@ -1,5 +1,6 @@
-"""Every binary format, truncated at each field boundary or with a header
-field corrupted, is a data error through the CLI (exit 2), never an
+"""Every binary format, truncated at each field boundary, with a header
+field corrupted or with a NaN in an array, is a data error through the CLI
+(exit 2) whose message begins with the damaged file's path, never an
 uncaught exception."""
 
 import shutil
@@ -33,21 +34,24 @@ class _Recorder(BytesIO):
 
 
 def _image(write, obj):
-    """(bytes, field boundaries, [(offset, kind)] of the scalar fields) of
-    what `write(f, obj)` writes. Each write call is one field."""
+    """(bytes, field boundaries, [(offset, kind)] of the scalar fields and
+    of the first element of each array) of what `write(f, obj)` writes.
+    Each write call is one field."""
     f = _Recorder()
     scalars = []
 
     def spy(kind, real):
         def record(stream, value):
-            scalars.append((stream.tell(), kind))
+            if np.size(value):  # an empty array has no element to corrupt
+                scalars.append((stream.tell(), kind))
             real(stream, value)
         return record
 
     with mock.patch.multiple(formats,
                              write_magic=spy("magic", formats.write_magic),
                              write_u32=spy("u32", formats.write_u32),
-                             write_f64=spy("f64", formats.write_f64)):
+                             write_f64=spy("f64", formats.write_f64),
+                             write_array=spy("array", formats.write_array)):
         write(f, obj)
     data = f.getvalue()
     return data, [0] + f.ends[:-1], scalars
@@ -56,7 +60,8 @@ def _image(write, obj):
 def _corruptions(data, scalars):
     """(name, bytes) for each bad value of each scalar field: another magic,
     a count or id one too large or 2^32 - 1 (neither fits the payload that
-    follows, nor names a kernel or version), and a NaN real."""
+    follows, nor names a kernel or version), and a NaN real or array
+    element."""
     for offset, kind in scalars:
         if kind == "magic":
             bad = [b"XXXX"]
@@ -116,14 +121,16 @@ CORPUS_FILES = {
 }
 
 
-def _fuzz(path, data, boundaries, scalars, argv):
+def _fuzz(path, data, boundaries, scalars, argv, capsys):
     """Every truncated and corrupted image of `data` at `path` must make
-    `argv` exit 2; the intact one must exit 0. Returns the failures."""
+    `argv` exit 2 with a data error naming `path`; the intact one must exit
+    0. Returns the failures and the number of damaged images."""
     path.write_bytes(data)
     assert main(argv) == 0
     cases = [(f"truncated@{end}", data[:end]) for end in boundaries]
     cases += list(_corruptions(data, scalars))
     failures = []
+    capsys.readouterr()
     for name, raw in cases:
         path.write_bytes(raw)
         try:
@@ -131,8 +138,9 @@ def _fuzz(path, data, boundaries, scalars, argv):
         except Exception as exc:  # the fault this test is for
             failures.append((name, repr(exc)))
             continue
-        if rc != 2:
-            failures.append((name, f"exit {rc}"))
+        err = capsys.readouterr().err
+        if rc != 2 or not err.startswith(f"data error: {path}: "):
+            failures.append((name, f"exit {rc}", err))
     path.write_bytes(data)
     return failures, len(cases)
 
@@ -151,10 +159,10 @@ def test_damaged_model_file_is_a_data_error(corpus_dir, tmp_path, capsys,
                 _embeddings(tmp_path / "e.tsv", m[1])]
     else:
         argv = [command, *m, *out, "--model", str(path)]
-    failures, count = _fuzz(path, data, boundaries, scalars, argv)
+    failures, count = _fuzz(path, data, boundaries, scalars, argv, capsys)
     assert count > len(boundaries) > 3
+    assert any(kind == "array" for _, kind in scalars)
     assert not failures, failures
-    assert capsys.readouterr().err.count("data error: ") == count
 
 
 @pytest.mark.parametrize("kind", sorted(CORPUS_FILES))
@@ -169,8 +177,21 @@ def test_damaged_corpus_file_is_a_data_error(corpus_dir, tmp_path, capsys,
     data, boundaries, scalars = _image(write, payload(c, uid))
     path = root / sub / f"{uid}{suffix}"
     assert path.read_bytes() == data
-    failures, count = _fuzz(path, data, boundaries, scalars,
-                            ["score", "--manifest", str(manifest), "--gop",
-                             "--out", str(tmp_path / "out.tsv")])
+    failures, _ = _fuzz(path, data, boundaries, scalars,
+                        ["score", "--manifest", str(manifest), "--gop",
+                         "--out", str(tmp_path / "out.tsv")], capsys)
+    assert any(kind == "array" for _, kind in scalars)
     assert not failures, failures
-    assert capsys.readouterr().err.count("data error: ") == count
+
+
+def test_model_invariant_on_load_names_the_file(corpus_dir, tmp_path, capsys):
+    """A PGMM whose weights are not a simplex fails its model's own check
+    while it is read, and the message names the file."""
+    path = tmp_path / "g.pgmm"
+    data, _, _ = _image(gmm.write_gmm, _ubm())
+    weights = 16  # magic, version, K, D
+    path.write_bytes(data[:weights] + struct.pack("<d", 0.9) + data[weights + 8:])
+    assert main(["score", "--manifest", str(corpus_dir / "manifest.tsv"),
+                 "--model", str(path), "--out", str(tmp_path / "out.tsv")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: mixture weights must be a simplex\n")

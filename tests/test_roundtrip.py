@@ -144,17 +144,18 @@ def test_primitive_round_trips():
 
 
 @pytest.mark.parametrize("make,save,inner,save_inner,header", [
-    (make_ivector, ivector.save_ivector_model, lambda m: m.ubm, gmm.save_gmm, 20),
+    (make_ivector, ivector.save_ivector_model, lambda m: m.ubm, gmm.save_gmm, 12),
     (make_dnf, dnf.save_dnf, lambda m: m.backbone, flow.save_flow, 8),
 ], ids=["ivector", "dnf"])
 def test_nested_model_written_inline(tmp_path, make, save, inner, save_inner,
                                      header):
-    """PIVM/PDNF v2: a header, then the nested model's whole file image."""
+    """PIVM/PDNF v3: a header (PIVM's ends with R, the UBM gives K and D),
+    then the nested model's whole file image."""
     model = make()
     save(tmp_path / "outer.bin", model)
     save_inner(tmp_path / "inner.bin", inner(model))
     raw = (tmp_path / "outer.bin").read_bytes()
-    assert raw[4:8] == (2).to_bytes(4, "little")
+    assert raw[4:8] == (3).to_bytes(4, "little")
     assert raw[header:].startswith((tmp_path / "inner.bin").read_bytes())
 
 
