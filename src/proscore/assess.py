@@ -74,10 +74,6 @@ class ScoreTable:
                                   " (label_mean is nan)")
         return self.column("label_mean")
 
-    @property
-    def utterance_ids(self) -> tuple:
-        return tuple(r.utterance_id for r in self.rows)
-
 
 @dataclass(frozen=True)
 class FusionConfig:

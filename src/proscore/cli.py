@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, formats, gmm, gop, pipeline, regress
-from .corpus import (CorpusError, SynthConfig, load_corpus, save_corpus,
-                     synth_corpus)
+from .corpus import CorpusError, SynthConfig, load_corpus
 from .flow import TrainingDivergence
 from .formats import DataError
 from .pipeline import ConfigError
@@ -55,10 +54,8 @@ def cmd_run(args) -> int:
 
 def cmd_synth(args) -> int:
     synth = SynthConfig(seed=args.seed if args.seed is not None else 7)
-    corpus, oracle = synth_corpus(synth)
-    manifest = save_corpus(corpus, args.out)
-    pipeline._write_oracle(Path(args.out) / "oracle.tsv", oracle)
-    print(f"manifest written to {manifest}")
+    pipeline.write_synth_corpus(synth, args.out)
+    print(f"manifest written to {Path(args.out) / 'manifest.tsv'}")
     return 0
 
 
@@ -148,18 +145,9 @@ def cmd_fuse(args) -> int:
         raise ConfigError(f"--lambda must lie in [0,1], got {args.lam}")
     if not args.grid_step > 0:
         raise ConfigError(f"--grid-step must be > 0, got {args.grid_step}")
-    table = assess.read_score_table(args.scores)
-    dev_table = assess.read_score_table(args.dev_scores)
-    if args.lam is None:
-        lam, _curve = assess.select_lambda(dev_table, args.grid_step,
-                                           args.normalization)
-    else:
-        lam = args.lam
-    stats = (assess.fusion_stats(dev_table)
-             if args.normalization == "zscore" else None)
-    fused = assess.score_fuse(table,
-                              assess.FusionConfig(lam, args.normalization),
-                              stats)
+    lam, fused = pipeline.fuse(assess.read_score_table(args.scores),
+                               assess.read_score_table(args.dev_scores),
+                               _section(args), args.lam)
     _write_text(args.out, assess.score_table_to_tsv(fused))
     print(f"lambda = {lam:.2f}")
     return 0
@@ -265,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-scores", required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--grid-step", type=float, default=0.02)
-    p.add_argument("--normalization", choices=assess.NORMALIZATIONS,
-                   default="zscore")
+    stage_flags(p, "fusion", "grid_step", "normalization",
+                normalization=assess.NORMALIZATIONS)
 
     p = add("evaluate", cmd_evaluate, help="PCC report for a score table")
     p.add_argument("--manifest", required=True)

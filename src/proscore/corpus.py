@@ -209,15 +209,6 @@ class Corpus:
     phone_table: tuple
 
     @property
-    def utterance_ids(self) -> tuple:
-        return tuple(sorted(self.features))
-
-    @property
-    def dim(self) -> int:
-        first = next(iter(self.features.values()))
-        return first.dim
-
-    @property
     def num_phones(self) -> int:
         return len(self.phone_table)
 
@@ -371,7 +362,7 @@ def read_manifest(path) -> dict:
     return roles
 
 
-def save_corpus(corpus: Corpus, out_dir, manifest_name: str = "manifest.tsv") -> Path:
+def save_corpus(corpus: Corpus, out_dir) -> Path:
     """Write a corpus to a directory tree and return the manifest path."""
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
@@ -385,7 +376,7 @@ def save_corpus(corpus: Corpus, out_dir, manifest_name: str = "manifest.tsv") ->
     write_alignment_file(out_dir / "alignments.tsv", corpus.alignments, corpus.phone_table)
     write_labels_file(out_dir / "labels.tsv", corpus.labels)
     write_splits_file(out_dir / "splits.tsv", corpus.splits)
-    manifest = out_dir / manifest_name
+    manifest = out_dir / "manifest.tsv"
     write_manifest(manifest, {
         "features": "features",
         "alignments": "alignments.tsv",

@@ -257,11 +257,16 @@ def flow_logprob(m: FlowModel, batch: np.ndarray) -> np.ndarray:
     return base + logdet
 
 
+def utterance_frames(m: FlowModel, fs: FeatureSequence) -> np.ndarray:
+    """The frames of `fs`, which must have the model's dimension."""
+    if fs.dim != m.dim:
+        raise FlowError(f"{fs.utterance_id}: frames have dim {fs.dim}, model {m.dim}")
+    return fs.frames
+
+
 def flow_embed(m: FlowModel, fs: FeatureSequence) -> np.ndarray:
     """Utterance embedding: mean of the latent images of the frames."""
-    if fs.num_frames < 1:
-        raise FlowError(f"{fs.utterance_id}: empty feature sequence")
-    z, _ = flow_transform(m, "inverse", fs.frames)
+    z, _ = flow_transform(m, "inverse", utterance_frames(m, fs))
     return z.mean(axis=0)
 
 

@@ -35,10 +35,9 @@ class CompetitionPoint:
     posterior: float
 
 
-def segment_posterior(pg: PosteriorGram, segment, floor: float = POSTERIOR_FLOOR) -> float:
-    """Mean posterior of the segment's phone over its frames, floored.
-
-    The floor keeps downstream logarithms finite on degenerate
+def segment_posterior(pg: PosteriorGram, segment) -> float:
+    """Mean posterior of the segment's phone over its frames, floored at
+    POSTERIOR_FLOOR to keep downstream logarithms finite on degenerate
     posteriorgrams.
     """
     phone_id, start, end = segment
@@ -46,17 +45,17 @@ def segment_posterior(pg: PosteriorGram, segment, floor: float = POSTERIOR_FLOOR
         raise ValueError(f"{pg.utterance_id}: empty segment {start}..{end}")
     if end > pg.num_frames or phone_id >= pg.num_phones:
         raise ValueError(f"{pg.utterance_id}: segment out of posteriorgram bounds")
-    return max(float(pg.post[start:end, phone_id].mean()), floor)
+    return max(float(pg.post[start:end, phone_id].mean()), POSTERIOR_FLOOR)
 
 
-def _segment_log_posterior(pg, segment, mode, floor):
+def _segment_log_posterior(pg, segment, mode):
     if mode == "mean-then-log":
-        return math.log(segment_posterior(pg, segment, floor))
+        return math.log(segment_posterior(pg, segment))
     if mode == "mean-of-log":
         phone_id, start, end = segment
         if start >= end:
             raise ValueError(f"{pg.utterance_id}: empty segment {start}..{end}")
-        vals = np.maximum(pg.post[start:end, phone_id], floor)
+        vals = np.maximum(pg.post[start:end, phone_id], POSTERIOR_FLOOR)
         return float(np.log(vals).mean())
     raise ValueError(f"unknown GOP mode {mode!r}")
 
@@ -75,7 +74,7 @@ def gop_score(pg: PosteriorGram, al: PhoneAlignment,
             f"vs alignment {al.utterance_id!r}")
     al.check_bounds(pg.num_frames, pg.num_phones)
     per_phone = tuple(
-        (seg[0], _segment_log_posterior(pg, seg, mode, POSTERIOR_FLOOR))
+        (seg[0], _segment_log_posterior(pg, seg, mode))
         for seg in al.segments)
     gop = sum(lp for _, lp in per_phone) / len(per_phone)
     return GopResult(pg.utterance_id, per_phone, gop)
@@ -100,7 +99,7 @@ def conditional_score(pg: PosteriorGram, frame_marginal_loglik: np.ndarray,
     total = 0.0
     for seg in al.segments:
         phone_id, start, end = seg
-        lp = _segment_log_posterior(pg, seg, mode, POSTERIOR_FLOOR)
+        lp = _segment_log_posterior(pg, seg, mode)
         lm = float(marg[start:end].mean())
         total += lp + lm - math.log(prior.prior[phone_id])
     return total / al.num_segments

@@ -10,6 +10,7 @@ i-vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class IVectorModel:
     def dim(self) -> int:
         return self.loadings.shape[2]
 
+    @cached_property
+    def precision_terms(self):
+        """The `_precision_terms` of the loadings, computed once."""
+        return _precision_terms(self.loadings, 1.0 / self.ubm.variances)
+
 
 def ubm_stats(m: GmmModel, fs: FeatureSequence) -> BaumWelchStats:
     """Zeroth and centered first-order statistics under the UBM."""
@@ -90,16 +96,17 @@ def _posterior(TS, P, st: BaumWelchStats):
 
 def ivector_infer(m: IVectorModel, st: BaumWelchStats):
     """Posterior mean of z (the i-vector) and its precision matrix L."""
-    L, b = _posterior(*_precision_terms(m.loadings, 1.0 / m.ubm.variances), st)
+    L, b = _posterior(*m.precision_terms, st)
     z = np.linalg.solve(L, b)
     return z, L
 
 
 def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
-    """EM training of the loading matrices; returns (model, objective trace).
+    """EM training of the loading matrices; returns (model, evidence trace).
 
-    The trace holds the per-iteration total log-evidence of the statistics
-    (up to loading-independent constants) and is non-decreasing.
+    The trace holds the total log-evidence of the statistics (up to
+    loading-independent constants) of the initial and of each iteration's
+    loadings, as the next E-step scores them, and is non-decreasing.
     """
     if iters < 1:
         raise IVectorError("iters must be >= 1")
@@ -109,28 +116,26 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
     loadings = 0.1 * rng.standard_normal((K, D, R))
     inv_var = 1.0 / ubm.variances
 
-    def objective(T):
-        terms = _precision_terms(T, inv_var)
-        total = 0.0
-        for st in stats:
-            L, b = _posterior(*terms, st)
-            zbar = np.linalg.solve(L, b)
-            sign, logdet = np.linalg.slogdet(L)
-            total += -0.5 * logdet + 0.5 * float(b @ zbar)
-        return total
-
-    trace = [objective(loadings)]
-    for _ in range(iters):
+    trace = []
+    for it in range(iters + 1):
+        last = it == iters  # a last E-step only scores the final loadings
         A = np.zeros((K, R, R))
         C = np.zeros((K, D, R))
+        evidence = 0.0
         terms = _precision_terms(loadings, inv_var)
         for st in stats:
             L, b = _posterior(*terms, st)
             cov = np.linalg.inv(L)
             zbar = cov @ b
+            evidence += -0.5 * np.linalg.slogdet(L)[1] + 0.5 * float(b @ zbar)
+            if last:
+                continue
             Ezz = cov + np.outer(zbar, zbar)
             A += st.zeroth[:, None, None] * Ezz[None, :, :]
             C += st.first_centered[:, :, None] * zbar[None, None, :]
+        trace.append(evidence)
+        if last:
+            break
         new = np.empty_like(loadings)
         for k in range(K):
             try:
@@ -139,7 +144,6 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
                 raise IVectorError(
                     f"singular accumulator for component {k}") from exc
         loadings = new
-        trace.append(objective(loadings))
     return IVectorModel(ubm, loadings), trace
 
 

@@ -345,13 +345,8 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
             table = assess.ScoreTable(tuple(
                 assess.ScoreRow(u, gop_scores[u], pred[u], label_means[u])
                 for u in all_ids))
-            dev_table = table.subset(dev_ids)
-            lam, _curve = assess.select_lambda(
-                dev_table, fusion_cfg["grid_step"], fusion_cfg["normalization"])
-            stats = (assess.fusion_stats(dev_table)
-                     if fusion_cfg["normalization"] == "zscore" else None)
-            fcfg = assess.FusionConfig(lam, fusion_cfg["normalization"])
-            fused_eval = assess.score_fuse(table.subset(eval_ids), fcfg, stats)
+            lam, fused_eval = fuse(table.subset(eval_ids),
+                                   table.subset(dev_ids), fusion_cfg)
             add_row(f"gop+{name}_score_fusion",
                     assess.pcc(fused_eval.column("fused"), eval_labels), lam)
             lambdas[name] = lam
@@ -471,6 +466,18 @@ def predict(model: regress.SvrModel, emb: dict, ids) -> dict:
         model, np.array([emb[uid] for uid in ids]))))
 
 
+def fuse(table: assess.ScoreTable, dev_table: assess.ScoreTable,
+         section: dict, lam: float | None = None):
+    """Score fusion of `table` under z-score statistics from `dev_table`;
+    returns (lambda, fused table). Without `lam`, lambda is the one that
+    maximizes PCC on `dev_table`."""
+    norm = section["normalization"]
+    if lam is None:
+        lam, _curve = assess.select_lambda(dev_table, section["grid_step"], norm)
+    stats = assess.fusion_stats(dev_table) if norm == "zscore" else None
+    return lam, assess.score_fuse(table, assess.FusionConfig(lam, norm), stats)
+
+
 def embed(model, features: dict) -> dict:
     """Utterance embedding of each feature sequence in `features`."""
     if isinstance(model, ivector.IVectorModel):
@@ -490,8 +497,9 @@ def utterance_loglik(model, features: dict) -> dict:
         return {uid: gmm.gmm_loglik(model, fs)[1] for uid, fs in features.items()}
     backbone = model.backbone if isinstance(model, dnf.DnfModel) else model
     if isinstance(backbone, flow.FlowModel):
-        return {uid: float(flow.flow_logprob(backbone, fs.frames).mean())
-                for uid, fs in features.items()}
+        return {uid: float(flow.flow_logprob(
+            backbone, flow.utterance_frames(backbone, fs)).mean())
+            for uid, fs in features.items()}
     raise FormatError(
         f"{model_system(model)} models give no frame log-likelihood")
 
@@ -556,16 +564,9 @@ def _corpus_stage(cfg, work: Path, force: bool):
         corpus_dir = work / "corpus"
         key = _digest("synth", synth_kwargs)
 
-        def compute():
-            corpus_obj, oracle = synth_corpus(synth)
-            for sub in ("features", "posteriors"):  # no other corpus's files
-                shutil.rmtree(corpus_dir / sub, ignore_errors=True)
-            save_corpus(corpus_obj, corpus_dir)
-            _write_oracle(corpus_dir / "oracle.tsv", oracle)
-            return corpus_obj
-
         return StageCache(corpus_dir, force).run(
-            "synth", key, ["manifest.tsv", "oracle.tsv"], compute,
+            "synth", key, ["manifest.tsv", "oracle.tsv"],
+            lambda: write_synth_corpus(synth, corpus_dir),
             lambda: load_corpus(corpus_dir / "manifest.tsv")), key
     manifest = Path(corpus_cfg["manifest"])
     if not manifest.is_absolute():
@@ -574,6 +575,20 @@ def _corpus_stage(cfg, work: Path, force: bool):
         raise CorpusError(f"corpus manifest not found: {manifest}")
     corpus_obj = load_corpus(manifest)
     return corpus_obj, _corpus_digest(corpus_obj)
+
+
+def write_synth_corpus(synth: SynthConfig, out_dir) -> Corpus:
+    """Synthesize a corpus into `out_dir`, with `oracle.tsv` holding each
+    utterance's true proficiency; the feature and posteriorgram files of
+    any corpus there before are removed."""
+    out_dir = Path(out_dir)
+    corpus, oracle = synth_corpus(synth)
+    for sub in ("features", "posteriors"):
+        shutil.rmtree(out_dir / sub, ignore_errors=True)
+    save_corpus(corpus, out_dir)
+    (out_dir / "oracle.tsv").write_text(formats.tsv(
+        [("utterance_id", "rho")] + sorted(oracle.items())), encoding="utf-8")
+    return corpus
 
 
 def _corpus_digest(corpus: Corpus) -> str:
@@ -586,8 +601,3 @@ def _corpus_digest(corpus: Corpus) -> str:
               corpus.splits.eval_ids)
     return _digest("manifest", *(part for f in features for part in f),
                    labels, splits)
-
-
-def _write_oracle(path, oracle: dict) -> None:
-    Path(path).write_text(formats.tsv(
-        [("utterance_id", "rho")] + sorted(oracle.items())), encoding="utf-8")

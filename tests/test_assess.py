@@ -77,7 +77,7 @@ def test_unlabeled_rows_are_kept_but_not_correlated():
 def test_score_table_subset_and_missing():
     t = _table([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [3.0, 4.0, 5.0])
     sub = t.subset(["u0", "u2"])
-    assert sub.utterance_ids == ("u0", "u2")
+    assert [r.utterance_id for r in sub.rows] == ["u0", "u2"]
     with pytest.raises(AssessError, match="missing"):
         t.subset(["u0", "ghost"])
 
@@ -238,7 +238,7 @@ def test_evaluate_perfect_predictor():
     rng = np.random.default_rng(9)
     labels = rng.uniform(1, 5, 10)
     t = _table(rng.standard_normal(10), labels, labels)
-    rows = evaluate(t, _split_for(t.utterance_ids))
+    rows = evaluate(t, _split_for(r.utterance_id for r in t.rows))
     by_system = {r.system: r for r in rows}
     assert by_system["predicted"].pcc == pytest.approx(1.0)
     assert by_system["gop"].split == "eval"

@@ -13,7 +13,7 @@ from proscore import dnf, flow, formats, gmm, ivector, regress
 from proscore.cli import build_parser, main
 from proscore.corpus import load_corpus, save_corpus, synth_corpus
 from proscore.formats import DataError
-from proscore.pipeline import default_config
+from proscore.pipeline import default_config, save_model
 
 from conftest import TINY_SYNTH
 
@@ -341,6 +341,31 @@ def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv):
     assert "data error" in capsys.readouterr().err
 
 
+def _model_of_dim_2(d, system):
+    ubm = gmm.GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
+    backbone = flow.build_flow(2, 2, 4)
+    path = d / f"dim2.{system}"
+    save_model(path, {"gmm": ubm, "nf": backbone,
+                      "dnf": dnf.DnfModel(backbone, np.zeros((1, 2))),
+                      "ivector": ivector.IVectorModel(ubm, np.ones((1, 2, 2))),
+                      }[system])
+    return str(path)
+
+
+@pytest.mark.parametrize("command, system", [
+    ("embed", "nf"), ("embed", "dnf"), ("embed", "ivector"),
+    ("score", "gmm"), ("score", "nf"), ("score", "dnf")])
+def test_model_of_another_dim_names_the_utterance(corpus_dir, tmp_path, capsys,
+                                                  command, system):
+    """Every model reads frames of its own dimension; the 6-dim corpus's
+    first utterance is named when the model's is 2."""
+    _, manifest = corpus_dir
+    assert main([command, "--manifest", str(manifest), "--out",
+                 str(tmp_path / "out.tsv"),
+                 "--model", _model_of_dim_2(tmp_path, system)]) == 2
+    assert "data error: spk000_utt00: " in capsys.readouterr().err
+
+
 def test_every_exception_class_but_settings_is_a_data_error():
     """cli.main exits 2 on a DataError, so an exception class that a
     proscore module defines derives from DataError unless it stands for bad
@@ -507,15 +532,22 @@ def test_stage_flag_defaults_are_the_preset():
                           (["train-ivector", *m, "--ubm", "u"], "ivector"),
                           (["train-flow", *m], "nf"),
                           (["train-dnf", *m], "dnf"),
-                          (["train-svr", *m, "--embeddings", "e"], "svr")):
+                          (["train-svr", *m, "--embeddings", "e"], "svr"),
+                          (["fuse", "--scores", "s", "--dev-scores", "d"],
+                           "fusion")):
         args = parser.parse_args(argv)
         preset = default_config()[section]
         assert {k: getattr(args, k) for k in args.section} == \
             {k: preset[k] for k in args.section}
 
 
-def test_cli_chain_reproduces_run_models(pipeline_runs, tmp_path):
-    """With the stage seeds, the CLI writes the run's model bytes."""
+def _tsv_rows(text):
+    return [line.split("\t") for line in text.splitlines()[1:]]
+
+
+def test_cli_chain_reproduces_run_models(pipeline_runs, tmp_path, capsys):
+    """With the stage seeds, the CLI writes the run's model bytes, and
+    `fuse` and `evaluate` print the run's lambda and PCCs."""
     models = pipeline_runs["dirs"][0] / "models"
     m = ["--manifest",
          str(pipeline_runs["dirs"][0] / "corpus" / "manifest.tsv")]
@@ -538,6 +570,27 @@ def test_cli_chain_reproduces_run_models(pipeline_runs, tmp_path):
     for name in ("gmm.pgmm", "ivector.pivm", "svr_ivector.psvr"):
         assert (tmp_path / name).read_bytes() == (models / name).read_bytes(), name
 
+    scores, dev_scores, fused = (str(tmp_path / name) for name in (
+        "scores.tsv", "dev_scores.tsv", "fused.tsv"))
+    s = ["--gop", "--model", out["gmm.pgmm"], "--svr", out["svr_ivector.psvr"],
+         "--embeddings", out["ivector.emb"]]
+    assert main(["score", *m, *s, "--out", scores]) == 0
+    assert main(["score", *m, *s, "--split", "dev", "--out", dev_scores]) == 0
+    capsys.readouterr()
+    assert main(["fuse", "--scores", scores, "--dev-scores", dev_scores,
+                 "--out", fused]) == 0
+    printed_lambda = capsys.readouterr().out
+    assert main(["evaluate", *m, "--scores", fused]) == 0
+    evaluated = {system: value for system, split, value, _ in
+                 _tsv_rows(capsys.readouterr().out)}
+    report = {system: (value, lam) for system, split, value, lam in
+              _tsv_rows(pipeline_runs["results"][0].report_path.read_text())}
+    fusion = report["gop+ivector_score_fusion"]
+    assert printed_lambda == f"lambda = {fusion[1]}\n"
+    assert evaluated == {"gop": report["gop"][0],
+                         "predicted": report["ivector_svr"][0],
+                         "fused": fusion[0]}
+
 
 def test_train_dnf_drops_empty_classes(corpus_dir, tmp_path):
     _, manifest = corpus_dir
@@ -552,6 +605,31 @@ def test_train_dnf_drops_empty_classes(corpus_dir, tmp_path):
 
 # ---------------------------------------------------------------------------
 # run + synth entry points
+
+
+def test_synth_replaces_a_larger_corpus(tmp_path, capsys):
+    """No utterance of a 61-speaker corpus in the output directory
+    outlives `synth`, which writes 60 speakers of 6 utterances."""
+    save_corpus(synth_corpus(replace(TINY_SYNTH, num_speakers=61))[0], tmp_path)
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    manifest = tmp_path / "manifest.tsv"
+    assert capsys.readouterr().out == f"manifest written to {manifest}\n"
+    assert len(load_corpus(manifest).features) == 360
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_writes_the_run_corpus(pipeline_runs, tmp_path):
+    """`synth --out` writes the files of a preset run's corpus stage."""
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    expected = _tree(pipeline_runs["dirs"][0] / "corpus")
+    del expected["synth.digest"]
+    written = _tree(tmp_path)
+    assert sorted(written) == sorted(expected)
+    assert [name for name in expected if written[name] != expected[name]] == []
 
 
 def test_run_missing_config_exits_1(tmp_path, capsys):

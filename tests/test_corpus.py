@@ -166,7 +166,7 @@ def test_load_missing_manifest_role(tmp_path):
 
 def test_validate_catches_cross_references(tiny_corpus):
     corpus, _ = tiny_corpus
-    uid = corpus.utterance_ids[0]
+    uid = sorted(corpus.features)[0]
     bad = Corpus(dict(corpus.features), dict(corpus.alignments),
                  dict(corpus.posteriors), dict(corpus.labels),
                  corpus.splits, corpus.phone_table)

@@ -171,6 +171,26 @@ def test_tmatrix_training_objective_monotone():
     assert np.all(diffs >= -1e-8 * np.maximum(np.abs(trace[:-1]), 1.0))
 
 
+def test_tmatrix_trace_ends_with_the_evidence_of_its_loadings():
+    """trace[-1] scores the returned loadings, not the ones before them."""
+    rng = np.random.default_rng(12)
+    K, D, R = 2, 2, 2
+    ubm = _gmm([0.5, 0.5], np.array([[-30.0, 0.0], [30.0, 0.0]]),
+               np.ones((K, D)))
+    stats = _make_training_stats(rng, ubm, rng.standard_normal((K, D, R)))
+    model, trace = tmatrix_train(ubm, stats, R=R, iters=3, seed=1)
+    T = model.loadings
+    TS = T / ubm.variances[:, :, None]
+    evidence = 0.0
+    for st in stats:
+        L = np.eye(R) + np.einsum("k,kdr,kds->rs", st.zeroth, T, TS)
+        b = np.einsum("kdr,kd->r", TS, st.first_centered)
+        evidence += (-0.5 * np.linalg.slogdet(L)[1]
+                     + 0.5 * b @ np.linalg.solve(L, b))
+    assert trace[-1] == pytest.approx(evidence, rel=1e-12)
+    assert trace[-2] != pytest.approx(evidence, rel=1e-12)
+
+
 def test_tmatrix_training_deterministic():
     rng = np.random.default_rng(10)
     ubm = _scalar_ubm()
