@@ -16,9 +16,8 @@ from .dnf import DnfModel, dnf_embed, dnf_logprob, dnf_train
 from .flow import (AdamConfig, FlowModel, build_flow, flow_embed,
                    flow_logprob, flow_train, flow_transform)
 from .gmm import GmmModel, gmm_loglik, gmm_train
-from .gop import (CompetitionPoint, GopResult, competition_sweep,
-                  conditional_score, gop_score, segment_posterior,
-                  simulate_competition)
+from .gop import (CompetitionPoint, competition_sweep, conditional_score,
+                  gop_score, segment_posterior, simulate_competition)
 from .ivector import (BaumWelchStats, IVectorModel, ivector_infer,
                       tmatrix_train, ubm_stats)
 from .pipeline import default_config, run_pipeline

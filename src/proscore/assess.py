@@ -171,16 +171,15 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
 
 
 def feature_fuse(embeddings: np.ndarray, gop_scores) -> np.ndarray:
-    """Append the utterance GOP as one standardized extra column."""
+    """Append the utterance GOP as one extra column. It is not standardized
+    here: `svr_train` standardizes every column with train-split statistics."""
     gop_scores = np.asarray(gop_scores, dtype=np.float64)
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] != gop_scores.shape[0]:
         raise AssessError(
             f"length mismatch: {embeddings.shape[0]} embeddings vs "
             f"{gop_scores.shape[0]} GOP scores")
-    std = float(gop_scores.std())
-    col = (gop_scores - gop_scores.mean()) / (std if std > 0 else 1.0)
-    return np.hstack([embeddings, col[:, None]])
+    return np.hstack([embeddings, gop_scores[:, None]])
 
 
 def inter_rater_pcc(ratings: np.ndarray) -> float:

@@ -100,10 +100,20 @@ def _write_embeddings(path, emb: dict) -> None:
     _write_text(path, formats.tsv((uid, *emb[uid]) for uid in sorted(emb)))
 
 
+def _inferred(model, features: dict, index: int, what: str) -> dict:
+    """Item `index` of pipeline.infer, 0 the log-likelihoods or 1 the
+    embeddings, which the model must give."""
+    values = pipeline.infer(model, features)[index]
+    if values is None:
+        raise formats.FormatError(
+            f"{pipeline.model_system(model)} models give no {what}")
+    return values
+
+
 def cmd_embed(args) -> int:
     corpus = load_corpus(args.manifest)
-    _write_embeddings(args.out, pipeline.embed(pipeline.load_model(args.model),
-                                               corpus.features))
+    _write_embeddings(args.out, _inferred(pipeline.load_model(args.model),
+                                          corpus.features, 1, "embeddings"))
     return 0
 
 
@@ -122,7 +132,7 @@ def cmd_score(args) -> int:
     for model_path in args.model or []:
         model = pipeline.load_model(model_path)
         columns.append((f"{pipeline.model_system(model)}_loglik",
-                        pipeline.utterance_loglik(model, features)))
+                        _inferred(model, features, 0, "frame log-likelihood")))
     if args.svr:
         if not args.embeddings:
             raise ConfigError("--svr requires --embeddings")

@@ -464,11 +464,10 @@ class SynthConfig:
             raise CorpusError("split fractions out of range")
 
 
-def synth_corpus(cfg: SynthConfig, speaker_proficiency=None):
+def synth_corpus(cfg: SynthConfig):
     """Generate a corpus plus its proficiency oracle (utterance_id -> rho).
 
-    Deterministic for a fixed config. `speaker_proficiency` optionally
-    pins the per-speaker rho values instead of sampling them.
+    Deterministic for a fixed config.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -478,12 +477,7 @@ def synth_corpus(cfg: SynthConfig, speaker_proficiency=None):
     shifted = native + cfg.shift_scale * rng.standard_normal((P, D))
     phone_table = tuple(f"ph{p:02d}" for p in range(P))
 
-    if speaker_proficiency is None:
-        rho_speaker = rng.uniform(0.0, 1.0, size=cfg.num_speakers)
-    else:
-        rho_speaker = np.asarray(speaker_proficiency, dtype=np.float64)
-        if rho_speaker.shape != (cfg.num_speakers,):
-            raise CorpusError("speaker_proficiency length must equal num_speakers")
+    rho_speaker = rng.uniform(0.0, 1.0, size=cfg.num_speakers)
     offsets = cfg.speaker_spread * rng.standard_normal((cfg.num_speakers, D))
 
     features, alignments, posteriors, labels = {}, {}, {}, {}

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import formats
 from .corpus import FeatureSequence
-from .flow import (LOG_2PI, AdamConfig, FlowModel, build_flow, flow_embed,
-                   flow_transform, read_flow, train_core, write_flow)
+from .flow import (AdamConfig, FlowModel, build_flow, flow_embed,
+                   flow_transform, log_density, read_flow, train_core,
+                   write_flow)
 
 DNF_MAGIC = "PDNF"
 
@@ -48,9 +49,7 @@ def dnf_logprob(m: DnfModel, batch: np.ndarray, class_id: int) -> np.ndarray:
     if not 0 <= class_id < m.num_classes:
         raise DnfError(f"class_id {class_id} out of range [0,{m.num_classes})")
     z, logdet = flow_transform(m.backbone, "inverse", batch)
-    resid = z - m.class_means[class_id]
-    base = -0.5 * (resid ** 2).sum(axis=1) - 0.5 * m.backbone.dim * LOG_2PI
-    return base + logdet
+    return log_density(z - m.class_means[class_id], logdet)
 
 
 def init_class_means(num_classes: int, dim: int, seed) -> np.ndarray:

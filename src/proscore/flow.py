@@ -138,10 +138,6 @@ class CouplingLayer:
         y[:, self.trans] = x[:, self.trans] * np.exp(s) + t
         return y, s.sum(axis=1)
 
-    def inverse(self, y):
-        x, sum_s, _ = self.inverse_cached(y)
-        return x, -sum_s
-
     def inverse_cached(self, y):
         a = y[:, self.cond]
         s, t, th, sc_cache, sh_cache = self._scale_shift(a)
@@ -200,10 +196,10 @@ class FlowModel:
         logdet = np.zeros(batch.shape[0])
         for i, layer in zip(range(len(self.layers) - 1, -1, -1),
                             reversed(self.layers)):
-            out, ld = layer.inverse(out)
+            out, sum_s, _ = layer.inverse_cached(out)
             if not np.all(np.isfinite(out)):
                 raise FlowError(f"non-finite activations in layer {i} (inverse)")
-            logdet += ld
+            logdet -= sum_s
         return out, logdet
 
     def _slots(self):
@@ -250,11 +246,15 @@ def flow_transform(m: FlowModel, direction: str, batch: np.ndarray):
     raise FlowError(f"unknown direction {direction!r}")
 
 
+def log_density(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
+    """ln N(z; 0, I) + logdet per row: ln p(o) of the rows o whose latent
+    images are z = f^-1(o), with logdet = ln|det df^-1/do|."""
+    return -0.5 * (z ** 2).sum(axis=1) - 0.5 * z.shape[1] * LOG_2PI + logdet
+
+
 def flow_logprob(m: FlowModel, batch: np.ndarray) -> np.ndarray:
     """ln p(o) = ln N(f^-1(o); 0, I) + ln|det df^-1/do| per row."""
-    z, logdet = flow_transform(m, "inverse", batch)
-    base = -0.5 * (z ** 2).sum(axis=1) - 0.5 * m.dim * LOG_2PI
-    return base + logdet
+    return log_density(*flow_transform(m, "inverse", batch))
 
 
 def utterance_frames(m: FlowModel, fs: FeatureSequence) -> np.ndarray:

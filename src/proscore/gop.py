@@ -22,13 +22,6 @@ GOP_MODES = ("mean-then-log", "mean-of-log")
 
 
 @dataclass(frozen=True)
-class GopResult:
-    utterance_id: str
-    per_phone: tuple  # (phone_id, segment log-posterior) in alignment order
-    gop: float
-
-
-@dataclass(frozen=True)
 class CompetitionPoint:
     a: float
     delta: float
@@ -61,7 +54,7 @@ def _segment_log_posterior(pg, segment, mode):
 
 
 def gop_score(pg: PosteriorGram, al: PhoneAlignment,
-              mode: str = "mean-then-log") -> GopResult:
+              mode: str = "mean-then-log") -> float:
     """GOP = (1/M) * sum_i ln p(q_i | o_i) over the M aligned segments.
 
     `mode` selects how the segment-level posterior is reduced:
@@ -73,11 +66,8 @@ def gop_score(pg: PosteriorGram, al: PhoneAlignment,
             f"utterance mismatch: posteriorgram {pg.utterance_id!r} "
             f"vs alignment {al.utterance_id!r}")
     al.check_bounds(pg.num_frames, pg.num_phones)
-    per_phone = tuple(
-        (seg[0], _segment_log_posterior(pg, seg, mode))
-        for seg in al.segments)
-    gop = sum(lp for _, lp in per_phone) / len(per_phone)
-    return GopResult(pg.utterance_id, per_phone, gop)
+    return sum(_segment_log_posterior(pg, seg, mode)
+               for seg in al.segments) / al.num_segments
 
 
 def conditional_score(pg: PosteriorGram, frame_marginal_loglik: np.ndarray,

@@ -287,11 +287,11 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     add_row("gop", eval_pcc(gop_scores))
 
     def cached(name, system, key_parts, train):
-        # NAME.MAGIC, keyed on the format version too: a new one retrains
-        magic = _codecs()[system][1]
-        filename = f"{name}.{magic.lower()}"
+        # NAME.MAGIC, keyed on every format version too (a file nests
+        # others, and its inputs were read in theirs): a new one retrains
+        filename = f"{name}.{_codecs()[system][1].lower()}"
         path = model_dir / filename
-        return cache.run(name, _digest(*key_parts, formats.VERSIONS[magic]),
+        return cache.run(name, _digest(*key_parts, formats.VERSIONS),
                          [filename], lambda: save_model(path, train()),
                          lambda: load_model(path))
 
@@ -315,19 +315,21 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
             models[name] = cached(name, name,
                                   (name, section, corpus_key, seed),
                                   lambda: train(section))
+    # one pass of each model gives its log-likelihoods and embeddings
+    logliks, embeddings = {}, {}
+    for name, model in models.items():
+        logliks[name], embeddings[name] = infer(model, corpus.features)
     for name in ("gmm", "nf"):
         if name in models:
-            add_row(f"{name}_loglik",
-                    eval_pcc(utterance_loglik(models[name], corpus.features)))
+            add_row(f"{name}_loglik", eval_pcc(logliks[name]))
 
-    # ---- embeddings and prediction models --------------------------------
+    # ---- prediction models -----------------------------------------------
     svr_cfg = _merged(cfg, "svr")
-    embeddings = {}
     predictions = {}
     for name in ("ivector", "nf", "dnf"):
         if name not in models:
             continue
-        emb = embeddings[name] = embed(models[name], corpus.features)
+        emb = embeddings[name]
         svr_model = cached(
             f"svr_{name}", "svr",
             ("svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name)),
@@ -386,7 +388,7 @@ def score_gop(corpus: Corpus, section: dict, ids) -> dict:
     _check_ids(ids, corpus.alignments, "alignment")
     _check_ids(ids, corpus.posteriors, "posteriorgram")
     return {uid: gop.gop_score(corpus.posteriors[uid], corpus.alignments[uid],
-                               section["mode"]).gop
+                               section["mode"])
             for uid in ids}
 
 
@@ -478,30 +480,28 @@ def fuse(table: assess.ScoreTable, dev_table: assess.ScoreTable,
     return lam, assess.score_fuse(table, assess.FusionConfig(lam, norm), stats)
 
 
-def embed(model, features: dict) -> dict:
-    """Utterance embedding of each feature sequence in `features`."""
+def infer(model, features: dict):
+    """(mean frame log-likelihood, embedding) of each feature sequence in
+    `features`, as two dicts by utterance id from one pass of the model. A
+    GMM gives no embeddings and an i-vector extractor no log-likelihoods, so
+    that dict is None; both are None for any other model (an SVR)."""
+    if isinstance(model, gmm.GmmModel):
+        return {uid: gmm.gmm_loglik(model, fs)[1]
+                for uid, fs in features.items()}, None
     if isinstance(model, ivector.IVectorModel):
-        return {uid: ivector.ivector_infer(
+        return None, {uid: ivector.ivector_infer(
             model, ivector.ubm_stats(model.ubm, fs))[0]
             for uid, fs in features.items()}
-    if isinstance(model, flow.FlowModel):
-        return {uid: flow.flow_embed(model, fs) for uid, fs in features.items()}
-    if isinstance(model, dnf.DnfModel):
-        return {uid: dnf.dnf_embed(model, fs) for uid, fs in features.items()}
-    raise FormatError(f"{model_system(model)} models give no embeddings")
-
-
-def utterance_loglik(model, features: dict) -> dict:
-    """Mean frame log-likelihood of each feature sequence under a marginal."""
-    if isinstance(model, gmm.GmmModel):
-        return {uid: gmm.gmm_loglik(model, fs)[1] for uid, fs in features.items()}
     backbone = model.backbone if isinstance(model, dnf.DnfModel) else model
-    if isinstance(backbone, flow.FlowModel):
-        return {uid: float(flow.flow_logprob(
-            backbone, flow.utterance_frames(backbone, fs)).mean())
-            for uid, fs in features.items()}
-    raise FormatError(
-        f"{model_system(model)} models give no frame log-likelihood")
+    if not isinstance(backbone, flow.FlowModel):
+        return None, None
+    logliks, embeddings = {}, {}
+    for uid, fs in features.items():
+        z, logdet = flow.flow_transform(
+            backbone, "inverse", flow.utterance_frames(backbone, fs))
+        logliks[uid] = float(flow.log_density(z, logdet).mean())
+        embeddings[uid] = z.mean(axis=0)
+    return logliks, embeddings
 
 
 def _codecs() -> dict:
@@ -562,7 +562,7 @@ def _corpus_stage(cfg, work: Path, force: bool):
     if "synth" in corpus_cfg:
         synth, synth_kwargs = _synth_config(cfg)
         corpus_dir = work / "corpus"
-        key = _digest("synth", synth_kwargs)
+        key = _digest("synth", synth_kwargs, formats.VERSIONS)
 
         return StageCache(corpus_dir, force).run(
             "synth", key, ["manifest.tsv", "oracle.tsv"],

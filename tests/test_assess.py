@@ -7,6 +7,7 @@ from proscore.assess import (AssessError, FusionConfig, ScoreRow, ScoreTable,
                              report_to_tsv, ReportRow, score_fuse,
                              score_table_to_tsv, select_lambda)
 from proscore.corpus import SplitManifest
+from proscore.regress import svr_predict_batch, svr_train
 
 
 def _table(gops, preds, labels, ids=None):
@@ -185,8 +186,23 @@ def test_feature_fuse_layout():
     fused = feature_fuse(emb, gop)
     assert fused.shape == (10, 4)
     np.testing.assert_array_equal(fused[:, :3], emb)
-    expected = (gop - gop.mean()) / gop.std()
-    np.testing.assert_allclose(fused[:, 3], expected, atol=1e-12)
+    np.testing.assert_array_equal(fused[:, 3], gop)
+
+
+def test_svr_standardizes_the_fused_gop_column():
+    """svr_train standardizes every column with train-split statistics, so
+    standardizing the GOP column before it moves no prediction."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((60, 4))
+        gop = -3.0 + 0.7 * rng.standard_normal(60)
+        y = 3.0 + emb[:, 0] + gop + 0.1 * rng.standard_normal(60)
+        standardized = (gop - gop.mean()) / gop.std()
+        preds = []
+        for col in (gop, standardized):
+            X = np.hstack([emb, col[:, None]])
+            preds.append(svr_predict_batch(svr_train(X[:40], y[:40]), X[40:]))
+        np.testing.assert_allclose(preds[0], preds[1], rtol=0, atol=1e-9)
 
 
 def test_feature_fuse_empty_embedding():

@@ -366,6 +366,30 @@ def test_model_of_another_dim_names_the_utterance(corpus_dir, tmp_path, capsys,
     assert "data error: spk000_utt00: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, system, message", [
+    ("embed", "gmm", "gmm models give no embeddings"),
+    ("embed", "svr", "svr models give no embeddings"),
+    ("score", "ivector", "ivector models give no frame log-likelihood"),
+    ("score", "svr", "svr models give no frame log-likelihood")])
+def test_model_without_the_value_exits_2(corpus_dir, tmp_path, capsys,
+                                         command, system, message):
+    """embed needs a model that gives embeddings, score --model one that
+    gives frame log-likelihoods."""
+    _, manifest = corpus_dir
+    ubm = gmm.GmmModel(np.ones(1), np.zeros((1, 6)), np.ones((1, 6)))
+    path = tmp_path / f"model.{system}"
+    if system == "svr":
+        path = _svr_of_dim_2(tmp_path)
+    else:
+        save_model(path, ubm if system == "gmm"
+                   else ivector.IVectorModel(ubm, np.ones((1, 6, 2))))
+    out = tmp_path / "out.tsv"
+    assert main([command, "--manifest", str(manifest), "--out", str(out),
+                 "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
 def test_every_exception_class_but_settings_is_a_data_error():
     """cli.main exits 2 on a DataError, so an exception class that a
     proscore module defines derives from DataError unless it stands for bad

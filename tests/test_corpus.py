@@ -86,13 +86,13 @@ def test_synth_posteriorgram_rows_normalized(tiny_corpus):
         np.testing.assert_allclose(pg.post.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_synth_extreme_proficiency_labels():
-    cfg = SynthConfig(num_phones=4, feature_dim=5, num_speakers=2,
+def test_synth_noiseless_labels_are_the_rounded_proficiency():
+    cfg = SynthConfig(num_phones=4, feature_dim=5, num_speakers=8,
                       utterances_per_speaker=2, phones_per_utterance=3,
                       proficiency_noise=0.0, label_noise=0.0, seed=3)
-    corpus, oracle = synth_corpus(cfg, speaker_proficiency=[1.0, 0.0])
+    corpus, oracle = synth_corpus(cfg)
     for uid, rho in oracle.items():
-        expected = 5.0 if rho == 1.0 else 1.0
+        expected = float(np.clip(np.rint(1.0 + 4.0 * rho), 1, 5))
         assert corpus.labels[uid].mean_score == expected
 
 

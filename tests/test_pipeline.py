@@ -2,9 +2,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from proscore import corpus, pipeline
+from proscore import corpus, dnf, flow, formats, gmm, ivector, pipeline
+from proscore.cli import main
 from proscore.corpus import load_corpus, save_corpus, synth_corpus
 from proscore.pipeline import (ConfigError, default_config, load_config,
                                run_pipeline, validate_config)
@@ -192,3 +194,89 @@ def test_interrupted_synth_corpus_is_rewritten(tmp_path, monkeypatch):
     assert load_corpus(tmp_path / "corpus" / "manifest.tsv").features.keys() \
         == first.corpus.features.keys()
     assert rerun.report_rows == cached.report_rows == first.report_rows
+
+
+# small flow settings that the tiny corpus's train frames can batch
+_TINY_FLOW = {"layers": 2, "width": 8, "batch_size": 64, "epochs": 1}
+
+
+def test_run_inverts_each_utterance_once_per_flow(tmp_path, monkeypatch):
+    """The NF log-likelihood row and the NF and DNF embeddings come from
+    one inverse pass per utterance and flow model."""
+    transform = flow.flow_transform
+    inverse_rows = []
+
+    def counted(m, direction, batch):
+        if direction == "inverse":
+            inverse_rows.append(len(batch))
+        return transform(m, direction, batch)
+
+    monkeypatch.setattr(flow, "flow_transform", counted)
+    result = run_pipeline({"seed": 7, "work_dir": str(tmp_path),
+                           "corpus": {"synth": vars(TINY_SYNTH)},
+                           "systems": ["gop", "nf", "dnf"],
+                           "fusion": {"modes": []},
+                           "nf": _TINY_FLOW, "dnf": _TINY_FLOW})
+    features = result.corpus.features
+    assert len(inverse_rows) == 2 * len(features)
+    assert sorted(inverse_rows) == sorted(
+        2 * [fs.num_frames for fs in features.values()])
+    assert {"nf_loglik", "nf_svr", "dnf_svr"} <= set(result.pcc_by_system)
+
+
+@pytest.fixture(scope="module")
+def tiny_models():
+    tiny, _ = synth_corpus(TINY_SYNTH)
+    preset = default_config()
+    ubm = pipeline.train_gmm(tiny, {"components": 2, "iters": 3}, 1)
+    return tiny, {
+        "gmm": pipeline.train_gmm(tiny, {"components": 3, "iters": 3}, 1),
+        "ivector": pipeline.train_ivector(tiny, ubm, {"dim": 3, "iters": 2}, 2),
+        "nf": pipeline.train_flow(tiny, dict(preset["nf"], **_TINY_FLOW), 3)[0],
+        "dnf": pipeline.train_dnf(tiny, dict(preset["dnf"], **_TINY_FLOW), 4)}
+
+
+def test_infer_equals_the_public_functions(tiny_models):
+    tiny, models = tiny_models
+    out = {name: pipeline.infer(m, tiny.features) for name, m in models.items()}
+    assert out["gmm"][1] is None and out["ivector"][0] is None
+    for uid, fs in tiny.features.items():
+        assert out["gmm"][0][uid] == gmm.gmm_loglik(models["gmm"], fs)[1]
+        np.testing.assert_array_equal(
+            out["ivector"][1][uid], ivector.ivector_infer(
+                models["ivector"],
+                ivector.ubm_stats(models["ivector"].ubm, fs))[0])
+        for name, embed in (("nf", flow.flow_embed), ("dnf", dnf.dnf_embed)):
+            backbone = models["nf"] if name == "nf" else models["dnf"].backbone
+            assert out[name][0][uid] == \
+                flow.flow_logprob(backbone, fs.frames).mean()
+            np.testing.assert_array_equal(out[name][1][uid],
+                                          embed(models[name], fs))
+
+
+def test_format_bump_retrains_every_stage(tmp_path, monkeypatch, capsys):
+    """Every cached stage, the synth corpus included, is keyed on the whole
+    format table, so a bumped version retrains the stages whose files nest
+    or read that format instead of serving a file of the old version."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seed": 7, "corpus": {"synth": vars(TINY_SYNTH)},
+        "systems": ["gop", "gmm", "ivector", "nf", "dnf"],
+        "fusion": {"modes": []},
+        "gmm": {"components": 2, "iters": 3}, "nf": _TINY_FLOW,
+        "dnf": _TINY_FLOW, "ivector": {"dim": 3, "iters": 2,
+                                       "ubm_components": 2, "ubm_iters": 3}}))
+    assert main(["run", str(config)]) == 0
+    report = (tmp_path / "reports" / "report.tsv").read_bytes()
+    files = [tmp_path / "models" / "dnf.pdnf",
+             tmp_path / "models" / "ivector.pivm",
+             tmp_path / "corpus" / "features" / "spk000_utt00.feat"]
+    before = [f.read_bytes() for f in files]
+    for name in ("PNF1", "PGMM", "PRF1"):
+        monkeypatch.setitem(formats.VERSIONS, name, formats.VERSIONS[name] + 1)
+    assert main(["run", str(config)]) == 0, capsys.readouterr().err
+    assert (tmp_path / "reports" / "report.tsv").read_bytes() == report
+    assert all(f.read_bytes() != b for f, b in zip(files, before))
+    pipeline.load_model(files[0])  # each reads in the bumped versions
+    pipeline.load_model(files[1])
+    load_corpus(tmp_path / "corpus" / "manifest.tsv")
