@@ -148,7 +148,9 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
     Returns (best lambda, [(lambda, pcc), ...]) with the raw PCC values.
     PCCs within `_TIE_TOL` of the best so far count as ties (rounding in
     the fused column moves PCC by an ulp or so), and ties break toward the
-    smaller lambda.
+    smaller lambda. A lambda whose fused dev column is constant has PCC nan
+    and is never selected (two dev points whose standardized components are
+    ordered oppositely fuse to [0, 0] at lambda 0.5).
     """
     if grid_step <= 0:
         raise AssessError("grid_step must be positive")
@@ -163,10 +165,16 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
     for lam in grid:
         cfg = FusionConfig(float(lam), normalization)
         fused = score_fuse(dev_table, cfg, stats).column("fused")
-        val = pcc(fused, labels)
+        try:
+            val = pcc(fused, labels)
+        except AssessError:  # the fused column is constant: labels vary
+            val = float("nan")
         curve.append((float(lam), val))
         if val > best_val + _TIE_TOL:
             best_lam, best_val = float(lam), val
+    if best_lam is None:
+        raise AssessError("no fusion weight has a PCC on the dev split: the"
+                          " fused dev score is constant at every weight")
     return best_lam, curve
 
 

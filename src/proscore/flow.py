@@ -39,6 +39,9 @@ class TrainingDivergence(RuntimeError):
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}")
 
+    def __reduce__(self):  # pickled from a training worker
+        return type(self), (self.epoch, str(self))
+
 
 @dataclass(frozen=True)
 class AdamConfig:

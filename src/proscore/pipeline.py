@@ -3,19 +3,25 @@
 Stages run in dependency order and cache their artifacts on disk keyed by
 a content digest of their inputs and config section, so re-running a
 config retrains only what changed. All stages are deterministic given the
-config and seed. The stage functions below `run_pipeline` are also what
-the CLI subcommands call, so a step-by-step CLI chain with the stage seeds
-reproduces the models of a run.
+config and seed. The marginal models (GMM, i-vector, NF, DNF) read only
+the corpus, so those that miss the cache train at once, in spawned worker
+processes of one BLAS thread each, as many as this process has CPUs; this
+process writes their files and stamps in order. The stage
+functions below `run_pipeline` are also what the CLI subcommands call, so
+a step-by-step CLI chain with the stage seeds reproduces the models of a
+run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import shutil
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -222,14 +228,18 @@ class StageCache:
         self.force = force
         root.mkdir(parents=True, exist_ok=True)
 
+    def hit(self, name: str, key: str, artifacts) -> bool:
+        """Whether stage `name` is stamped with `key` and has its artifacts."""
+        stamp = self.root / f"{name}.digest"
+        return (not self.force and stamp.exists()
+                and stamp.read_text() == key
+                and all((self.root / a).exists() for a in artifacts))
+
     def run(self, name: str, key: str, artifacts, compute, load):
         """Return load() if the stamp matches, else compute() and stamp."""
-        stamp = self.root / f"{name}.digest"
-        paths = [self.root / a for a in artifacts]
-        if (not self.force and stamp.exists()
-                and stamp.read_text() == key
-                and all(p.exists() for p in paths)):
+        if self.hit(name, key, artifacts):
             return load()
+        stamp = self.root / f"{name}.digest"
         stamp.unlink(missing_ok=True)  # a compute() that dies leaves none
         result = compute()
         stamp.write_text(key)
@@ -286,35 +296,29 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     gop_scores = score_gop(corpus, _merged(cfg, "gop"), all_ids)
     add_row("gop", eval_pcc(gop_scores))
 
-    def cached(name, system, key_parts, train):
-        # NAME.MAGIC, keyed on every format version too (a file nests
-        # others, and its inputs were read in theirs): a new one retrains
-        filename = f"{name}.{_codecs()[system][1].lower()}"
+    def stage(name, system, key_parts):
+        # (key, NAME.MAGIC); the key holds every format version too (a file
+        # nests others, and its inputs were read in theirs): a new one retrains
+        return (_digest(*key_parts, formats.VERSIONS),
+                f"{name}.{_codecs()[system][1].lower()}")
+
+    def cached(name, key, filename, train):
         path = model_dir / filename
-        return cache.run(name, _digest(*key_parts, formats.VERSIONS),
-                         [filename], lambda: save_model(path, train()),
+        return cache.run(name, key, [filename],
+                         lambda: save_model(path, train()),
                          lambda: load_model(path))
 
-    # ---- marginal models: each stage trains under its own seed, the run
-    # seed plus its offset; a CLI train subcommand's --seed is that seed
-    def train_ubm_ivector(section):
-        ubm = train_gmm(corpus, {"components": section["ubm_components"],
-                                 "iters": section["ubm_iters"]}, seed + 11)
-        return train_ivector(corpus, ubm, section, seed + 41)
-
-    trainers = {
-        "gmm": lambda s: train_gmm(corpus, s, seed + 11),
-        "nf": lambda s: train_flow(corpus, s, seed + 23)[0],
-        "dnf": lambda s: train_dnf(corpus, s, seed + 37),
-        "ivector": train_ubm_ivector,
-    }
-    models = {}
-    for name, train in trainers.items():
-        if name in systems:
-            section = _merged(cfg, name)
-            models[name] = cached(name, name,
-                                  (name, section, corpus_key, seed),
-                                  lambda: train(section))
+    # ---- marginal models: the cache misses train at once
+    sections = {name: _merged(cfg, name) for name in MARGINALS
+                if name in systems}
+    stages = {name: stage(name, name, (name, section, corpus_key, seed))
+              for name, section in sections.items()}
+    misses = [name for name, (key, filename) in stages.items()
+              if not cache.hit(name, key, [filename])]
+    with _training(misses, corpus, sections, seed) as trained:
+        models = {name: cached(name, key, filename,
+                               functools.partial(trained, name))
+                  for name, (key, filename) in stages.items()}
     # one pass of each model gives its log-likelihoods and embeddings
     logliks, embeddings = {}, {}
     for name, model in models.items():
@@ -331,8 +335,8 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
             continue
         emb = embeddings[name]
         svr_model = cached(
-            f"svr_{name}", "svr",
-            ("svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name)),
+            f"svr_{name}", *stage(f"svr_{name}", "svr", (
+                "svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name))),
             lambda: train_svr(corpus, emb, svr_cfg))
         predictions[name] = predict(svr_model, emb, all_ids)
         add_row(f"{name}_svr", eval_pcc(predictions[name]))
@@ -373,6 +377,96 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 # ---------------------------------------------------------------------------
 # stages, shared by run_pipeline and the CLI subcommands. Each takes its
 # merged config section and its own stage seed; trainers fit the train split.
+
+
+# the marginal models, in the order their files are written
+MARGINALS = ("gmm", "nf", "dnf", "ivector")
+
+
+def train_marginal(name: str, corpus: Corpus, section: dict, run_seed: int):
+    """Marginal model `name` of MARGINALS, trained under its stage seed: the
+    run seed plus the stage's offset. A CLI train subcommand's --seed is
+    that stage seed. A module function, so a spawned worker can run it."""
+    if name == "gmm":
+        return train_gmm(corpus, section, run_seed + 11)
+    if name == "nf":
+        return train_flow(corpus, section, run_seed + 23)[0]
+    if name == "dnf":
+        return train_dnf(corpus, section, run_seed + 37)
+    if name == "ivector":
+        ubm = train_gmm(corpus, {"components": section["ubm_components"],
+                                 "iters": section["ubm_iters"]}, run_seed + 11)
+        return train_ivector(corpus, ubm, section, run_seed + 41)
+    raise ValueError(f"not a marginal model: {name!r}")
+
+
+@contextmanager
+def _training(names, corpus: Corpus, sections: dict, run_seed: int):
+    """Yield train(name), the trained marginal model `name`.
+
+    With two or more of `names` and of CPUs, all of `names` start training
+    here, in spawned workers, and train(name) waits for one; else it trains
+    in this process. No worker outlives the block, on an error neither.
+    """
+    workers = min(_cpu_count(), len(names))
+    if workers < 2:
+        yield lambda name: train_marginal(name, corpus, sections[name],
+                                          run_seed)
+        return
+    train = set(corpus.splits.train_ids)
+    # a worker is sent what trainers read, not the whole corpus
+    split = dataclasses.replace(
+        corpus, alignments={}, posteriors={},
+        features={u: fs for u, fs in corpus.features.items() if u in train},
+        labels={u: lab for u, lab in corpus.labels.items() if u in train})
+    with _one_blas_thread(), _pool(workers) as pool:
+        try:
+            futures = {name: pool.submit(train_marginal, name, split,
+                                         sections[name], run_seed)
+                       for name in names}
+            yield lambda name: futures[name].result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _pool(workers: int):
+    """A process pool of `workers` spawned workers. Spawned, not forked, so
+    that each loads BLAS afresh under the environment it starts with. The
+    pool modules are imported here, not by every CLI process."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("spawn"))
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Processes started in the block get one BLAS thread: two workers of
+    two threads each on two cores run at half speed. This process loaded
+    its BLAS already, so its own thread count stays as it is."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _check_ids(ids, have, what: str) -> None:

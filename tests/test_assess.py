@@ -170,6 +170,24 @@ def test_select_lambda_tie_breaks_small():
     assert lam == 0.0
 
 
+def test_select_lambda_skips_a_constant_fused_column():
+    # the standardized components of two dev points are ordered oppositely,
+    # so the fused dev column is [0, 0] at lambda 0.5
+    t = _table([0.0, 1.0], [1.0, 0.0], [1.0, 2.0])
+    lam, curve = select_lambda(t)
+    vals = dict(curve)
+    assert np.isnan(vals[0.5])
+    assert vals[0.48] == -1.0 and vals[0.52] == 1.0
+    assert lam == 0.52
+
+
+def test_select_lambda_with_no_pcc_names_the_split():
+    t = _table([1.0, 1.0], [2.0, 2.0], [1.0, 2.0])
+    with pytest.raises(AssessError, match="dev split: the fused dev score is"
+                                          " constant at every weight"):
+        select_lambda(t)
+
+
 def test_select_lambda_errors():
     t = _table([0.0, 1.0], [1.0, 2.0], [3.0, 3.0])
     with pytest.raises(AssessError, match="degenerate dev labels"):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,15 @@ def test_training_divergence_guard():
     cfg = AdamConfig(learning_rate=1.0, batch_size=32, epochs=5, seed=8)
     with pytest.raises((TrainingDivergence, FlowError)):
         flow_train(base, frames, cfg)
+
+
+def test_training_divergence_pickles():
+    """A divergence raised in a training worker reaches the parent whole."""
+    for exc in (TrainingDivergence(3), TrainingDivergence(4, "NLL is nan")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is TrainingDivergence
+        assert (back.epoch, str(back)) == (exc.epoch, str(exc))
+    assert str(TrainingDivergence(3)) == "training diverged at epoch 3"
 
 
 def test_train_requires_enough_frames():

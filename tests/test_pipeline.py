@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import runpy
 from dataclasses import replace
 from pathlib import Path
 
@@ -280,3 +283,140 @@ def test_format_bump_retrains_every_stage(tmp_path, monkeypatch, capsys):
     pipeline.load_model(files[0])  # each reads in the bumped versions
     pipeline.load_model(files[1])
     load_corpus(tmp_path / "corpus" / "manifest.tsv")
+
+
+# ---------------------------------------------------------------------------
+# the marginal models train in spawned workers, as many as there are CPUs
+
+# every system, with settings that the tiny corpus trains in a second
+_TINY_RUN = {"seed": 7, "corpus": {"synth": vars(TINY_SYNTH)},
+             "gmm": {"components": 2, "iters": 3}, "nf": _TINY_FLOW,
+             "dnf": _TINY_FLOW, "ivector": {"dim": 3, "iters": 2,
+                                            "ubm_components": 2,
+                                            "ubm_iters": 3}}
+
+
+def _files(d: Path) -> dict:
+    """relative path -> (bytes, mtime) of every file under d."""
+    return {p.relative_to(d): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+def _counted_pools(monkeypatch) -> tuple:
+    """The worker count of each pool that pipeline._pool makes from now,
+    and the corpus sent with each task."""
+    make, pools, sent = pipeline._pool, [], []
+
+    def counted(workers):
+        pools.append(workers)
+        pool = make(workers)
+        submit = pool.submit
+
+        def spied(fn, name, corpus, *args):
+            sent.append(corpus)
+            return submit(fn, name, corpus, *args)
+
+        pool.submit = spied
+        return pool
+
+    monkeypatch.setattr(pipeline, "_pool", counted)
+    return pools, sent
+
+
+def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
+    pools, sent = _counted_pools(monkeypatch)
+    out = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
+        work = tmp_path / f"w{workers}"
+        result = run_pipeline(dict(_TINY_RUN, work_dir=str(work)))
+        models = {p: b for p, (b, _) in _files(work / "models").items()}
+        out[workers] = models, result.report_path.read_bytes()
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    # the workers are sent the train split only
+    train = set(result.corpus.splits.train_ids)
+    assert len(sent) == 4
+    for split in sent:
+        assert set(split.features) == set(split.labels) == train
+        assert split.alignments == split.posteriors == {}
+    assert len(out[1][0]) == 14  # 7 models and their stamps
+    assert out[1] == out[2]
+    assert b"gop+ivector_score_fusion" in out[1][1]
+
+
+def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    cfg = dict(_TINY_RUN, work_dir=str(tmp_path))
+    first = run_pipeline(cfg)
+    models = _files(tmp_path / "models")
+
+    def no_pool(workers):
+        raise AssertionError("a fully cached rerun started a pool")
+
+    monkeypatch.setattr(pipeline, "_pool", no_pool)
+    rerun = run_pipeline(cfg)
+    assert _files(tmp_path / "models") == models
+    assert rerun.report_rows == first.report_rows
+
+
+def test_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    """Workers start with one BLAS thread whatever this process has set,
+    and this process's environment is as it was after the run."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    make, seen = pipeline._pool, []
+
+    def spied(workers):
+        pool = make(workers)
+        seen.extend(pool.submit(os.getenv, name) for name in names)
+        return pool
+
+    monkeypatch.setattr(pipeline, "_pool", spied)
+    run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
+    assert [f.result() for f in seen] == ["1", "1", "1"]
+    assert (os.environ["OPENBLAS_NUM_THREADS"],
+            os.environ["OMP_NUM_THREADS"]) == ("4", "3")
+    assert "MKL_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("stage, setting, code, message", [
+    ("nf", {"learning_rate": 1e6}, 3,
+     "training divergence: training diverged at epoch 0"),
+    ("dnf", {"batch_size": 100000}, 2,
+     "data error: need at least batch_size=100000 frames"),
+])
+def test_worker_failure_exits_as_in_process(tmp_path, monkeypatch, capsys,
+                                            stage, setting, code, message):
+    """A stage that fails in a worker exits with the code and message it
+    has in this process, leaves no stamp and no worker behind."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        dict(_TINY_RUN, **{stage: dict(_TINY_FLOW, **setting)})))
+    for workers in (2, 1):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
+        assert main(["run", str(config), "--force"]) == code
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err.startswith(message)
+        assert not (tmp_path / "models" / f"{stage}.digest").exists()
+        assert (tmp_path / "models" / "gmm.digest").exists()
+        assert multiprocessing.active_children() == []
+
+
+def test_pipeline_demo_runs_only_as_a_script(monkeypatch):
+    """A spawned worker imports the main script as __mp_main__; the demo
+    must not start a run of its own then."""
+    class Ran(Exception):
+        pass
+
+    def run(cfg):
+        raise Ran
+
+    demo = Path(__file__).parents[1] / "demos" / "03_full_pipeline.py"
+    monkeypatch.setattr(pipeline, "run_pipeline", run)
+    runpy.run_path(str(demo), run_name="__mp_main__")
+    with pytest.raises(Ran):
+        runpy.run_path(str(demo), run_name="__main__")
