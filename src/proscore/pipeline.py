@@ -419,10 +419,10 @@ def _training(names, corpus: Corpus, sections: dict, run_seed: int):
         corpus, alignments={}, posteriors={},
         features={u: fs for u, fs in corpus.features.items() if u in train},
         labels={u: lab for u, lab in corpus.labels.items() if u in train})
-    with _one_blas_thread(), _pool(workers) as pool:
+    with _one_blas_thread(), _pool(workers, split) as pool:
         try:
-            futures = {name: pool.submit(train_marginal, name, split,
-                                         sections[name], run_seed)
+            futures = {name: pool.submit(_train_split, name, sections[name],
+                                         run_seed)
                        for name in names}
             yield lambda name: futures[name].result()
         except BaseException:
@@ -438,14 +438,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _pool(workers: int):
-    """A process pool of `workers` spawned workers. Spawned, not forked, so
-    that each loads BLAS afresh under the environment it starts with. The
-    pool modules are imported here, not by every CLI process."""
+def _pool(workers: int, split: Corpus):
+    """A process pool of `workers` spawned workers, each sent `split` once,
+    as it starts. Spawned, not forked, so that each loads BLAS afresh under
+    the environment it starts with. The pool modules are imported here, not
+    by every CLI process."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("spawn"))
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_keep_split, initargs=(split,))
+
+
+_worker_split: Corpus | None = None  # the train split, in a pool worker
+
+
+def _keep_split(split: Corpus) -> None:
+    global _worker_split
+    _worker_split = split
+
+
+def _train_split(name: str, section: dict, run_seed: int):
+    """train_marginal on the split this worker was started with."""
+    return train_marginal(name, _worker_split, section, run_seed)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

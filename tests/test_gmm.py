@@ -194,23 +194,80 @@ def _clustered_frames(n, d, seed):
     return centers[rng.integers(0, 6, n)] + rng.standard_normal((n, d))
 
 
+# D below 8, exactly 8, a multiple of 8, a ragged tail and above 128 (where
+# numpy's pairwise summation halves), with as many frames as keep the dense
+# oracle's (N, K, D) tensor small: three blocks, two, or a partial one
+ORACLE_DIMS = [(1, 2 * gmm._BLOCK + 1237), (5, 2 * gmm._BLOCK + 1237),
+               (8, 2 * gmm._BLOCK + 1237), (16, gmm._BLOCK + 1237),
+               (19, gmm._BLOCK + 1237), (130, 1237)]
+ORACLE_K = (1, 2, 9, 16)
+
+
 def test_kmeans_init_equals_dense_oracle():
-    n = 2 * gmm._KMEANS_BLOCK + 1237  # three blocks, the last one partial
-    frames = _clustered_frames(n, 5, 13)
-    for K in (1, 4, 9):
+    for d, n in ORACLE_DIMS:
+        frames = _clustered_frames(n, d, 13 + d)
+        for K in ORACLE_K:
+            got = gmm._kmeans_init(frames, K, np.random.default_rng(K))
+            want = _dense_kmeans(frames, K, np.random.default_rng(K))
+            assert np.array_equal(got, want), (d, K)
+
+
+def test_kmeans_init_breaks_ties_as_the_oracle():
+    """Twelve distinct frames, each repeated: some starting centers
+    coincide, so frames are equally near two centers and go to the first."""
+    K = 9
+    for d in (1, 5, 16):
+        rng = np.random.default_rng(d)
+        frames = _clustered_frames(12, d, d)[rng.integers(0, 12, gmm._BLOCK + 99)]
+        starts = np.random.default_rng(K).choice(len(frames), K, replace=False)
+        assert len(np.unique(frames[starts], axis=0)) < K  # a tie is reached
         got = gmm._kmeans_init(frames, K, np.random.default_rng(K))
         want = _dense_kmeans(frames, K, np.random.default_rng(K))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want), d
 
 
 def test_gmm_train_equals_reference_em():
-    frames = _clustered_frames(gmm._KMEANS_BLOCK + 311, 4, 14)
-    for K, iters, seed in ((1, 2, 0), (5, 6, 3), (8, 4, 9)):
-        model, trace = gmm_train(frames, K, iters, seed)
-        ref, ref_trace = _reference_em(frames, K, iters, seed)
-        assert trace == ref_trace
-        for name in ("weights", "means", "variances"):
-            assert np.array_equal(getattr(model, name), getattr(ref, name))
+    for d, n in ORACLE_DIMS:
+        frames = _clustered_frames(n, d, 14 + d)
+        for K in ORACLE_K:
+            model, trace = gmm_train(frames, K, 5, K + d)
+            ref, ref_trace = _reference_em(frames, K, 5, K + d)
+            assert trace == ref_trace, (d, K)
+            for name in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(model, name),
+                                      getattr(ref, name)), (d, K, name)
+
+
+def test_pairwise_sum_equals_numpy_sum():
+    """Every length from 1 to 300 terms, of magnitudes from 1e-13 to 1e13,
+    so that another order of additions would show in the last bits."""
+    rng = np.random.default_rng(17)
+    for n in range(1, 301):
+        a = np.exp(rng.uniform(-30.0, 30.0, (n, 3)))
+        got = gmm._pairwise_sum(lambda i, j: a[i:j].copy(), 0, n)
+        assert np.array_equal(got, np.ascontiguousarray(a.T).sum(axis=1)), n
+
+
+def test_per_utterance_logsumexp_equals_the_training_helper():
+    """gmm_loglik and responsibilities reduce each frame's K terms along
+    the row; training adds them across transposed blocks. Both orders are
+    numpy's pairwise one, so the values agree bit for bit."""
+    rng = np.random.default_rng(16)
+    for T, K in ((1, 1), (50, 2), (50, 7), (50, 8), (50, 16), (300, 9),
+                 (40, 130)):
+        a = 30.0 * rng.standard_normal((T, K))
+        assert np.array_equal(gmm._logsumexp(a, axis=1), gmm._logsumexp_rows(a))
+        D = 3
+        m = _model(rng.dirichlet(np.ones(K)), rng.standard_normal((K, D)),
+                   rng.uniform(0.5, 2.0, (K, D)))
+        frames = 4.0 * rng.standard_normal((T, D))
+        ll = gmm._component_loglik(m, frames, frames ** 2)
+        per_frame, _ = gmm_loglik(m, FeatureSequence("u", frames))
+        assert np.array_equal(per_frame, gmm._logsumexp_rows(ll))
+        # responsibilities divide by the sums the training helper adds
+        e = np.exp(ll - ll.max(axis=1, keepdims=True))
+        sums = gmm._pairwise_sum(lambda i, j: e.T[i:j].copy(), 0, K)
+        assert np.array_equal(responsibilities(m, frames), e / sums[:, None])
 
 
 def test_kmeans_init_memory_is_bounded():
@@ -224,3 +281,18 @@ def test_kmeans_init_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+
+
+def test_gmm_train_memory_is_bounded():
+    """100,000 x 16 frames, K=16, 2 iterations. With the reductions taken
+    along each frame's row, training peaked at 38.42 MB: three 12.8 MB
+    N-row arrays at once. The hoisted frames ** 2 and the transposed
+    blocks must not raise that."""
+    frames = _clustered_frames(100_000, 16, 16)
+    tracemalloc.start()
+    try:
+        gmm_train(frames, 16, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 38.42e6

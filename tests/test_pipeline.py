@@ -303,18 +303,18 @@ def _files(d: Path) -> dict:
 
 
 def _counted_pools(monkeypatch) -> tuple:
-    """The worker count of each pool that pipeline._pool makes from now,
-    and the corpus sent with each task."""
+    """The worker count and the split of each pool that pipeline._pool
+    makes from now, and the arguments of each task submitted to it."""
     make, pools, sent = pipeline._pool, [], []
 
-    def counted(workers):
-        pools.append(workers)
-        pool = make(workers)
+    def counted(workers, split):
+        pools.append((workers, split))
+        pool = make(workers, split)
         submit = pool.submit
 
-        def spied(fn, name, corpus, *args):
-            sent.append(corpus)
-            return submit(fn, name, corpus, *args)
+        def spied(fn, *args):
+            sent.append(args)
+            return submit(fn, *args)
 
         pool.submit = spied
         return pool
@@ -332,14 +332,15 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
         result = run_pipeline(dict(_TINY_RUN, work_dir=str(work)))
         models = {p: b for p, (b, _) in _files(work / "models").items()}
         out[workers] = models, result.report_path.read_bytes()
-    assert pools == [2]
+    assert [workers for workers, _ in pools] == [2]
     assert multiprocessing.active_children() == []
-    # the workers are sent the train split only
+    # the workers start with the train split only, and no task carries it
     train = set(result.corpus.splits.train_ids)
-    assert len(sent) == 4
-    for split in sent:
-        assert set(split.features) == set(split.labels) == train
-        assert split.alignments == split.posteriors == {}
+    split = pools[0][1]
+    assert set(split.features) == set(split.labels) == train
+    assert split.alignments == split.posteriors == {}
+    assert sorted(args[0] for args in sent) == sorted(pipeline.MARGINALS)
+    assert not any(isinstance(a, corpus.Corpus) for args in sent for a in args)
     assert len(out[1][0]) == 14  # 7 models and their stamps
     assert out[1] == out[2]
     assert b"gop+ivector_score_fusion" in out[1][1]
@@ -351,7 +352,7 @@ def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
     first = run_pipeline(cfg)
     models = _files(tmp_path / "models")
 
-    def no_pool(workers):
+    def no_pool(workers, split):
         raise AssertionError("a fully cached rerun started a pool")
 
     monkeypatch.setattr(pipeline, "_pool", no_pool)
@@ -370,8 +371,8 @@ def test_workers_run_one_blas_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     make, seen = pipeline._pool, []
 
-    def spied(workers):
-        pool = make(workers)
+    def spied(workers, split):
+        pool = make(workers, split)
         seen.extend(pool.submit(os.getenv, name) for name in names)
         return pool
 
