@@ -69,18 +69,10 @@ def _component_loglik(m: GmmModel, frames: np.ndarray,
     cross = 2.0 * frames @ (m.means * inv).T
     ll = sq @ inv.T
     ll -= cross
-    del cross  # before the broadcast steps allocate their buffers
     ll += ((m.means ** 2) * inv).sum(axis=1)
     ll *= -0.5  # (-0.5 q) + c is c - 0.5 q exactly
     ll += np.log(m.weights) + const
     return ll
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    hi = a.max(axis=axis, keepdims=True)
-    e = a - hi
-    np.exp(e, out=e)
-    return (hi + np.log(e.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
@@ -119,8 +111,9 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """_logsumexp(a, axis=1), bit for bit, with each block of rows
-    transposed so that its K terms add as whole rows (_pairwise_sum)."""
+    """ln sum_k exp(a[:, k]) per row, bit for bit as numpy's max and sum
+    along axis 1 give it, with each block of rows transposed so that its
+    K terms add as whole rows (_pairwise_sum)."""
     out = np.empty(len(a))
     for lo in range(0, len(a), _BLOCK):
         t = a[lo:lo + _BLOCK].T.copy()  # a copy even where K == 1
@@ -145,9 +138,8 @@ def gmm_loglik(m: GmmModel, fs: FeatureSequence):
     """Per-frame log-likelihoods ln p(o_i) and their utterance mean."""
     if fs.dim != m.dim:
         raise GmmError(f"{fs.utterance_id}: frames have dim {fs.dim}, model {m.dim}")
-    # an utterance's few rows are quicker to reduce in place than transposed
-    per_frame = _logsumexp(_component_loglik(m, fs.frames, fs.frames ** 2),
-                           axis=1)
+    per_frame = _logsumexp_rows(
+        _component_loglik(m, fs.frames, fs.frames ** 2))
     return per_frame, float(per_frame.mean())
 
 
