@@ -5,11 +5,13 @@ a content digest of their inputs and config section, so re-running a
 config retrains only what changed. All stages are deterministic given the
 config and seed. The marginal models (GMM, i-vector, NF, DNF) read only
 the corpus, so those that miss the cache train at once, in spawned worker
-processes of one BLAS thread each, as many as this process has CPUs; this
-process writes their files and stamps in order. The stage
-functions below `run_pipeline` are also what the CLI subcommands call, so
-a step-by-step CLI chain with the stage seeds reproduces the models of a
-run.
+processes of one BLAS thread each, as many as this process has CPUs. This
+process takes each model as it arrives, cache hits first: it writes the
+model's file and stamp and at once runs what follows from it (inference,
+SVR, fusion) on its own BLAS threads, while the others still train. The
+report keeps a fixed row order. The stage functions below `run_pipeline`
+are also what the CLI subcommands call, so a step-by-step CLI chain with
+the stage seeds reproduces the models of a run.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -275,11 +278,9 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     label_means = {uid: corpus.labels[uid].mean_score for uid in corpus.labels}
     eval_labels = np.array([label_means[u] for u in eval_ids])
     report_rows = []
-    pcc_by_system = {}
 
-    def add_row(system, val, lam=None):
-        report_rows.append(assess.ReportRow(system, "eval", val, lam))
-        pcc_by_system[system] = val
+    def row(system, val, lam=None):
+        return assess.ReportRow(system, "eval", val, lam)
 
     def eval_pcc(scores: dict) -> float:
         return assess.pcc(np.array([scores[u] for u in eval_ids]), eval_labels)
@@ -288,13 +289,13 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     if len(rater_counts) == 1 and rater_counts != {1}:
         ratings = np.array([corpus.labels[u].rater_scores for u in eval_ids],
                            dtype=np.float64)
-        add_row("human", assess.inter_rater_pcc(ratings))
+        report_rows.append(row("human", assess.inter_rater_pcc(ratings)))
     else:
         warnings.warn("skipping inter-rater PCC: rater counts differ")
 
     # GOP is needed by every fusion mode, so it always runs
     gop_scores = score_gop(corpus, _merged(cfg, "gop"), all_ids)
-    add_row("gop", eval_pcc(gop_scores))
+    report_rows.append(row("gop", eval_pcc(gop_scores)))
 
     def stage(name, system, key_parts):
         # (key, NAME.MAGIC); the key holds every format version too (a file
@@ -308,65 +309,76 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                          lambda: save_model(path, train()),
                          lambda: load_model(path))
 
-    # ---- marginal models: the cache misses train at once
-    sections = {name: _merged(cfg, name) for name in MARGINALS
-                if name in systems}
-    stages = {name: stage(name, name, (name, section, corpus_key, seed))
-              for name, section in sections.items()}
-    misses = [name for name, (key, filename) in stages.items()
-              if not cache.hit(name, key, [filename])]
-    with _training(misses, corpus, sections, seed) as trained:
-        models = {name: cached(name, key, filename,
-                               functools.partial(trained, name))
-                  for name, (key, filename) in stages.items()}
-    # one pass of each model gives its log-likelihoods and embeddings
-    logliks, embeddings = {}, {}
-    for name, model in models.items():
-        logliks[name], embeddings[name] = infer(model, corpus.features)
-    for name in ("gmm", "nf"):
-        if name in models:
-            add_row(f"{name}_loglik", eval_pcc(logliks[name]))
-
-    # ---- prediction models -----------------------------------------------
     svr_cfg = _merged(cfg, "svr")
-    predictions = {}
-    for name in ("ivector", "nf", "dnf"):
-        if name not in models:
-            continue
-        emb = embeddings[name]
+    fusion_cfg = _merged(cfg, "fusion")
+    modes = fusion_cfg["modes"]
+    # system -> its log-likelihood row, its SVR row, its fusion rows
+    loglik_rows, svr_rows, fusion_rows = {}, {}, {}
+    score_tables, lambdas = {}, {}
+
+    def downstream(name, model):
+        """The report rows, score table and lambda of marginal model `name`,
+        from one inference pass of it."""
+        loglik, emb = infer(model, corpus.features)
+        if name in ("gmm", "nf"):
+            loglik_rows[name] = row(f"{name}_loglik", eval_pcc(loglik))
+        if emb is None:
+            return
         svr_model = cached(
             f"svr_{name}", *stage(f"svr_{name}", "svr", (
                 "svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name))),
             lambda: train_svr(corpus, emb, svr_cfg))
-        predictions[name] = predict(svr_model, emb, all_ids)
-        add_row(f"{name}_svr", eval_pcc(predictions[name]))
-
-    # ---- fusion ----------------------------------------------------------
-    fusion_cfg = _merged(cfg, "fusion")
-    modes = fusion_cfg["modes"]
-    score_tables = {}
-    lambdas = {}
-    for name, pred in predictions.items():
+        pred = predict(svr_model, emb, all_ids)
+        svr_rows[name] = row(f"{name}_svr", eval_pcc(pred))
+        fused = fusion_rows[name] = []
         if "score" in modes:
             table = assess.ScoreTable(tuple(
                 assess.ScoreRow(u, gop_scores[u], pred[u], label_means[u])
                 for u in all_ids))
             lam, fused_eval = fuse(table.subset(eval_ids),
                                    table.subset(dev_ids), fusion_cfg)
-            add_row(f"gop+{name}_score_fusion",
-                    assess.pcc(fused_eval.column("fused"), eval_labels), lam)
+            fused.append(row(
+                f"gop+{name}_score_fusion",
+                assess.pcc(fused_eval.column("fused"), eval_labels), lam))
             lambdas[name] = lam
             score_tables[name] = fused_eval
         if "feature" in modes:
-            emb = embeddings[name]
             order = train_ids + dev_ids + eval_ids
             fused_X = assess.feature_fuse(
                 np.array([emb[u] for u in order]),
                 np.array([gop_scores[u] for u in order]))
             by_uid = dict(zip(order, fused_X))
             ff_model = train_svr(corpus, by_uid, svr_cfg)
-            add_row(f"gop+{name}_feature_fusion",
-                    eval_pcc(predict(ff_model, by_uid, eval_ids)))
+            fused.append(row(
+                f"gop+{name}_feature_fusion",
+                eval_pcc(predict(ff_model, by_uid, eval_ids))))
+
+    # ---- marginal models: the cache misses train at once; each model is
+    # saved, stamped and followed downstream as it arrives, cache hits first
+    sections = {name: _merged(cfg, name) for name in MARGINALS
+                if name in systems}
+    stages = {name: stage(name, name, (name, section, corpus_key, seed))
+              for name, section in sections.items()}
+    misses = [name for name, (key, filename) in stages.items()
+              if not cache.hit(name, key, [filename])]
+    hits = [(name, None) for name in stages if name not in misses]
+    failures = {}
+    with _training(misses, corpus, sections, seed) as arrivals:
+        for name, train in itertools.chain(hits, arrivals):
+            _release_heap()
+            try:
+                downstream(name, cached(name, *stages[name], train))
+            except Exception as exc:  # the others are still saved
+                failures[name] = exc
+    if failures:  # the same one whatever order the models arrived in
+        raise failures[min(failures, key=MARGINALS.index)]
+    # the rows, tables and lambdas in a fixed order, not in arrival order
+    report_rows += [loglik_rows[n] for n in MARGINALS if n in loglik_rows]
+    report_rows += [svr_rows[n] for n in EMBEDDED if n in svr_rows]
+    report_rows += [r for n in EMBEDDED for r in fusion_rows.get(n, ())]
+    score_tables = {n: score_tables[n] for n in EMBEDDED if n in score_tables}
+    lambdas = {n: lambdas[n] for n in EMBEDDED if n in lambdas}
+    pcc_by_system = {r.system: r.pcc for r in report_rows}
 
     report_path = report_dir / "report.tsv"
     report_path.write_text(assess.report_to_tsv(report_rows), encoding="utf-8")
@@ -379,8 +391,11 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 # merged config section and its own stage seed; trainers fit the train split.
 
 
-# the marginal models, in the order their files are written
+# the marginal models, in the order this process trains them and in which
+# the first failing one is reported
 MARGINALS = ("gmm", "nf", "dnf", "ivector")
+# the marginal models with embeddings, in the order of their report rows
+EMBEDDED = ("ivector", "nf", "dnf")
 
 
 def train_marginal(name: str, corpus: Corpus, section: dict, run_seed: int):
@@ -402,16 +417,19 @@ def train_marginal(name: str, corpus: Corpus, section: dict, run_seed: int):
 
 @contextmanager
 def _training(names, corpus: Corpus, sections: dict, run_seed: int):
-    """Yield train(name), the trained marginal model `name`.
+    """Yield the marginal models `names` as they arrive: (name, train)
+    pairs, train() returning the trained model or raising its error.
 
     With two or more of `names` and of CPUs, all of `names` start training
-    here, in spawned workers, and train(name) waits for one; else it trains
-    in this process. No worker outlives the block, on an error neither.
+    here, in spawned workers, and arrive as they finish; else they arrive
+    in the order of `names` and train() trains in this process. No worker
+    outlives the block, on an error neither.
     """
     workers = min(_cpu_count(), len(names))
     if workers < 2:
-        yield lambda name: train_marginal(name, corpus, sections[name],
-                                          run_seed)
+        yield ((name, functools.partial(train_marginal, name, corpus,
+                                        sections[name], run_seed))
+               for name in names)
         return
     train = set(corpus.splits.train_ids)
     # a worker is sent what trainers read, not the whole corpus
@@ -424,10 +442,31 @@ def _training(names, corpus: Corpus, sections: dict, run_seed: int):
             futures = {name: pool.submit(_train_split, name, sections[name],
                                          run_seed)
                        for name in names}
-            yield lambda name: futures[name].result()
+            yield ((name, future.result)
+                   for name, future in _arrivals(futures))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
+
+
+def _arrivals(futures: dict):
+    """(name, future) of each item of `futures`, in the order they finish."""
+    from concurrent.futures import as_completed
+    names = {future: name for name, future in futures.items()}
+    return ((names[future], future) for future in as_completed(names))
+
+
+def _release_heap() -> None:
+    """Return the heap that this process has freed to the OS, where the C
+    library can (glibc's malloc_trim): else the pages of pickles and
+    temporaries freed already stay in its resident set."""
+    import ctypes
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def _cpu_count() -> int:

@@ -139,26 +139,36 @@ def svr_train(X: np.ndarray, y: np.ndarray,
 
     n = X.shape[0]
     K = _kernel_matrix(params.kernel, gamma, Xs, Xs)
-    s = np.concatenate([np.ones(n), -np.ones(n)])
-    t = np.zeros(2 * n)
-    # gradient of 0.5 t'Qt + p't with Q_pq = s_p s_q K and p_p = eps - s_p y
-    G = params.epsilon - s * np.concatenate([y, y])
-    # (2, n) views: both halves of the 2n variables share the columns of K
-    G2, s2 = G.reshape(2, n), s.reshape(2, n)
     C = params.C
+    # the first n variables are alpha (sign s = +1), the last n alpha*
+    # (s = -1). v = -s*G, G the gradient of 0.5 t'Qt + p't with
+    # Q_pq = s_p s_q K and p_p = eps - s_p y: flipping a sign is exact, so
+    # v holds G's bits, and both halves of v move by one n-vector u
+    t = np.zeros(2 * n)
+    v = np.concatenate([y - params.epsilon, y + params.epsilon])
+    v2 = v.reshape(2, n)  # both halves share the columns of K
+    # where s*t may still rise (up) and where it may still fall (low): at
+    # t = 0, alpha and alpha* may only rise, which lowers s*t for alpha*
+    up = np.zeros(2 * n, dtype=bool)
+    low = np.zeros(2 * n, dtype=bool)
+    up[:n] = low[n:] = C > _BOUND_EPS
 
     budget = params.max_passes * n
     for updates in range(budget + 1):
-        vi, vj = _violations(s, t, G, C)
+        # the maximal violating pair: the largest v where s*t may rise,
+        # the least where it may fall
+        vi = np.where(up, v, -np.inf)
+        vj = np.where(low, v, np.inf)
         i = int(vi.argmax())
         j = int(vj.argmin())
         gap = vi[i] - vj[j]
         if gap <= params.tol or updates == budget:
             break
         ci, cj = i % n, j % n
+        si, sj = (1.0 if i < n else -1.0), (1.0 if j < n else -1.0)
         eta = max(K[ci, ci] + K[cj, cj] - 2.0 * K[ci, cj], 1e-12)
-        sij = s[i] * s[j]
-        delta = -(G[i] - sij * G[j]) / eta
+        sij = si * sj
+        delta = si * (v[i] - v[j]) / eta
         lo_d, hi_d = -t[i], C - t[i]
         if sij > 0:
             lo_d, hi_d = max(lo_d, t[j] - C), min(hi_d, t[j])
@@ -170,7 +180,11 @@ def svr_train(X: np.ndarray, y: np.ndarray,
         dt_j = -sij * delta
         t[i] += delta
         t[j] += dt_j
-        G2 += s2 * (s[i] * delta) * K[:, ci] + s2 * (s[j] * dt_j) * K[:, cj]
+        v2 -= (si * delta) * K[:, ci] + (sj * dt_j) * K[:, cj]
+        for p, sp in ((i, si), (j, sj)):
+            rises = t[p] < C - _BOUND_EPS
+            falls = t[p] > _BOUND_EPS
+            up[p], low[p] = (rises, falls) if sp > 0 else (falls, rises)
     # every exit leaves (vi, vj) current: t has not moved since they were taken
     b = 0.5 * (vi[i] + vj[j])
     warning = None
@@ -183,16 +197,6 @@ def svr_train(X: np.ndarray, y: np.ndarray,
     keep = np.abs(beta) > 1e-10
     return SvrModel(params.kernel, C, params.epsilon, gamma, mean, std,
                     Xs[keep], beta[keep], float(b), warning, obj)
-
-
-def _violations(s, t, G, C):
-    """-s*G where t may still rise (masked to -inf elsewhere) and where it
-    may still fall (masked to +inf): the maximal violating pair is the
-    argmax of the first and the argmin of the second."""
-    v = -s * G
-    up = ((s > 0) & (t < C - _BOUND_EPS)) | ((s < 0) & (t > _BOUND_EPS))
-    low = ((s > 0) & (t > _BOUND_EPS)) | ((s < 0) & (t < C - _BOUND_EPS))
-    return np.where(up, v, -np.inf), np.where(low, v, np.inf)
 
 
 def dual_objective(K: np.ndarray, y: np.ndarray, beta: np.ndarray,

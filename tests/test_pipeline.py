@@ -407,6 +407,89 @@ def test_worker_failure_exits_as_in_process(tmp_path, monkeypatch, capsys,
         assert multiprocessing.active_children() == []
 
 
+def _reversed_arrivals(futures: dict):
+    """The trained models in the reverse of the order they were submitted
+    in, MARGINALS order, so that ivector arrives first and gmm last."""
+    return reversed(list(futures.items()))
+
+
+def _saved_names(monkeypatch) -> list:
+    """The names of the model files that pipeline.save_model writes from
+    now, in the order written."""
+    save, names = pipeline.save_model, []
+
+    def spied(path, model):
+        names.append(Path(path).name)
+        return save(path, model)
+
+    monkeypatch.setattr(pipeline, "save_model", spied)
+    return names
+
+
+def test_arrival_order_changes_no_output(tmp_path, monkeypatch):
+    """Models that arrive in reverse order are each followed downstream at
+    once, and the run writes what a run of one worker writes."""
+    saved = _saved_names(monkeypatch)
+    monkeypatch.setattr(pipeline, "_arrivals", _reversed_arrivals)
+    out, order = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
+        work = tmp_path / f"w{workers}"
+        saved.clear()
+        result = run_pipeline(dict(_TINY_RUN, work_dir=str(work)))
+        order[workers] = list(saved)
+        out[workers] = ({p: b for p, (b, _) in _files(work / "models").items()},
+                        result.report_path.read_bytes(), result.report_rows,
+                        list(result.score_tables), list(result.lambdas))
+    assert order[1] == ["gmm.pgmm", "nf.pnf1", "svr_nf.psvr", "dnf.pdnf",
+                        "svr_dnf.psvr", "ivector.pivm", "svr_ivector.psvr"]
+    assert order[2] == ["ivector.pivm", "svr_ivector.psvr", "dnf.pdnf",
+                        "svr_dnf.psvr", "nf.pnf1", "svr_nf.psvr", "gmm.pgmm"]
+    assert len(out[1][0]) == 14  # 7 models and their stamps
+    assert out[1] == out[2]
+    assert out[1][3] == out[1][4] == ["ivector", "nf", "dnf"]
+    assert [r.system for r in out[1][2]][:7] == [
+        "human", "gop", "gmm_loglik", "nf_loglik", "ivector_svr", "nf_svr",
+        "dnf_svr"]
+
+
+@pytest.mark.parametrize("failing, code", [(("dnf",), 2), (("nf", "dnf"), 3)])
+def test_failed_run_saves_the_same_models_in_any_arrival_order(
+        tmp_path, monkeypatch, capsys, failing, code):
+    """Every marginal model that trained is saved, with the SVR that
+    follows it, and the run exits as the first failing stage in MARGINALS
+    order does, whichever worker finishes first: here the failing stages
+    arrive before gmm."""
+    settings = {"nf": {"learning_rate": 1e6}, "dnf": {"batch_size": 100000}}
+    cfg = dict(_TINY_RUN, **{stage: dict(_TINY_FLOW, **settings[stage])
+                             for stage in failing})
+    saved = _saved_names(monkeypatch)
+    files = {}
+    for workers, arrivals in ((1, None), (2, None), (2, _reversed_arrivals)):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
+        if arrivals is not None:
+            monkeypatch.setattr(pipeline, "_arrivals", arrivals)
+        work = tmp_path / f"w{workers}{arrivals is not None}"
+        work.mkdir()
+        (work / "cfg.json").write_text(json.dumps(cfg))
+        saved.clear()
+        assert main(["run", str(work / "cfg.json")]) == code
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith(
+            "training divergence" if "nf" in failing else "data error")
+        files[workers, arrivals] = tuple(sorted(
+            p.name for p in (work / "models").iterdir()))
+        assert multiprocessing.active_children() == []
+    assert saved[-1] == "gmm.pgmm"  # the reversed run saved gmm last
+    assert len(set(files.values())) == 1
+    names = files[1, None]
+    assert "gmm.digest" in names and "ivector.digest" in names
+    assert "svr_ivector.digest" in names
+    for stage in failing:
+        assert f"{stage}.digest" not in names
+        assert f"svr_{stage}.digest" not in names
+    assert ("nf.digest" in names) == ("nf" not in failing)
+
+
 def test_pipeline_demo_runs_only_as_a_script(monkeypatch):
     """A spawned worker imports the main script as __mp_main__; the demo
     must not start a run of its own then."""

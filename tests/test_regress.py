@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -190,3 +190,103 @@ def test_blocked_kernel_equals_single_matrix_oracle(kernel):
     assert np.array_equal(svr_predict_batch(m, inputs), want)
     assert np.array_equal(regress._kernel_matrix(kernel, m.gamma, Xs, Xs),
                           _dense_kernel(kernel, m.gamma, Xs, Xs))
+
+
+def _violations(s, t, G, C):
+    """-s*G where t may still rise (masked to -inf elsewhere) and where it
+    may still fall (masked to +inf): the maximal violating pair is the
+    argmax of the first and the argmin of the second."""
+    v = -s * G
+    up = ((s > 0) & (t < C - regress._BOUND_EPS)) \
+        | ((s < 0) & (t > regress._BOUND_EPS))
+    low = ((s > 0) & (t > regress._BOUND_EPS)) \
+        | ((s < 0) & (t < C - regress._BOUND_EPS))
+    return np.where(up, v, -np.inf), np.where(low, v, np.inf)
+
+
+def _svr_train_oracle(X, y, params):
+    """svr_train with the SMO loop that keeps the gradient G itself and
+    takes both masks anew at every step, as a test oracle."""
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 1e-12, std, 1.0)
+    Xs = regress._standardize(X, mean, std)
+    gamma = regress.resolve_gamma(params, Xs)
+
+    n = X.shape[0]
+    K = regress._kernel_matrix(params.kernel, gamma, Xs, Xs)
+    s = np.concatenate([np.ones(n), -np.ones(n)])
+    t = np.zeros(2 * n)
+    # gradient of 0.5 t'Qt + p't with Q_pq = s_p s_q K and p_p = eps - s_p y
+    G = params.epsilon - s * np.concatenate([y, y])
+    # (2, n) views: both halves of the 2n variables share the columns of K
+    G2, s2 = G.reshape(2, n), s.reshape(2, n)
+    C = params.C
+
+    budget = params.max_passes * n
+    for updates in range(budget + 1):
+        vi, vj = _violations(s, t, G, C)
+        i = int(vi.argmax())
+        j = int(vj.argmin())
+        gap = vi[i] - vj[j]
+        if gap <= params.tol or updates == budget:
+            break
+        ci, cj = i % n, j % n
+        eta = max(K[ci, ci] + K[cj, cj] - 2.0 * K[ci, cj], 1e-12)
+        sij = s[i] * s[j]
+        delta = -(G[i] - sij * G[j]) / eta
+        lo_d, hi_d = -t[i], C - t[i]
+        if sij > 0:
+            lo_d, hi_d = max(lo_d, t[j] - C), min(hi_d, t[j])
+        else:
+            lo_d, hi_d = max(lo_d, -t[j]), min(hi_d, C - t[j])
+        delta = min(max(delta, lo_d), hi_d)
+        if delta == 0.0:
+            break
+        dt_j = -sij * delta
+        t[i] += delta
+        t[j] += dt_j
+        G2 += s2 * (s[i] * delta) * K[:, ci] + s2 * (s[j] * dt_j) * K[:, cj]
+    # every exit leaves (vi, vj) current: t has not moved since they were taken
+    b = 0.5 * (vi[i] + vj[j])
+    warning = None
+    if gap > params.tol:
+        warning = (f"SMO stopped after {updates} updates with KKT gap"
+                   f" {gap:.3g} > tol {params.tol:g}")
+
+    beta = t[:n] - t[n:]
+    obj = regress.dual_objective(K, y, beta, params.epsilon)
+    keep = np.abs(beta) > 1e-10
+    return regress.SvrModel(params.kernel, C, params.epsilon, gamma, mean,
+                            std, Xs[keep], beta[keep], float(b), warning, obj)
+
+
+def _bits(value):
+    """A value's bytes (an array's dtype and shape too), or itself."""
+    if isinstance(value, (float, np.ndarray)):
+        arr = np.asarray(value)
+        return arr.dtype.str, arr.shape, arr.tobytes()
+    return value
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+@pytest.mark.parametrize("settings", [
+    {}, {"C": 0.05}, {"epsilon": 0.0}, {"max_passes": 0}, {"max_passes": 1},
+    {"C": 0.05, "epsilon": 0.0, "tol": 1e-6}])
+def test_smo_equals_the_gradient_oracle_bit_for_bit(kernel, settings):
+    """Every field of the model, the warning and the dual objective
+    included, equals that of the oracle loop bit for bit."""
+    rng = np.random.default_rng(9)
+    for n, d in ((2, 1), (7, 2), (40, 3), (120, 5)):
+        X = rng.standard_normal((n, d))
+        y = np.tanh(X[:, 0]) + 0.3 * rng.standard_normal(n)
+        params = SvrParams(kernel=kernel, **settings)
+        got = svr_train(X, y, params)
+        want = _svr_train_oracle(X, y, params)
+        for f in fields(regress.SvrModel):
+            assert _bits(getattr(got, f.name)) == \
+                _bits(getattr(want, f.name)), (n, f.name)
+    if settings.get("C") == 0.05:  # some multipliers end at their bound
+        assert np.any(np.abs(got.coef) == params.C)
+    if settings.get("max_passes") is not None:
+        assert got.warning is not None
