@@ -4,7 +4,19 @@ GOP scoring from posteriorgrams, generative marginal models (GMM,
 i-vector, normalizing flow, discriminative flow) yielding utterance
 embeddings, an epsilon-SVR score predictor, and score/feature fusion
 evaluated by Pearson correlation against rater labels.
+
+Importing proscore pins BLAS to one thread, over any value the caller
+set: how a product is split across threads changes the rounding of its
+sums, and so the bytes of the models. The pin takes effect only before
+numpy loads BLAS, so a process that imported numpy first keeps its own
+thread count. Spawned pool workers inherit the pin; the parallelism comes
+from them.
 """
+
+import os
+
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .assess import (FusionConfig, ReportRow, ScoreRow, ScoreTable,
                      feature_fuse, inter_rater_pcc, pcc, score_fuse,

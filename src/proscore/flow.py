@@ -369,25 +369,28 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
     rng = np.random.default_rng(cfg.seed)
 
     trace = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            batch = frames[idx]
-            mu = None if means is None else means[frame_class[idx]]
-            loss, grads, resid = nll_and_grads(m, batch, mu)
-            if not np.isfinite(loss):
+    # a diverging step overflows to inf or nan; the finite-loss checks
+    # below raise on it, so numpy's warnings on the way say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                batch = frames[idx]
+                mu = None if means is None else means[frame_class[idx]]
+                loss, grads, resid = nll_and_grads(m, batch, mu)
+                if not np.isfinite(loss):
+                    raise TrainingDivergence(epoch)
+                if train_means:
+                    gmu = np.zeros_like(means)
+                    np.add.at(gmu, frame_class[idx], -resid / len(idx))
+                    grads = grads + [gmu]
+                opt.step(flat, np.concatenate([np.ravel(g) for g in grads]))
+            epoch_nll = mean_nll(m, frames,
+                                 None if means is None else means[frame_class])
+            if not np.isfinite(epoch_nll):
                 raise TrainingDivergence(epoch)
-            if train_means:
-                gmu = np.zeros_like(means)
-                np.add.at(gmu, frame_class[idx], -resid / len(idx))
-                grads = grads + [gmu]
-            opt.step(flat, np.concatenate([np.ravel(g) for g in grads]))
-        epoch_nll = mean_nll(m, frames,
-                             None if means is None else means[frame_class])
-        if not np.isfinite(epoch_nll):
-            raise TrainingDivergence(epoch)
-        trace.append(epoch_nll)
+            trace.append(epoch_nll)
     if train_means:
         class_means[...] = means
     return trace

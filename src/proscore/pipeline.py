@@ -5,13 +5,14 @@ a content digest of their inputs and config section, so re-running a
 config retrains only what changed. All stages are deterministic given the
 config and seed. The marginal models (GMM, i-vector, NF, DNF) read only
 the corpus, so those that miss the cache train at once, in spawned worker
-processes of one BLAS thread each, as many as this process has CPUs. This
-process takes each model as it arrives, cache hits first: it writes the
-model's file and stamp and at once runs what follows from it (inference,
-SVR, fusion) on its own BLAS threads, while the others still train. The
-report keeps a fixed row order. The stage functions below `run_pipeline`
-are also what the CLI subcommands call, so a step-by-step CLI chain with
-the stage seeds reproduces the models of a run.
+processes, as many as this process has CPUs. This process takes each
+model as it arrives, cache hits first: it writes the model's file and
+stamp and at once runs what follows from it (inference, SVR, fusion)
+while the others still train. Every process runs one BLAS thread (see
+the package docstring), so where a model trains changes none of its
+bytes. The report keeps a fixed row order. The stage functions below
+`run_pipeline` are also what the CLI subcommands call, so a step-by-step
+CLI chain with the stage seeds reproduces the models of a run.
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def _training(names, corpus: Corpus, sections: dict, run_seed: int):
         corpus, alignments={}, posteriors={},
         features={u: fs for u, fs in corpus.features.items() if u in train},
         labels={u: lab for u, lab in corpus.labels.items() if u in train})
-    with _one_blas_thread(), _pool(workers, split) as pool:
+    with _pool(workers, split) as pool:
         try:
             futures = {name: pool.submit(_train_split, name, sections[name],
                                          run_seed)
@@ -479,9 +480,10 @@ def _cpu_count() -> int:
 
 def _pool(workers: int, split: Corpus):
     """A process pool of `workers` spawned workers, each sent `split` once,
-    as it starts. Spawned, not forked, so that each loads BLAS afresh under
-    the environment it starts with. The pool modules are imported here, not
-    by every CLI process."""
+    as it starts. Spawned, not forked: a fork copies this process with the
+    locks its threads (the pool's own among them) may hold, while a spawned
+    worker starts afresh and imports proscore, which pins its BLAS threads.
+    The pool modules are imported here, not by every CLI process."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(workers,
@@ -500,27 +502,6 @@ def _keep_split(split: Corpus) -> None:
 def _train_split(name: str, section: dict, run_seed: int):
     """train_marginal on the split this worker was started with."""
     return train_marginal(name, _worker_split, section, run_seed)
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Processes started in the block get one BLAS thread: two workers of
-    two threads each on two cores run at half speed. This process loaded
-    its BLAS already, so its own thread count stays as it is."""
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
 
 
 def _check_ids(ids, have, what: str) -> None:

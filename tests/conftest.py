@@ -1,5 +1,9 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
+# proscore first: it pins BLAS to one thread before numpy loads it, so the
+# tests run under the thread count that the program ships with
+import proscore  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -308,3 +309,14 @@ def test_loaded_layer_halves_match_build_flow(tmp_path, dim):
             [(lay.cond, lay.trans) for lay in m.layers]
         for p, q in zip(loaded.params(), m.params()):
             np.testing.assert_array_equal(p, q)
+
+
+def test_diverging_training_raises_no_numpy_warning():
+    """A flow whose steps overflow stops with TrainingDivergence, and the
+    overflow on its way there prints no numpy RuntimeWarning."""
+    frames = np.random.default_rng(1).standard_normal((512, 6))
+    cfg = AdamConfig(learning_rate=1e6, batch_size=64, epochs=3, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergence, match="epoch 0"):
+            flow_train(build_flow(6, 2, 16, seed=1), frames, cfg)

@@ -2,6 +2,8 @@ import json
 import multiprocessing
 import os
 import runpy
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -361,27 +363,55 @@ def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
     assert rerun.report_rows == first.report_rows
 
 
-def test_workers_run_one_blas_thread(tmp_path, monkeypatch):
-    """Workers start with one BLAS thread whatever this process has set,
-    and this process's environment is as it was after the run."""
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
-    make, seen = pipeline._pool, []
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def spied(workers, split):
-        pool = make(workers, split)
-        seen.extend(pool.submit(os.getenv, name) for name in names)
-        return pool
 
-    monkeypatch.setattr(pipeline, "_pool", spied)
-    run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
-    assert [f.result() for f in seen] == ["1", "1", "1"]
-    assert (os.environ["OPENBLAS_NUM_THREADS"],
-            os.environ["OMP_NUM_THREADS"]) == ("4", "3")
-    assert "MKL_NUM_THREADS" not in os.environ
+def _python(args, threads: dict) -> str:
+    """Run `python ARGS` with proscore importable and the BLAS thread
+    variables of this process replaced by `threads`."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = str(Path(pipeline.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], env={**env, **threads},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_every_process_runs_one_blas_thread():
+    """Importing proscore sets the three thread variables to 1 over the
+    caller's values (MKL's unset), in its own process and in a pool
+    worker."""
+    script = f"""
+import json, os, proscore
+from proscore import pipeline
+with pipeline._pool(1, None) as pool:
+    worker = [pool.submit(os.getenv, n).result() for n in {_THREAD_VARS}]
+print(json.dumps([[os.getenv(n) for n in {_THREAD_VARS}], worker]))
+"""
+    out = _python(["-c", script], {"OPENBLAS_NUM_THREADS": "4",
+                                   "OMP_NUM_THREADS": "3"})
+    assert json.loads(out) == [["1", "1", "1"], ["1", "1", "1"]]
+
+
+def test_svr_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    """`train-svr` on the preset corpus writes the same model whatever
+    BLAS thread count its caller asks for."""
+    preset, _ = synth_corpus(corpus.SynthConfig())
+    manifest = save_corpus(preset, tmp_path)
+    rng = np.random.default_rng(5)
+    emb = tmp_path / "emb.tsv"
+    emb.write_text(formats.tsv((uid, *rng.standard_normal(16))
+                               for uid in sorted(preset.features)))
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"svr{threads}.psvr"
+        _python(["-m", "proscore.cli", "train-svr", "--manifest",
+                 str(manifest), "--embeddings", str(emb), "--out", str(out)],
+                dict.fromkeys(_THREAD_VARS, threads))
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
 
 
 @pytest.mark.parametrize("stage, setting, code, message", [
