@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    synth = SynthConfig(seed=args.seed if args.seed is not None else 7)
+    synth = SynthConfig() if args.seed is None else SynthConfig(seed=args.seed)
     pipeline.write_synth_corpus(synth, args.out)
     print(f"manifest written to {Path(args.out) / 'manifest.tsv'}")
     return 0

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import formats
 from .corpus import FeatureSequence
-from .flow import (AdamConfig, FlowModel, build_flow, flow_embed,
-                   flow_transform, log_density, read_flow, train_core,
-                   write_flow)
+from .flow import (AdamConfig, FlowModel, build_flow, flow_embed, read_flow,
+                   train_core, write_flow)
 
 DNF_MAGIC = "PDNF"
 
@@ -42,14 +41,6 @@ class DnfModel:
     @property
     def num_classes(self) -> int:
         return self.class_means.shape[0]
-
-
-def dnf_logprob(m: DnfModel, batch: np.ndarray, class_id: int) -> np.ndarray:
-    """ln p_s(o) = ln N(f^-1(o); mu_s, I) + ln|det df^-1/do| per row."""
-    if not 0 <= class_id < m.num_classes:
-        raise DnfError(f"class_id {class_id} out of range [0,{m.num_classes})")
-    z, logdet = flow_transform(m.backbone, "inverse", batch)
-    return log_density(z - m.class_means[class_id], logdet)
 
 
 def init_class_means(num_classes: int, dim: int, seed) -> np.ndarray:

@@ -224,6 +224,12 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
+def _stamp(kind: str, section, *inputs) -> str:
+    """A cached stage's stamp; every format version is in it (a file nests
+    others, and its inputs were read in theirs), so a new one retrains."""
+    return _digest(kind, section, *inputs, formats.VERSIONS)
+
+
 class StageCache:
     """Digest-stamped artifact cache under the model directory."""
 
@@ -268,20 +274,20 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     report_dir = work / cfg.get("report_dir", "reports")
     report_dir.mkdir(parents=True, exist_ok=True)
     cache = StageCache(model_dir, force)
-    systems = list(cfg.get("systems", DEFAULT_SYSTEMS))
 
     corpus, corpus_key = _corpus_stage(cfg, work, force)
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
     all_ids = sorted(corpus.features)
+    _check_ids(all_ids, corpus.labels, "label")  # before any stage trains
 
     label_means = {uid: corpus.labels[uid].mean_score for uid in corpus.labels}
     eval_labels = np.array([label_means[u] for u in eval_ids])
-    report_rows = []
+    report_rows = []  # in arrival order; put in REPORT_ROWS order at the end
 
     def row(system, val, lam=None):
-        return assess.ReportRow(system, "eval", val, lam)
+        report_rows.append(assess.ReportRow(system, "eval", val, lam))
 
     def eval_pcc(scores: dict) -> float:
         return assess.pcc(np.array([scores[u] for u in eval_ids]), eval_labels)
@@ -290,59 +296,53 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     if len(rater_counts) == 1 and rater_counts != {1}:
         ratings = np.array([corpus.labels[u].rater_scores for u in eval_ids],
                            dtype=np.float64)
-        report_rows.append(row("human", assess.inter_rater_pcc(ratings)))
+        row("human", assess.inter_rater_pcc(ratings))
     else:
         warnings.warn("skipping inter-rater PCC: rater counts differ")
 
     # GOP is needed by every fusion mode, so it always runs
     gop_scores = score_gop(corpus, _merged(cfg, "gop"), all_ids)
-    report_rows.append(row("gop", eval_pcc(gop_scores)))
-
-    def stage(name, system, key_parts):
-        # (key, NAME.MAGIC); the key holds every format version too (a file
-        # nests others, and its inputs were read in theirs): a new one retrains
-        return (_digest(*key_parts, formats.VERSIONS),
-                f"{name}.{_codecs()[system][1].lower()}")
-
-    def cached(name, key, filename, train):
-        path = model_dir / filename
-        return cache.run(name, key, [filename],
-                         lambda: save_model(path, train()),
-                         lambda: load_model(path))
+    row("gop", eval_pcc(gop_scores))
 
     svr_cfg = _merged(cfg, "svr")
     fusion_cfg = _merged(cfg, "fusion")
     modes = fusion_cfg["modes"]
-    # system -> its log-likelihood row, its SVR row, its fusion rows
-    loglik_rows, svr_rows, fusion_rows = {}, {}, {}
-    score_tables, lambdas = {}, {}
+    # cached stage -> its stamp; an SVR's joins when its model arrives
+    stamps = {name: _stamp(name, _merged(cfg, name), corpus_key, seed)
+              for name in MARGINALS
+              if name in cfg.get("systems", DEFAULT_SYSTEMS)}
+    fused = {}  # system -> (lambda, fused eval table) of its score fusion
+
+    def model_file(name):  # NAME.MAGIC; an svr_* stage's model is an SVR
+        magic = _codecs()[name.split("_")[0]][1]
+        return model_dir / f"{name}.{magic.lower()}"
+
+    def cached(name, train):
+        path = model_file(name)
+        return cache.run(name, stamps[name], [path.name],
+                         lambda: save_model(path, train()),
+                         lambda: load_model(path))
 
     def downstream(name, model):
-        """The report rows, score table and lambda of marginal model `name`,
-        from one inference pass of it."""
+        """The report rows and score fusion of marginal model `name`, from
+        one inference pass of it."""
         loglik, emb = infer(model, corpus.features)
         if name in ("gmm", "nf"):
-            loglik_rows[name] = row(f"{name}_loglik", eval_pcc(loglik))
+            row(f"{name}_loglik", eval_pcc(loglik))
         if emb is None:
             return
-        svr_model = cached(
-            f"svr_{name}", *stage(f"svr_{name}", "svr", (
-                "svr", svr_cfg, corpus_key, seed, name, _merged(cfg, name))),
-            lambda: train_svr(corpus, emb, svr_cfg))
-        pred = predict(svr_model, emb, all_ids)
-        svr_rows[name] = row(f"{name}_svr", eval_pcc(pred))
-        fused = fusion_rows[name] = []
+        stamps[f"svr_{name}"] = _stamp("svr", svr_cfg, stamps[name])
+        svr = cached(f"svr_{name}", lambda: train_svr(corpus, emb, svr_cfg))
+        pred = predict(svr, emb, all_ids)
+        row(f"{name}_svr", eval_pcc(pred))
         if "score" in modes:
             table = assess.ScoreTable(tuple(
                 assess.ScoreRow(u, gop_scores[u], pred[u], label_means[u])
                 for u in all_ids))
-            lam, fused_eval = fuse(table.subset(eval_ids),
-                                   table.subset(dev_ids), fusion_cfg)
-            fused.append(row(
-                f"gop+{name}_score_fusion",
-                assess.pcc(fused_eval.column("fused"), eval_labels), lam))
-            lambdas[name] = lam
-            score_tables[name] = fused_eval
+            lam, fused_eval = fused[name] = fuse(
+                table.subset(eval_ids), table.subset(dev_ids), fusion_cfg)
+            row(f"gop+{name}_score_fusion",
+                assess.pcc(fused_eval.column("fused"), eval_labels), lam)
         if "feature" in modes:
             order = train_ids + dev_ids + eval_ids
             fused_X = assess.feature_fuse(
@@ -350,41 +350,33 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                 np.array([gop_scores[u] for u in order]))
             by_uid = dict(zip(order, fused_X))
             ff_model = train_svr(corpus, by_uid, svr_cfg)
-            fused.append(row(
-                f"gop+{name}_feature_fusion",
-                eval_pcc(predict(ff_model, by_uid, eval_ids))))
+            row(f"gop+{name}_feature_fusion",
+                eval_pcc(predict(ff_model, by_uid, eval_ids)))
 
     # ---- marginal models: the cache misses train at once; each model is
     # saved, stamped and followed downstream as it arrives, cache hits first
-    sections = {name: _merged(cfg, name) for name in MARGINALS
-                if name in systems}
-    stages = {name: stage(name, name, (name, section, corpus_key, seed))
-              for name, section in sections.items()}
-    misses = [name for name, (key, filename) in stages.items()
-              if not cache.hit(name, key, [filename])]
-    hits = [(name, None) for name in stages if name not in misses]
+    misses = [name for name in stamps
+              if not cache.hit(name, stamps[name], [model_file(name).name])]
+    hits = [(name, None) for name in stamps if name not in misses]
     failures = {}
-    with _training(misses, corpus, sections, seed) as arrivals:
+    with _training(misses, corpus, cfg) as arrivals:
         for name, train in itertools.chain(hits, arrivals):
             _release_heap()
             try:
-                downstream(name, cached(name, *stages[name], train))
+                downstream(name, cached(name, train))
             except Exception as exc:  # the others are still saved
                 failures[name] = exc
     if failures:  # the same one whatever order the models arrived in
         raise failures[min(failures, key=MARGINALS.index)]
-    # the rows, tables and lambdas in a fixed order, not in arrival order
-    report_rows += [loglik_rows[n] for n in MARGINALS if n in loglik_rows]
-    report_rows += [svr_rows[n] for n in EMBEDDED if n in svr_rows]
-    report_rows += [r for n in EMBEDDED for r in fusion_rows.get(n, ())]
-    score_tables = {n: score_tables[n] for n in EMBEDDED if n in score_tables}
-    lambdas = {n: lambdas[n] for n in EMBEDDED if n in lambdas}
-    pcc_by_system = {r.system: r.pcc for r in report_rows}
+    report_rows.sort(key=lambda r: REPORT_ROWS.index(r.system))
+    fused = {n: fused[n] for n in EMBEDDED if n in fused}
 
     report_path = report_dir / "report.tsv"
     report_path.write_text(assess.report_to_tsv(report_rows), encoding="utf-8")
     return PipelineResult(corpus, report_rows, report_path,
-                          score_tables, lambdas, pcc_by_system)
+                          {n: table for n, (_, table) in fused.items()},
+                          {n: lam for n, (lam, _) in fused.items()},
+                          {r.system: r.pcc for r in report_rows})
 
 
 # ---------------------------------------------------------------------------
@@ -395,30 +387,36 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 # the marginal models, in the order this process trains them and in which
 # the first failing one is reported
 MARGINALS = ("gmm", "nf", "dnf", "ivector")
+# each marginal model's stage seed is the run seed plus its offset; the
+# i-vector extractor's UBM trains as a GMM, under the GMM's seed
+SEED_OFFSETS = {"gmm": 11, "nf": 23, "dnf": 37, "ivector": 41}
 # the marginal models with embeddings, in the order of their report rows
 EMBEDDED = ("ivector", "nf", "dnf")
+# the systems of the report rows, in the report's order
+REPORT_ROWS = ("human", "gop", "gmm_loglik", "nf_loglik",
+               *(f"{name}_svr" for name in EMBEDDED),
+               *(f"gop+{name}_{mode}_fusion" for name in EMBEDDED
+                 for mode in DEFAULT_FUSION_MODES))
 
 
 def train_marginal(name: str, corpus: Corpus, section: dict, run_seed: int):
     """Marginal model `name` of MARGINALS, trained under its stage seed: the
-    run seed plus the stage's offset. A CLI train subcommand's --seed is
+    run seed plus its SEED_OFFSETS entry. A CLI train subcommand's --seed is
     that stage seed. A module function, so a spawned worker can run it."""
-    if name == "gmm":
-        return train_gmm(corpus, section, run_seed + 11)
-    if name == "nf":
-        return train_flow(corpus, section, run_seed + 23)[0]
-    if name == "dnf":
-        return train_dnf(corpus, section, run_seed + 37)
+    seed = run_seed + SEED_OFFSETS[name]
     if name == "ivector":
-        ubm = train_gmm(corpus, {"components": section["ubm_components"],
-                                 "iters": section["ubm_iters"]}, run_seed + 11)
-        return train_ivector(corpus, ubm, section, run_seed + 41)
-    raise ValueError(f"not a marginal model: {name!r}")
+        ubm = train_marginal("gmm", corpus, {
+            "components": section["ubm_components"],
+            "iters": section["ubm_iters"]}, run_seed)
+        return train_ivector(corpus, ubm, section, seed)
+    if name == "nf":
+        return train_flow(corpus, section, seed)[0]
+    return {"gmm": train_gmm, "dnf": train_dnf}[name](corpus, section, seed)
 
 
 @contextmanager
-def _training(names, corpus: Corpus, sections: dict, run_seed: int):
-    """Yield the marginal models `names` as they arrive: (name, train)
+def _training(names, corpus: Corpus, cfg: dict):
+    """Yield marginal models `names` of `cfg` as they arrive: (name, train)
     pairs, train() returning the trained model or raising its error.
 
     With two or more of `names` and of CPUs, all of `names` start training
@@ -429,7 +427,7 @@ def _training(names, corpus: Corpus, sections: dict, run_seed: int):
     workers = min(_cpu_count(), len(names))
     if workers < 2:
         yield ((name, functools.partial(train_marginal, name, corpus,
-                                        sections[name], run_seed))
+                                        _merged(cfg, name), cfg["seed"]))
                for name in names)
         return
     train = set(corpus.splits.train_ids)
@@ -440,8 +438,8 @@ def _training(names, corpus: Corpus, sections: dict, run_seed: int):
         labels={u: lab for u, lab in corpus.labels.items() if u in train})
     with _pool(workers, split) as pool:
         try:
-            futures = {name: pool.submit(_train_split, name, sections[name],
-                                         run_seed)
+            futures = {name: pool.submit(_train_split, name,
+                                         _merged(cfg, name), cfg["seed"])
                        for name in names}
             yield ((name, future.result)
                    for name, future in _arrivals(futures))
@@ -561,6 +559,7 @@ def train_dnf(corpus: Corpus, section: dict, seed: int) -> dnf.DnfModel:
     _check_counts("dnf", section)
     num_classes = int(section["classes"])
     train_ids = corpus.splits.train_ids
+    _check_ids(train_ids, corpus.labels, "label")
     utt_class = dnf.classes_from_mean_scores(
         [corpus.labels[uid].mean_score for uid in train_ids], num_classes)
     frame_class = np.repeat(utt_class, [corpus.features[uid].num_frames
@@ -581,6 +580,7 @@ def train_svr(corpus: Corpus, emb: dict, section: dict) -> regress.SvrModel:
     train_ids = [uid for uid in corpus.splits.train_ids if uid in emb]
     if not train_ids:
         raise CorpusError("no train-split utterances among the embeddings")
+    _check_ids(train_ids, corpus.labels, "label")
     model = regress.svr_train(
         np.array([emb[uid] for uid in train_ids]),
         np.array([corpus.labels[uid].mean_score for uid in train_ids]),
@@ -691,8 +691,7 @@ def _corpus_stage(cfg, work: Path, force: bool):
     if "synth" in corpus_cfg:
         synth, synth_kwargs = _synth_config(cfg)
         corpus_dir = work / "corpus"
-        key = _digest("synth", synth_kwargs, formats.VERSIONS)
-
+        key = _stamp("synth", synth_kwargs)
         return StageCache(corpus_dir, force).run(
             "synth", key, ["manifest.tsv", "oracle.tsv"],
             lambda: write_synth_corpus(synth, corpus_dir),

@@ -7,16 +7,42 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import TINY_SYNTH
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_spans_entry_point_traces_a_cli_run(tmp_path):
-    out = tmp_path / "spans.json"
+def _traced(out, *argv) -> list:
+    """The spans of `proscore ARGV` run through bench/spans.py."""
     proc = subprocess.run(
-        [sys.executable, "bench/spans.py", str(out), "t", "--",
-         "simulate", "--a", "1", "--steps", "2"],
+        [sys.executable, "bench/spans.py", str(out), "t", "--", *argv],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(out.read_text())["spans"]
+    return json.loads(out.read_text())["spans"]
+
+
+def test_spans_entry_point_traces_a_cli_run(tmp_path):
+    spans = _traced(tmp_path / "spans.json",
+                    "simulate", "--a", "1", "--steps", "2")
     assert "cli.simulate" in {s["name"] for s in spans}
+
+
+def test_spans_record_each_cached_stage_as_missed_then_hit(tmp_path):
+    """The stage spans, which the benchmark's cache hit and miss counts
+    come from, cover every cached stage of a run and of its rerun."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seed": 7, "corpus": {"synth": vars(TINY_SYNTH)},
+        "systems": ["gop", "gmm", "ivector"],
+        "gmm": {"components": 2, "iters": 3},
+        "ivector": {"dim": 3, "iters": 2, "ubm_components": 2,
+                    "ubm_iters": 3}}))
+    stages = [sorted((s["attrs"]["stage"], s["attrs"]["hit"])
+                     for s in _traced(tmp_path / f"{run}.json",
+                                      "run", str(config))
+                     if s["name"] == "pipeline.stage")
+              for run in ("first", "rerun")]
+    names = ("gmm", "ivector", "svr_ivector", "synth")
+    assert stages == [[(name, hit) for name in names]
+                      for hit in (False, True)]

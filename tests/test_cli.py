@@ -237,18 +237,18 @@ def _dnf_without_classes(d):
     return str(path)
 
 
-def _corpus_without(m, d, what):
-    """A copy of the corpus of manifest `m[1]` in which spk000_utt00 has no
-    alignment or no posteriorgram."""
+def _corpus_without(m, d, what, uid="spk000_utt00"):
+    """A copy of the corpus of manifest `m[1]` in which utterance `uid` has
+    no alignment, posteriorgram or label."""
     root = d / "corpus"
     shutil.copytree(Path(m[1]).parent, root)
-    if what == "alignment":
-        path = root / "alignments.tsv"
+    if what == "posteriorgram":
+        (root / "posteriors" / f"{uid}.post").unlink()
+    else:
+        path = root / f"{what}s.tsv"
         path.write_text("".join(
             line for line in path.read_text().splitlines(True)
-            if not line.startswith("spk000_utt00\t")))
-    else:
-        (root / "posteriors" / "spk000_utt00.post").unlink()
+            if not line.startswith(f"{uid}\t")))
     return str(root / "manifest.tsv")
 
 
@@ -339,6 +339,33 @@ def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv):
     _, manifest = corpus_dir
     assert main(argv(["--manifest", str(manifest)], tmp_path)) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, split", [
+    ("run", "train"), ("run", "dev"), ("run", "eval"),
+    ("train-svr", "train"), ("train-dnf", "train")])
+def test_unlabeled_utterance_exits_2(corpus_dir, tmp_path, capsys, command,
+                                     split):
+    """An utterance of a split without a label is a data error that names
+    it; `run` finds it before any stage trains."""
+    corpus, manifest = corpus_dir
+    uid = getattr(corpus.splits, f"{split}_ids")[0]
+    m = ["--manifest", _corpus_without(
+        ["--manifest", str(manifest)], tmp_path, "label", uid)]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seed": 7, "corpus": {"manifest": m[1]},
+        "systems": ["gop", "ivector"], "ivector": {
+            "dim": 3, "iters": 2, "ubm_components": 2, "ubm_iters": 3}}))
+    argv = {"run": ["run", str(config)],
+            "train-svr": ["train-svr", *m, "--out", str(tmp_path / "s.psvr"),
+                          "--embeddings", _embeddings(m, tmp_path)],
+            "train-dnf": ["train-dnf", *m, "--out", str(tmp_path / "d.pdnf"),
+                          "--epochs", "1"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: no label for utterance {uid} (1 missing)")
+    assert list(tmp_path.glob("models/*")) == []
 
 
 def _model_of_dim_2(d, system):

@@ -3,11 +3,9 @@ import pytest
 
 from proscore.corpus import FeatureSequence
 from proscore.dnf import (DnfError, DnfModel, classes_from_mean_scores,
-                          dnf_embed, dnf_logprob, dnf_train, init_class_means)
-from proscore.flow import (AdamConfig, build_flow, flow_embed, flow_logprob,
-                           flow_train, flow_transform, nll_and_grads)
-
-LOG_2PI = np.log(2 * np.pi)
+                          dnf_embed, dnf_train, init_class_means)
+from proscore.flow import (AdamConfig, build_flow, flow_embed, flow_train,
+                           flow_transform, nll_and_grads)
 
 
 def _two_class_data(rng, n=300, d=4):
@@ -20,40 +18,7 @@ def _two_class_data(rng, n=300, d=4):
 
 
 # ---------------------------------------------------------------------------
-# log-density
-
-
-def test_logprob_at_class_mean_identity_backbone():
-    backbone = build_flow(4, 2, 8, seed=0)
-    means = np.array([[1.0, -1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    m = DnfModel(backbone, means)
-    val = dnf_logprob(m, means[:1], class_id=0)[0]
-    assert val == pytest.approx(-2.0 * LOG_2PI, abs=1e-12)
-
-
-def test_logprob_zero_means_reduces_to_flow():
-    backbone = build_flow(4, 2, 8, seed=1)
-    rng = np.random.default_rng(1)
-    for p in backbone.params():
-        p += 0.2 * rng.standard_normal(p.shape)
-    m = DnfModel(backbone, np.zeros((3, 4)))
-    batch = rng.standard_normal((10, 4))
-    for s in range(3):
-        np.testing.assert_array_equal(dnf_logprob(m, batch, s),
-                                      flow_logprob(backbone, batch))
-
-
-def test_logprob_prefers_nearer_class_mean():
-    backbone = build_flow(2, 2, 8, seed=2)
-    m = DnfModel(backbone, np.array([[2.0, 0.0], [-2.0, 0.0]]))
-    o = np.array([[1.5, 0.2]])
-    assert dnf_logprob(m, o, 0)[0] > dnf_logprob(m, o, 1)[0]
-
-
-def test_logprob_class_id_range():
-    m = DnfModel(build_flow(2, 2, 8, seed=0), np.zeros((2, 2)))
-    with pytest.raises(DnfError, match="out of range"):
-        dnf_logprob(m, np.zeros((1, 2)), 2)
+# model
 
 
 def test_model_validation():

@@ -348,6 +348,32 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
     assert b"gop+ivector_score_fusion" in out[1][1]
 
 
+def test_an_upstream_change_retrains_only_its_downstream_stages(
+        tmp_path, monkeypatch):
+    """A changed svr section rewrites the SVRs and their stamps alone, and a
+    changed i-vector section the i-vector extractor and its SVR alone; the
+    other files keep their bytes and mtimes."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    cfg = dict(_TINY_RUN, work_dir=str(tmp_path))
+    run_pipeline(cfg)
+
+    def rewritten(**sections) -> list:
+        before = _files(tmp_path / "models")
+        run_pipeline(dict(cfg, **sections))
+        after = _files(tmp_path / "models")
+        assert after.keys() == before.keys()
+        return sorted(p.name for p in after if after[p] != before[p])
+
+    svr = {"C": 2.0}
+    assert rewritten(svr=svr) == [
+        f"svr_{name}.{ext}" for name in ("dnf", "ivector", "nf")
+        for ext in ("digest", "psvr")]
+    ivector = dict(_TINY_RUN["ivector"], ubm_iters=4)
+    assert rewritten(svr=svr, ivector=ivector) == [
+        "ivector.digest", "ivector.pivm", "svr_ivector.digest",
+        "svr_ivector.psvr"]
+
+
 def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     cfg = dict(_TINY_RUN, work_dir=str(tmp_path))
