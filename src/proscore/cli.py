@@ -232,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         keys = ("layers", "width", "epochs", "batch_size", "learning_rate")
         if name == "train-flow":
             p.add_argument("--trace", default=None,
-                           help="optional epoch/NLL TSV output")
+                           help="optional epoch/NLL TSV output: each"
+                           " epoch's mean minibatch loss, the last row the"
+                           " train-split NLL of the saved model")
         else:
             keys += ("classes",)
         stage_flags(p, section, *keys)

@@ -57,7 +57,8 @@ def dnf_train(frames: np.ndarray, frame_class: np.ndarray, cfg: AdamConfig,
     """Joint maximum-likelihood training of backbone and class means.
 
     Every class in [0, num_classes) must occur at least once in
-    `frame_class`. Returns (model, per-epoch mean NLL trace).
+    `frame_class`. Returns (model, NLL trace): per epoch its mean minibatch
+    loss, and last the full-data NLL of the model under its class means.
     """
     frames = np.asarray(frames, dtype=np.float64)
     frame_class = np.asarray(frame_class, dtype=np.int64)

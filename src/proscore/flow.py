@@ -331,12 +331,22 @@ class Adam:
         self.t = 0
 
     def step(self, params, grads):
+        """params -= lr * mhat / (sqrt(vhat) + eps), in place, one operation
+        at a time in that order, so it rounds as the expression would."""
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grads
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grads ** 2
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * grads
+        sq = np.square(grads)
+        sq *= 1 - ADAM_BETA2
+        self.v *= ADAM_BETA2
+        self.v += sq
         mhat = self.m / (1 - ADAM_BETA1 ** self.t)
         vhat = self.v / (1 - ADAM_BETA2 ** self.t)
-        params -= self.cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        np.sqrt(vhat, out=vhat)
+        vhat += ADAM_EPS
+        mhat *= self.cfg.learning_rate
+        mhat /= vhat
+        params -= mhat
 
 
 def _flat_views(arrays):
@@ -353,9 +363,11 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
                class_means=None, frame_class=None, train_means: bool = False):
     """Shared minibatch NLL training loop for NF and DNF.
 
-    Trains `m` (and `class_means` when trainable) in place; returns the
-    per-epoch full-data mean NLL trace. The trained arrays live in one flat
-    buffer for the optimizer, and the model's parameters become views of it.
+    Trains `m` (and `class_means` when trainable) in place; returns the NLL
+    trace: per epoch the mean of its minibatch losses, but last the mean NLL
+    of all `frames` under the trained model, its one full-data pass. The
+    trained arrays live in one flat buffer for the optimizer, and the
+    model's parameters become views of it.
     """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[0]
@@ -374,6 +386,7 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = rng.permutation(n)
+            losses = []
             for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
                 batch = frames[idx]
@@ -381,23 +394,25 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
                 loss, grads, resid = nll_and_grads(m, batch, mu)
                 if not np.isfinite(loss):
                     raise TrainingDivergence(epoch)
+                losses.append(loss)
                 if train_means:
                     gmu = np.zeros_like(means)
                     np.add.at(gmu, frame_class[idx], -resid / len(idx))
                     grads = grads + [gmu]
                 opt.step(flat, np.concatenate([np.ravel(g) for g in grads]))
-            epoch_nll = mean_nll(m, frames,
-                                 None if means is None else means[frame_class])
-            if not np.isfinite(epoch_nll):
-                raise TrainingDivergence(epoch)
-            trace.append(epoch_nll)
+            trace.append(float(np.mean(losses)))
+        trace[-1] = mean_nll(m, frames,
+                             None if means is None else means[frame_class])
+    if not np.isfinite(trace[-1]):
+        raise TrainingDivergence(cfg.epochs - 1)
     if train_means:
         class_means[...] = means
     return trace
 
 
 def flow_train(m: FlowModel, frames: np.ndarray, cfg: AdamConfig):
-    """Maximum-likelihood training; returns (trained copy, NLL trace)."""
+    """Maximum-likelihood training; returns (trained copy, NLL trace): per
+    epoch its mean minibatch loss, and last the full-data NLL of the copy."""
     trained = copy.deepcopy(m)
     trace = train_core(trained, frames, cfg)
     return trained, trace

@@ -387,6 +387,8 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 # the marginal models, in the order this process trains them and in which
 # the first failing one is reported
 MARGINALS = ("gmm", "nf", "dnf", "ivector")
+# the order a pool is sent them in: the longest training first
+LONGEST_FIRST = ("dnf", "nf", "gmm", "ivector")
 # each marginal model's stage seed is the run seed plus its offset; the
 # i-vector extractor's UBM trains as a GMM, under the GMM's seed
 SEED_OFFSETS = {"gmm": 11, "nf": 23, "dnf": 37, "ivector": 41}
@@ -420,9 +422,10 @@ def _training(names, corpus: Corpus, cfg: dict):
     pairs, train() returning the trained model or raising its error.
 
     With two or more of `names` and of CPUs, all of `names` start training
-    here, in spawned workers, and arrive as they finish; else they arrive
-    in the order of `names` and train() trains in this process. No worker
-    outlives the block, on an error neither.
+    here, in spawned workers sent them in LONGEST_FIRST order, and arrive
+    as they finish; else they arrive in the order of `names` and train()
+    trains in this process. No worker outlives the block, on an error
+    neither.
     """
     workers = min(_cpu_count(), len(names))
     if workers < 2:
@@ -440,7 +443,7 @@ def _training(names, corpus: Corpus, cfg: dict):
         try:
             futures = {name: pool.submit(_train_split, name,
                                          _merged(cfg, name), cfg["seed"])
-                       for name in names}
+                       for name in sorted(names, key=LONGEST_FIRST.index)}
             yield ((name, future.result)
                    for name, future in _arrivals(futures))
         except BaseException:
@@ -545,7 +548,8 @@ def _adam(section: dict, seed: int) -> flow.AdamConfig:
 
 
 def train_flow(corpus: Corpus, section: dict, seed: int):
-    """Returns (model, per-epoch NLL trace)."""
+    """Returns (model, NLL trace): per epoch the mean of its minibatch
+    losses, the last entry the full train-split NLL of the model."""
     _check_counts("nf", section)
     frames = corpus.frames_for(corpus.splits.train_ids)
     base = flow.build_flow(frames.shape[1], int(section["layers"]),

@@ -654,6 +654,23 @@ def test_train_dnf_drops_empty_classes(corpus_dir, tmp_path):
                  "--classes", "0"]) == 1
 
 
+def test_train_flow_trace(corpus_dir, tmp_path):
+    """--trace writes one row per epoch, and its last NLL is the train-split
+    NLL of the saved model."""
+    _, manifest = corpus_dir
+    out, trace = tmp_path / "f.pnf1", tmp_path / "trace.tsv"
+    assert main(["train-flow", "--manifest", str(manifest), "--out", str(out),
+                 "--trace", str(trace), "--epochs", "3", "--layers", "2",
+                 "--width", "8", "--batch-size", "64"]) == 0
+    header, *rows = [line.split("\t")
+                     for line in trace.read_text().splitlines()]
+    assert header == ["epoch", "nll"]
+    assert [int(epoch) for epoch, _ in rows] == [0, 1, 2]
+    corpus = load_corpus(manifest)
+    frames = corpus.frames_for(corpus.splits.train_ids)
+    assert float(rows[-1][1]) == flow.mean_nll(flow.load_flow(out), frames)
+
+
 # ---------------------------------------------------------------------------
 # run + synth entry points
 

@@ -256,22 +256,31 @@ class _ListAdam:
 
 
 def _list_adam_train(m, frames, cfg, class_means=None, frame_class=None):
-    """The minibatch loop of train_core, stepping each array on its own."""
+    """The minibatch loop of train_core, stepping each array on its own.
+    Returns its trace: each epoch's mean minibatch loss, the last replaced
+    by the full-batch loss of the trained model."""
     params = m.params() + ([] if class_means is None else [class_means])
     opt = _ListAdam(params, cfg)
     rng = np.random.default_rng(cfg.seed)
     n = frames.shape[0]
+    trace = []
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
+        losses = []
         for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             mu = None if class_means is None else class_means[frame_class[idx]]
-            _, grads, resid = nll_and_grads(m, frames[idx], mu)
+            loss, grads, resid = nll_and_grads(m, frames[idx], mu)
+            losses.append(loss)
             if class_means is not None:
                 gmu = np.zeros_like(class_means)
                 np.add.at(gmu, frame_class[idx], -resid / len(idx))
                 grads = grads + [gmu]
             opt.step(params, grads)
+        trace.append(float(np.mean(losses)))
+    mu = None if class_means is None else class_means[frame_class]
+    trace[-1] = nll_and_grads(m, frames, mu)[0]
+    return trace
 
 
 @pytest.mark.parametrize("with_means", [False, True])
@@ -282,18 +291,54 @@ def test_flat_adam_matches_per_array_adam(with_means):
     cfg = AdamConfig(learning_rate=0.02, batch_size=40, epochs=3, seed=20)
     means = rng.standard_normal((3, 4))
     ref, ref_means = build_flow(4, 3, 8, seed=21), means.copy()
-    _list_adam_train(ref, frames, cfg, ref_means if with_means else None,
-                     frame_class)
+    ref_trace = _list_adam_train(ref, frames, cfg,
+                                 ref_means if with_means else None, frame_class)
     m, trained_means = build_flow(4, 3, 8, seed=21), means.copy()
-    train_core(m, frames, cfg,
-               class_means=trained_means if with_means else None,
-               frame_class=frame_class, train_means=with_means)
+    trace = train_core(m, frames, cfg,
+                       class_means=trained_means if with_means else None,
+                       frame_class=frame_class, train_means=with_means)
+    assert len(trace) == cfg.epochs
+    assert trace == ref_trace
     assert len(m.params()) == len(ref.params())
     for p, q in zip(m.params(), ref.params()):
         np.testing.assert_array_equal(p, q)
     if with_means:
         assert not np.array_equal(trained_means, means)
         np.testing.assert_array_equal(trained_means, ref_means)
+
+
+@pytest.mark.parametrize("epochs", [1, 4])
+@pytest.mark.parametrize("with_means", [False, True])
+def test_training_makes_one_full_data_pass(monkeypatch, epochs, with_means):
+    """train_core runs mean_nll once, after the last epoch, however many
+    epochs it trains."""
+    calls = []
+
+    def counted(m, batch, prior_means=None):
+        calls.append(batch.shape[0])
+        return mean_nll(m, batch, prior_means)
+
+    monkeypatch.setattr(flow, "mean_nll", counted)
+    rng = np.random.default_rng(23)
+    frames = rng.standard_normal((120, 4))
+    cfg = AdamConfig(learning_rate=0.01, batch_size=30, epochs=epochs, seed=24)
+    means = np.zeros((2, 4)) if with_means else None
+    trace = train_core(build_flow(4, 2, 8, seed=25), frames, cfg,
+                       class_means=means, frame_class=rng.integers(0, 2, 120),
+                       train_means=with_means)
+    assert calls == [120]
+    assert len(trace) == epochs
+
+
+def test_non_finite_final_loss_diverges_at_the_last_epoch(monkeypatch):
+    """A trained model whose full-data NLL is not finite raises
+    TrainingDivergence naming the last epoch."""
+    monkeypatch.setattr(flow, "mean_nll", lambda *args: float("nan"))
+    frames = np.random.default_rng(26).standard_normal((120, 4))
+    cfg = AdamConfig(learning_rate=0.01, batch_size=30, epochs=3, seed=27)
+    with pytest.raises(TrainingDivergence) as caught:
+        flow_train(build_flow(4, 2, 8, seed=28), frames, cfg)
+    assert caught.value.epoch == cfg.epochs - 1
 
 
 @pytest.mark.parametrize("dim", [4, 5])

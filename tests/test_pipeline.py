@@ -348,6 +348,16 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
     assert b"gop+ivector_score_fusion" in out[1][1]
 
 
+def test_pool_tasks_go_longest_first(tmp_path, monkeypatch):
+    """A pool is sent the DNF and the NF before the GMM and the i-vector
+    extractor, so that no short task waits in front of a flow."""
+    pools, sent = _counted_pools(monkeypatch)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
+    assert len(pools) == 1
+    assert [args[0] for args in sent] == ["dnf", "nf", "gmm", "ivector"]
+
+
 def test_an_upstream_change_retrains_only_its_downstream_stages(
         tmp_path, monkeypatch):
     """A changed svr section rewrites the SVRs and their stamps alone, and a
@@ -464,9 +474,11 @@ def test_worker_failure_exits_as_in_process(tmp_path, monkeypatch, capsys,
 
 
 def _reversed_arrivals(futures: dict):
-    """The trained models in the reverse of the order they were submitted
-    in, MARGINALS order, so that ivector arrives first and gmm last."""
-    return reversed(list(futures.items()))
+    """The trained models in the reverse of MARGINALS order, so that
+    ivector arrives first and gmm last, whatever order they were sent in."""
+    return sorted(futures.items(),
+                  key=lambda item: pipeline.MARGINALS.index(item[0]),
+                  reverse=True)
 
 
 def _saved_names(monkeypatch) -> list:
