@@ -174,8 +174,6 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ConfigError("steps must be >= 1")
-    if args.a <= 0:
-        raise ConfigError("a must be positive")
     if args.steps == 1:
         deltas = [args.delta_min]
     else:

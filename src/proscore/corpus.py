@@ -184,10 +184,12 @@ class SplitManifest:
         object.__setattr__(self, "train_ids", tuple(self.train_ids))
         object.__setattr__(self, "dev_ids", tuple(self.dev_ids))
         object.__setattr__(self, "eval_ids", tuple(self.eval_ids))
-        groups = (set(self.train_ids), set(self.dev_ids), set(self.eval_ids))
-        total = sum(len(g) for g in groups)
-        if len(groups[0] | groups[1] | groups[2]) != total:
-            raise CorpusError("split lists must be pairwise disjoint")
+        seen = set()
+        for uid in self.train_ids + self.dev_ids + self.eval_ids:
+            if uid in seen:
+                raise CorpusError("split lists must be pairwise disjoint and"
+                                  f" list each utterance once: {uid} repeats")
+            seen.add(uid)
 
     def check_covers(self, utterance_ids) -> None:
         covered = set(self.train_ids) | set(self.dev_ids) | set(self.eval_ids)

@@ -52,8 +52,7 @@ def init_class_means(num_classes: int, dim: int, seed) -> np.ndarray:
 
 def dnf_train(frames: np.ndarray, frame_class: np.ndarray, cfg: AdamConfig,
               num_classes: int | None = None, num_layers: int = 10,
-              width: int = 64, class_means_init: np.ndarray | None = None,
-              train_means: bool = True):
+              width: int = 64):
     """Joint maximum-likelihood training of backbone and class means.
 
     Every class in [0, num_classes) must occur at least once in
@@ -72,15 +71,9 @@ def dnf_train(frames: np.ndarray, frame_class: np.ndarray, cfg: AdamConfig,
         raise DnfError(f"classes with no training frames: {missing.tolist()}")
 
     backbone = build_flow(frames.shape[1], num_layers, width, seed=cfg.seed)
-    if class_means_init is None:
-        class_means = init_class_means(num_classes, frames.shape[1],
-                                       [cfg.seed, 1])
-    else:
-        class_means = np.array(class_means_init, dtype=np.float64)
-        if class_means.shape != (num_classes, frames.shape[1]):
-            raise DnfError("class_means_init has the wrong shape")
+    class_means = init_class_means(num_classes, frames.shape[1], [cfg.seed, 1])
     trace = train_core(backbone, frames, cfg, class_means=class_means,
-                       frame_class=frame_class, train_means=train_means)
+                       frame_class=frame_class)
     return DnfModel(backbone, class_means), trace
 
 

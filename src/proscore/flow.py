@@ -360,10 +360,11 @@ def _flat_views(arrays):
 
 
 def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
-               class_means=None, frame_class=None, train_means: bool = False):
+               class_means=None, frame_class=None):
     """Shared minibatch NLL training loop for NF and DNF.
 
-    Trains `m` (and `class_means` when trainable) in place; returns the NLL
+    Trains `m` in place, and `class_means` too when given: the prior mean
+    of each class, `frame_class` naming each frame's. Returns the NLL
     trace: per epoch the mean of its minibatch losses, but last the mean NLL
     of all `frames` under the trained model, its one full-data pass. The
     trained arrays live in one flat buffer for the optimizer, and the
@@ -374,9 +375,10 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
     if n < cfg.batch_size:
         raise FlowError(f"need at least batch_size={cfg.batch_size} frames, got {n}")
     params = m.params()
-    flat, views = _flat_views(params + ([class_means] if train_means else []))
+    trained = params if class_means is None else params + [class_means]
+    flat, views = _flat_views(trained)
     m.bind(views[:len(params)])
-    means = views[-1] if train_means else class_means
+    means = None if class_means is None else views[-1]
     opt = Adam(flat, cfg)
     rng = np.random.default_rng(cfg.seed)
 
@@ -395,7 +397,7 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
                 if not np.isfinite(loss):
                     raise TrainingDivergence(epoch)
                 losses.append(loss)
-                if train_means:
+                if means is not None:
                     gmu = np.zeros_like(means)
                     np.add.at(gmu, frame_class[idx], -resid / len(idx))
                     grads = grads + [gmu]
@@ -405,7 +407,7 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
                              None if means is None else means[frame_class])
     if not np.isfinite(trace[-1]):
         raise TrainingDivergence(cfg.epochs - 1)
-    if train_means:
+    if means is not None:
         class_means[...] = means
     return trace
 

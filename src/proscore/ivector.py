@@ -111,6 +111,8 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
     if iters < 1:
         raise IVectorError("iters must be >= 1")
     K, D = ubm.num_components, ubm.dim
+    if R > K * D:
+        raise IVectorError(f"i-vector dim R={R} must be <= K*D={K * D}")
     rng = np.random.default_rng(seed)
     # zero loadings are a degenerate EM fixed point, so start from small noise
     loadings = 0.1 * rng.standard_normal((K, D, R))

@@ -205,6 +205,12 @@ def _check_ranges(cfg: dict) -> None:
             check()
         except ValueError as exc:  # the settings error of each check
             raise ConfigError(f"{key}: {exc}") from None
+    ivector = _merged(cfg, "ivector")
+    if "synth" in cfg["corpus"] and "ivector" in cfg.get("systems", DEFAULT_SYSTEMS):
+        bound = ivector["ubm_components"] * _synth_config(cfg)[0].feature_dim
+        if ivector["dim"] > bound:
+            raise ConfigError(f"ivector.dim must be <= ubm_components * feature_dim"
+                              f" = {bound}, got {ivector['dim']}")
 
 
 def _merged(cfg: dict, key: str) -> dict:
@@ -384,11 +390,9 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 # merged config section and its own stage seed; trainers fit the train split.
 
 
-# the marginal models, in the order this process trains them and in which
-# the first failing one is reported
+# the marginal models, in the order they are trained or sent to a pool
+# and in which the first failing one is reported
 MARGINALS = ("gmm", "nf", "dnf", "ivector")
-# the order a pool is sent them in: the longest training first
-LONGEST_FIRST = ("dnf", "nf", "gmm", "ivector")
 # each marginal model's stage seed is the run seed plus its offset; the
 # i-vector extractor's UBM trains as a GMM, under the GMM's seed
 SEED_OFFSETS = {"gmm": 11, "nf": 23, "dnf": 37, "ivector": 41}
@@ -422,10 +426,9 @@ def _training(names, corpus: Corpus, cfg: dict):
     pairs, train() returning the trained model or raising its error.
 
     With two or more of `names` and of CPUs, all of `names` start training
-    here, in spawned workers sent them in LONGEST_FIRST order, and arrive
-    as they finish; else they arrive in the order of `names` and train()
-    trains in this process. No worker outlives the block, on an error
-    neither.
+    here, in spawned workers sent them in the order of `names`, and arrive
+    as they finish; else they arrive in that order and train() trains in
+    this process. No worker outlives the block, on an error neither.
     """
     workers = min(_cpu_count(), len(names))
     if workers < 2:
@@ -443,7 +446,7 @@ def _training(names, corpus: Corpus, cfg: dict):
         try:
             futures = {name: pool.submit(_train_split, name,
                                          _merged(cfg, name), cfg["seed"])
-                       for name in sorted(names, key=LONGEST_FIRST.index)}
+                       for name in names}
             yield ((name, future.result)
                    for name, future in _arrivals(futures))
         except BaseException:

@@ -13,7 +13,7 @@ from proscore import dnf, flow, formats, gmm, ivector, regress
 from proscore.cli import build_parser, main
 from proscore.corpus import load_corpus, save_corpus, synth_corpus
 from proscore.formats import DataError
-from proscore.pipeline import default_config, save_model
+from proscore.pipeline import default_config, save_model, validate_config
 
 from conftest import TINY_SYNTH
 
@@ -368,6 +368,27 @@ def test_unlabeled_utterance_exits_2(corpus_dir, tmp_path, capsys, command,
     assert list(tmp_path.glob("models/*")) == []
 
 
+def test_utterance_listed_twice_in_a_split_exits_2(corpus_dir, tmp_path,
+                                                  capsys):
+    """An utterance that one split lists twice would count twice in that
+    split's PCCs: a data error that names it, before any stage trains."""
+    corpus, manifest = corpus_dir
+    root = tmp_path / "corpus"
+    shutil.copytree(manifest.parent, root)
+    uid = corpus.splits.eval_ids[0]
+    with open(root / "splits.tsv", "a", encoding="utf-8") as f:
+        f.write(f"{uid}\teval\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seed": 7, "corpus": {"manifest": str(root / "manifest.tsv")},
+        "systems": ["gop", "gmm"], "gmm": {"components": 2, "iters": 3}}))
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: split lists must be pairwise disjoint")
+    assert f"{uid} repeats" in err
+    assert list(tmp_path.glob("models/*")) == []
+
+
 def _model_of_dim_2(d, system):
     ubm = gmm.GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
     backbone = flow.build_flow(2, 2, 4)
@@ -541,6 +562,41 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys, section, message):
     assert main(["run", str(cfg)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_ivector_dim_above_its_bound_exits_1(tmp_path, capsys):
+    """An i-vector dim above ubm_components x feature_dim fails before any
+    work when the run trains an i-vector extractor, and only then."""
+    cfg = {"seed": 1, "corpus": {"synth": {
+        "num_speakers": 10, "utterances_per_speaker": 3, "feature_dim": 6}},
+        "systems": ["gop", "ivector"],
+        "ivector": {"dim": 20, "ubm_components": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "cfg.json")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: ivector.dim must be <= ubm_components * feature_dim"
+        " = 12, got 20")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    validate_config(dict(cfg, systems=["gop"]))
+
+
+def test_train_ivector_dim_above_its_bound_exits_2_before_em(
+        corpus_dir, tmp_path, capsys, monkeypatch):
+    """With a manifest corpus the bound is checked by the T-matrix EM,
+    before its first E-step."""
+    def no_posterior(*args):
+        raise AssertionError("T-matrix EM ran with an i-vector dim above K*D")
+
+    monkeypatch.setattr(ivector, "_posterior", no_posterior)
+    ubm = tmp_path / "ubm.pgmm"
+    gmm.save_gmm(ubm, gmm.GmmModel(np.full(2, 0.5), np.zeros((2, 6)),
+                                   np.ones((2, 6))))
+    assert main(["train-ivector", "--manifest", str(corpus_dir[1]),
+                 "--ubm", str(ubm), "--dim", "13",
+                 "--out", str(tmp_path / "iv.pivm")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: i-vector dim R=13 must be <= K*D=12")
+    assert not (tmp_path / "iv.pivm").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -65,6 +65,11 @@ def test_split_manifest_disjoint_and_coverage():
         m.check_covers(["a", "b", "c", "d"])
 
 
+def test_split_manifest_rejects_an_utterance_listed_twice_in_one_split():
+    with pytest.raises(CorpusError, match="spk003_utt00 repeats"):
+        SplitManifest(["a"], ["b"], ["spk003_utt00", "c", "spk003_utt00"])
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 

@@ -66,24 +66,6 @@ def test_train_rejects_shape_mismatch():
         dnf_train(np.zeros((10, 4)), np.zeros(9, dtype=np.int64), cfg)
 
 
-def test_zero_frozen_means_reduces_to_flow_train():
-    """With all class means frozen at zero the training trajectory is
-    bitwise identical to the vanilla flow's."""
-    rng = np.random.default_rng(4)
-    frames = rng.standard_normal((256, 4)) + 1.0
-    classes = rng.integers(0, 2, size=256)
-    cfg = AdamConfig(learning_rate=0.003, batch_size=64, epochs=3, seed=5)
-    dnf_model, dnf_trace = dnf_train(frames, classes, cfg, num_classes=2,
-                                     num_layers=2, width=8,
-                                     class_means_init=np.zeros((2, 4)),
-                                     train_means=False)
-    base = build_flow(4, 2, 8, seed=cfg.seed)
-    flow_model, flow_trace = flow_train(base, frames, cfg)
-    assert dnf_trace == flow_trace
-    for p1, p2 in zip(dnf_model.backbone.params(), flow_model.params()):
-        np.testing.assert_array_equal(p1, p2)
-
-
 def test_gradient_check_including_class_means():
     rng = np.random.default_rng(6)
     frames = rng.standard_normal((8, 4))

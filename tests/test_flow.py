@@ -296,7 +296,7 @@ def test_flat_adam_matches_per_array_adam(with_means):
     m, trained_means = build_flow(4, 3, 8, seed=21), means.copy()
     trace = train_core(m, frames, cfg,
                        class_means=trained_means if with_means else None,
-                       frame_class=frame_class, train_means=with_means)
+                       frame_class=frame_class)
     assert len(trace) == cfg.epochs
     assert trace == ref_trace
     assert len(m.params()) == len(ref.params())
@@ -324,8 +324,7 @@ def test_training_makes_one_full_data_pass(monkeypatch, epochs, with_means):
     cfg = AdamConfig(learning_rate=0.01, batch_size=30, epochs=epochs, seed=24)
     means = np.zeros((2, 4)) if with_means else None
     trace = train_core(build_flow(4, 2, 8, seed=25), frames, cfg,
-                       class_means=means, frame_class=rng.integers(0, 2, 120),
-                       train_means=with_means)
+                       class_means=means, frame_class=rng.integers(0, 2, 120))
     assert calls == [120]
     assert len(trace) == epochs
 

@@ -348,14 +348,14 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
     assert b"gop+ivector_score_fusion" in out[1][1]
 
 
-def test_pool_tasks_go_longest_first(tmp_path, monkeypatch):
-    """A pool is sent the DNF and the NF before the GMM and the i-vector
-    extractor, so that no short task waits in front of a flow."""
+def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
+    """A pool is sent its tasks in the order this process would train
+    them: MARGINALS order."""
     pools, sent = _counted_pools(monkeypatch)
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
     assert len(pools) == 1
-    assert [args[0] for args in sent] == ["dnf", "nf", "gmm", "ivector"]
+    assert [args[0] for args in sent] == ["gmm", "nf", "dnf", "ivector"]
 
 
 def test_an_upstream_change_retrains_only_its_downstream_stages(
