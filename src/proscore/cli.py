@@ -37,6 +37,14 @@ def _section(args) -> dict:
     return {key: getattr(args, key) for key in args.section}
 
 
+def _number_or_text(text):
+    """A text flag's value: a number if it is one, as svr.gamma may be."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _save(args, model) -> int:
     pipeline.save_model(args.out, model)
     print(f"model written to {args.out}")
@@ -61,13 +69,13 @@ def cmd_synth(args) -> int:
 
 def cmd_train_gmm(args) -> int:
     return _save(args, pipeline.train_gmm(load_corpus(args.manifest),
-                                          _section(args), args.seed or 0))
+                                          _section(args), args.seed or 0)[0])
 
 
 def cmd_train_ivector(args) -> int:
     corpus = load_corpus(args.manifest)
     return _save(args, pipeline.train_ivector(corpus, gmm.load_gmm(args.ubm),
-                                              _section(args), args.seed or 0))
+                                              _section(args), args.seed or 0)[0])
 
 
 def cmd_train_flow(args) -> int:
@@ -81,7 +89,7 @@ def cmd_train_flow(args) -> int:
 
 def cmd_train_dnf(args) -> int:
     return _save(args, pipeline.train_dnf(load_corpus(args.manifest),
-                                          _section(args), args.seed or 0))
+                                          _section(args), args.seed or 0)[0])
 
 
 def cmd_train_svr(args) -> int:  # SMO is deterministic: --seed is unused
@@ -153,8 +161,6 @@ def cmd_score(args) -> int:
 def cmd_fuse(args) -> int:
     if args.lam is not None and not 0.0 <= args.lam <= 1.0:
         raise ConfigError(f"--lambda must lie in [0,1], got {args.lam}")
-    if not args.grid_step > 0:
-        raise ConfigError(f"--grid-step must be > 0, got {args.grid_step}")
     lam, fused = pipeline.fuse(assess.read_score_table(args.scores),
                                assess.read_score_table(args.dev_scores),
                                _section(args), args.lam)
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, stage=None)
         p.add_argument("--seed", type=int, default=None)
         return p
 
@@ -199,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         # --KEY for each KEY of a config section, defaulting to the preset
         preset = pipeline.default_config()[section]
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), type=type(preset[key]),
+            kind = type(preset[key])
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=_number_or_text if kind is str else kind,
                            default=preset[key], choices=choices.get(key))
-        p.set_defaults(section=keys)
+        p.set_defaults(stage=section, section=keys)
 
     p = add("run", cmd_run, help="run the full pipeline from a config file")
     p.add_argument("config")
@@ -286,6 +294,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            pipeline.check_seed(args.seed)
+        if args.stage:  # before the subcommand reads any file
+            pipeline.check_section(args.stage, _section(args))
         return args.func(args)
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

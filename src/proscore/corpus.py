@@ -464,6 +464,8 @@ class SynthConfig:
             raise CorpusError("scales and noise levels must be >= 0")
         if not (0 < self.eval_fraction < 1 and 0 <= self.dev_fraction < 1):
             raise CorpusError("split fractions out of range")
+        if self.seed < 0:
+            raise CorpusError(f"seed must be >= 0, got {self.seed}")
 
 
 def synth_corpus(cfg: SynthConfig):

@@ -51,27 +51,24 @@ def init_class_means(num_classes: int, dim: int, seed) -> np.ndarray:
 
 
 def dnf_train(frames: np.ndarray, frame_class: np.ndarray, cfg: AdamConfig,
-              num_classes: int | None = None, num_layers: int = 10,
-              width: int = 64):
+              num_layers: int = 10, width: int = 64):
     """Joint maximum-likelihood training of backbone and class means.
 
-    Every class in [0, num_classes) must occur at least once in
-    `frame_class`. Returns (model, NLL trace): per epoch its mean minibatch
-    loss, and last the full-data NLL of the model under its class means.
+    Each class from 0 to the largest in `frame_class` must occur in it.
+    Returns (model, NLL trace): per epoch its mean minibatch loss, and last
+    the full-data NLL of the model under its class means.
     """
     frames = np.asarray(frames, dtype=np.float64)
     frame_class = np.asarray(frame_class, dtype=np.int64)
     if frame_class.shape != (frames.shape[0],):
         raise DnfError("frame_class must assign one class per frame")
-    if num_classes is None:
-        num_classes = int(frame_class.max()) + 1
-    present = np.bincount(frame_class, minlength=num_classes)
+    present = np.bincount(frame_class)
     missing = np.nonzero(present == 0)[0]
     if missing.size:
         raise DnfError(f"classes with no training frames: {missing.tolist()}")
 
     backbone = build_flow(frames.shape[1], num_layers, width, seed=cfg.seed)
-    class_means = init_class_means(num_classes, frames.shape[1], [cfg.seed, 1])
+    class_means = init_class_means(len(present), frames.shape[1], [cfg.seed, 1])
     trace = train_core(backbone, frames, cfg, class_means=class_means,
                        frame_class=frame_class)
     return DnfModel(backbone, class_means), trace

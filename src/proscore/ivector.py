@@ -53,8 +53,7 @@ class IVectorModel:
         K, D, R = T.shape
         if (K, D) != (self.ubm.num_components, self.ubm.dim):
             raise IVectorError("loadings do not match the UBM shape")
-        if R > K * D:
-            raise IVectorError(f"i-vector dim R={R} must be <= K*D={K * D}")
+        check_dim(R, K, D)
 
     @property
     def dim(self) -> int:
@@ -64,6 +63,13 @@ class IVectorModel:
     def precision_terms(self):
         """The `_precision_terms` of the loadings, computed once."""
         return _precision_terms(self.loadings, 1.0 / self.ubm.variances)
+
+
+def check_dim(R: int, K: int, D: int) -> None:
+    """IVectorError unless an i-vector dim R is at most K*D, the dim of the
+    supervector of a UBM of K components of dim D."""
+    if R > K * D:
+        raise IVectorError(f"i-vector dim R={R} must be <= K*D={K * D}")
 
 
 def ubm_stats(m: GmmModel, fs: FeatureSequence) -> BaumWelchStats:
@@ -111,8 +117,7 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
     if iters < 1:
         raise IVectorError("iters must be >= 1")
     K, D = ubm.num_components, ubm.dim
-    if R > K * D:
-        raise IVectorError(f"i-vector dim R={R} must be <= K*D={K * D}")
+    check_dim(R, K, D)
     rng = np.random.default_rng(seed)
     # zero loadings are a degenerate EM fixed point, so start from small noise
     loadings = 0.1 * rng.standard_normal((K, D, R))

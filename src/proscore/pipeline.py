@@ -12,7 +12,10 @@ while the others still train. Every process runs one BLAS thread (see
 the package docstring), so where a model trains changes none of its
 bytes. The report keeps a fixed row order. The stage functions below
 `run_pipeline` are also what the CLI subcommands call, so a step-by-step
-CLI chain with the stage seeds reproduces the models of a run.
+CLI chain with the stage seeds reproduces the models of a run. Each
+trainer returns (model, trace). `check_section` checks a config section's
+settings, for `run` and for a subcommand's stage flags alike, before any
+file is read; the stage functions check none of them again.
 """
 
 from __future__ import annotations
@@ -102,25 +105,6 @@ def _check_type(name: str, value, preset) -> None:
         raise ConfigError(f"{name}: expected {want.__name__}, got {value!r}")
 
 
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(cls)}
-
-
-def _check_section(key: str, section, preset: dict) -> None:
-    """ConfigError unless `section` sets only keys of `preset`, each to a
-    value of the preset's type."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key}: expected an object, got {section!r}")
-    unknown = sorted(set(section) - set(preset))
-    if unknown:
-        raise ConfigError(f"{key}: unknown settings {unknown}")
-    for name, value in section.items():
-        want = preset[name]
-        if key == "svr" and name == "gamma" and value != "scale":
-            want = 0.0  # "scale" or a number
-        _check_type(f"{key}.{name}", value, want)
-
-
 def _check_names(name: str, value, allowed, what: str) -> None:
     if (type(value) not in (list, tuple)
             or not all(type(v) is str for v in value)):
@@ -130,10 +114,16 @@ def _check_names(name: str, value, allowed, what: str) -> None:
             raise ConfigError(f"unknown {what} {v!r}")
 
 
+def check_seed(seed) -> None:
+    _check_type("seed", seed, 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def validate_config(cfg: dict) -> None:
     if "seed" not in cfg:
         raise ConfigError("missing required field: seed")
-    _check_type("seed", cfg["seed"], 0)
+    check_seed(cfg["seed"])
     corpus_cfg = cfg.get("corpus")
     if not isinstance(corpus_cfg, dict):
         raise ConfigError("missing required field: corpus")
@@ -145,72 +135,70 @@ def validate_config(cfg: dict) -> None:
         if not isinstance(value, (str, os.PathLike)):
             raise ConfigError(f"{name}: expected a path, got {value!r}")
     if "synth" in corpus_cfg:
-        _check_section("corpus.synth", corpus_cfg["synth"],
-                       _defaults(SynthConfig))
+        check_section("corpus.synth", corpus_cfg["synth"])
     elif "manifest" not in corpus_cfg:
         raise ConfigError("corpus must define either 'synth' or 'manifest'")
     for key, preset in default_config().items():
-        if not isinstance(preset, dict) or key == "corpus":
-            continue
-        if key == "svr":  # SvrParams(**section) also reads tol, max_passes
-            preset = _defaults(regress.SvrParams)
-        _check_section(key, cfg.get(key, {}), preset)
+        if isinstance(preset, dict) and key != "corpus":
+            check_section(key, cfg.get(key, {}))
     _check_names("systems", cfg.get("systems", list(DEFAULT_SYSTEMS)),
                  DEFAULT_SYSTEMS, "system")
-    _check_names("fusion.modes",
-                 cfg.get("fusion", {}).get("modes", list(DEFAULT_FUSION_MODES)),
-                 DEFAULT_FUSION_MODES, "fusion mode")
-    _check_ranges(cfg)
+    iv = _merged(cfg, "ivector")
+    if "synth" in corpus_cfg and "ivector" in cfg.get("systems", DEFAULT_SYSTEMS):
+        bound = iv["ubm_components"] * _synth_config(cfg)[0].feature_dim
+        if iv["dim"] > bound:
+            raise ConfigError(f"ivector.dim must be <= ubm_components * feature_dim"
+                              f" = {bound}, got {iv['dim']}")
 
 
-# the least value of each count, width and EM iteration setting; the
-# trainer stages check the settings they are given, for the CLI
+# the least value of each count, width and EM iteration setting
 _LOWER_BOUNDS = {"gmm": {"components": 1, "iters": 0},
                  "ivector": {"dim": 1, "iters": 1, "ubm_components": 1,
                              "ubm_iters": 0},
                  "nf": {"layers": 1, "width": 1},
                  "dnf": {"layers": 1, "width": 1, "classes": 1}}
+# the settings object that each section's stage builds, to check it by
+_SETTINGS = {"svr": lambda s: regress.SvrParams(**s),
+             "nf": lambda s: _adam(s, 0), "dnf": lambda s: _adam(s, 0),
+             "fusion": lambda s: assess.FusionConfig(0.0, s["normalization"]),
+             "corpus.synth": lambda s: SynthConfig(**s).validate()}
 
 
-def _check_counts(key: str, section: dict) -> None:
-    for name, low in _LOWER_BOUNDS[key].items():
-        if name in section and section[name] < low:
+def check_section(key: str, section) -> None:
+    """ConfigError unless config section `key` (such as "gmm" or
+    "corpus.synth") sets only keys of the preset, each to a value of the
+    preset's type, and its stage accepts it merged over the preset."""
+    cls = {"svr": regress.SvrParams, "corpus.synth": SynthConfig}.get(key)
+    # a settings class may read keys that the preset does not set (svr.tol)
+    preset = ({f.name: f.default for f in dataclasses.fields(cls)} if cls
+              else default_config()[key])
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected an object, got {section!r}")
+    unknown = sorted(set(section) - set(preset))
+    if unknown:
+        raise ConfigError(f"{key}: unknown settings {unknown}")
+    for name, value in section.items():
+        want = preset[name]
+        if key == "svr" and name == "gamma" and value != "scale":
+            want = 0.0  # "scale" or a number
+        _check_type(f"{key}.{name}", value, want)
+    merged = {**preset, **section}
+    for name, low in _LOWER_BOUNDS.get(key, {}).items():
+        if merged[name] < low:
             raise ConfigError(f"{key}.{name} must be >= {low},"
-                              f" got {section[name]}")
-
-
-def _check_ranges(cfg: dict) -> None:
-    """ConfigError for a value that a stage's own check would reject, so
-    that a run fails before its first stage rather than in it."""
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
-    for key in _LOWER_BOUNDS:
-        _check_counts(key, _merged(cfg, key))
-    mode = _merged(cfg, "gop")["mode"]
-    if mode not in gop.GOP_MODES:
-        raise ConfigError(f"gop.mode: unknown GOP mode {mode!r}")
-    fusion = _merged(cfg, "fusion")
-    if not fusion["grid_step"] > 0:
-        raise ConfigError(
-            f"fusion.grid_step must be > 0, got {fusion['grid_step']}")
-    checks = [("svr", lambda: regress.SvrParams(**_merged(cfg, "svr"))),
-              ("nf", lambda: _adam(_merged(cfg, "nf"), 0)),
-              ("dnf", lambda: _adam(_merged(cfg, "dnf"), 0)),
-              ("fusion", lambda: assess.FusionConfig(
-                  0.0, fusion["normalization"]))]
-    if "synth" in cfg["corpus"]:
-        checks.append(("corpus.synth", lambda: _synth_config(cfg)[0].validate()))
-    for key, check in checks:
-        try:
-            check()
-        except ValueError as exc:  # the settings error of each check
-            raise ConfigError(f"{key}: {exc}") from None
-    ivector = _merged(cfg, "ivector")
-    if "synth" in cfg["corpus"] and "ivector" in cfg.get("systems", DEFAULT_SYSTEMS):
-        bound = ivector["ubm_components"] * _synth_config(cfg)[0].feature_dim
-        if ivector["dim"] > bound:
-            raise ConfigError(f"ivector.dim must be <= ubm_components * feature_dim"
-                              f" = {bound}, got {ivector['dim']}")
+                              f" got {merged[name]}")
+    if key == "gop" and merged["mode"] not in gop.GOP_MODES:
+        raise ConfigError(f"gop.mode: unknown GOP mode {merged['mode']!r}")
+    if key == "fusion":
+        _check_names("fusion.modes", merged["modes"], DEFAULT_FUSION_MODES,
+                     "fusion mode")
+        if not merged["grid_step"] > 0:
+            raise ConfigError(
+                f"fusion.grid_step must be > 0, got {merged['grid_step']}")
+    try:
+        _SETTINGS.get(key, lambda s: None)(merged)
+    except ValueError as exc:  # the settings error of each settings object
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _merged(cfg: dict, key: str) -> dict:
@@ -282,6 +270,10 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     cache = StageCache(model_dir, force)
 
     corpus, corpus_key = _corpus_stage(cfg, work, force)
+    if "ivector" in cfg.get("systems", DEFAULT_SYSTEMS):  # before any training
+        iv = _merged(cfg, "ivector")
+        ivector.check_dim(iv["dim"], iv["ubm_components"],
+                          next(iter(corpus.features.values())).dim)
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
@@ -369,7 +361,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
         for name, train in itertools.chain(hits, arrivals):
             _release_heap()
             try:
-                downstream(name, cached(name, train))
+                downstream(name, cached(name, lambda: train()[0]))
             except Exception as exc:  # the others are still saved
                 failures[name] = exc
     if failures:  # the same one whatever order the models arrived in
@@ -406,24 +398,25 @@ REPORT_ROWS = ("human", "gop", "gmm_loglik", "nf_loglik",
 
 
 def train_marginal(name: str, corpus: Corpus, section: dict, run_seed: int):
-    """Marginal model `name` of MARGINALS, trained under its stage seed: the
-    run seed plus its SEED_OFFSETS entry. A CLI train subcommand's --seed is
-    that stage seed. A module function, so a spawned worker can run it."""
+    """(model, trace) of marginal model `name` of MARGINALS, trained under
+    its stage seed: the run seed plus its SEED_OFFSETS entry. A CLI train
+    subcommand's --seed is that stage seed. A module function, so a spawned
+    worker can run it."""
     seed = run_seed + SEED_OFFSETS[name]
     if name == "ivector":
         ubm = train_marginal("gmm", corpus, {
             "components": section["ubm_components"],
-            "iters": section["ubm_iters"]}, run_seed)
+            "iters": section["ubm_iters"]}, run_seed)[0]
         return train_ivector(corpus, ubm, section, seed)
-    if name == "nf":
-        return train_flow(corpus, section, seed)[0]
-    return {"gmm": train_gmm, "dnf": train_dnf}[name](corpus, section, seed)
+    return {"gmm": train_gmm, "nf": train_flow,
+            "dnf": train_dnf}[name](corpus, section, seed)
 
 
 @contextmanager
 def _training(names, corpus: Corpus, cfg: dict):
     """Yield marginal models `names` of `cfg` as they arrive: (name, train)
-    pairs, train() returning the trained model or raising its error.
+    pairs, train() returning train_marginal's (model, trace) or raising its
+    error.
 
     With two or more of `names` and of CPUs, all of `names` start training
     here, in spawned workers sent them in the order of `names`, and arrive
@@ -525,23 +518,21 @@ def score_gop(corpus: Corpus, section: dict, ids) -> dict:
             for uid in ids}
 
 
-def train_gmm(corpus: Corpus, section: dict, seed: int) -> gmm.GmmModel:
-    _check_counts("gmm", section)
-    model, _trace = gmm.gmm_train(corpus.frames_for(corpus.splits.train_ids),
-                                  int(section["components"]),
-                                  int(section["iters"]), seed)
-    return model
+def train_gmm(corpus: Corpus, section: dict, seed: int):
+    """Returns (model, EM trace) as `gmm.gmm_train` does."""
+    return gmm.gmm_train(corpus.frames_for(corpus.splits.train_ids),
+                         int(section["components"]), int(section["iters"]),
+                         seed)
 
 
 def train_ivector(corpus: Corpus, ubm: gmm.GmmModel, section: dict,
-                  seed: int) -> ivector.IVectorModel:
-    """T-matrix EM on the train split's statistics under a trained UBM."""
-    _check_counts("ivector", section)
+                  seed: int):
+    """T-matrix EM on the train split's statistics under a trained UBM;
+    returns (model, evidence trace) as `ivector.tmatrix_train` does."""
     stats = [ivector.ubm_stats(ubm, corpus.features[uid])
              for uid in corpus.splits.train_ids]
-    model, _trace = ivector.tmatrix_train(ubm, stats, int(section["dim"]),
-                                          int(section["iters"]), seed)
-    return model
+    return ivector.tmatrix_train(ubm, stats, int(section["dim"]),
+                                 int(section["iters"]), seed)
 
 
 def _adam(section: dict, seed: int) -> flow.AdamConfig:
@@ -553,17 +544,16 @@ def _adam(section: dict, seed: int) -> flow.AdamConfig:
 def train_flow(corpus: Corpus, section: dict, seed: int):
     """Returns (model, NLL trace): per epoch the mean of its minibatch
     losses, the last entry the full train-split NLL of the model."""
-    _check_counts("nf", section)
     frames = corpus.frames_for(corpus.splits.train_ids)
     base = flow.build_flow(frames.shape[1], int(section["layers"]),
                            int(section["width"]), seed=seed)
     return flow.flow_train(base, frames, _adam(section, seed))
 
 
-def train_dnf(corpus: Corpus, section: dict, seed: int) -> dnf.DnfModel:
+def train_dnf(corpus: Corpus, section: dict, seed: int):
     """DNF over rounded mean-score classes; classes with no train frames
-    are dropped and the rest renumbered densely."""
-    _check_counts("dnf", section)
+    are dropped and the rest renumbered densely. Returns (model, NLL
+    trace) as `train_flow` does."""
     num_classes = int(section["classes"])
     train_ids = corpus.splits.train_ids
     _check_ids(train_ids, corpus.labels, "label")
@@ -571,13 +561,11 @@ def train_dnf(corpus: Corpus, section: dict, seed: int) -> dnf.DnfModel:
         [corpus.labels[uid].mean_score for uid in train_ids], num_classes)
     frame_class = np.repeat(utt_class, [corpus.features[uid].num_frames
                                         for uid in train_ids])
-    present, frame_class = np.unique(frame_class, return_inverse=True)
-    model, _trace = dnf.dnf_train(corpus.frames_for(train_ids), frame_class,
-                                  _adam(section, seed),
-                                  num_classes=len(present),
-                                  num_layers=int(section["layers"]),
-                                  width=int(section["width"]))
-    return model
+    frame_class = np.unique(frame_class, return_inverse=True)[1]
+    return dnf.dnf_train(corpus.frames_for(train_ids), frame_class,
+                         _adam(section, seed),
+                         num_layers=int(section["layers"]),
+                         width=int(section["width"]))
 
 
 def train_svr(corpus: Corpus, emb: dict, section: dict) -> regress.SvrModel:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import proscore
-from proscore import dnf, flow, formats, gmm, ivector, regress
+from proscore import dnf, flow, formats, gmm, ivector, pipeline, regress
 from proscore.cli import build_parser, main
 from proscore.corpus import load_corpus, save_corpus, synth_corpus
 from proscore.formats import DataError
@@ -552,7 +552,9 @@ def test_bad_section_value_type_exits_1(tmp_path, capsys, section):
     ({"nf": {"width": 0}}, "nf.width must be >= 1"),
     ({"dnf": {"width": 0}}, "dnf.width must be >= 1"),
     ({"svr": {"max_passes": -1}}, "svr: max_passes must be >= 0"),
-    ({"svr": {"tol": -1.0}}, "svr: tol must be positive")])
+    ({"svr": {"tol": -1.0}}, "svr: tol must be positive"),
+    ({"corpus": {"synth": {"seed": -1}}},
+     "corpus.synth: seed must be >= 0, got -1")])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, section, message):
     """A value that a stage's own check rejects fails before any work."""
     cfg = tmp_path / "cfg.json"
@@ -599,7 +601,23 @@ def test_train_ivector_dim_above_its_bound_exits_2_before_em(
     assert not (tmp_path / "iv.pivm").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
+def test_manifest_run_ivector_dim_above_its_bound_exits_2_before_training(
+        corpus_dir, tmp_path, capsys):
+    """With a manifest corpus, `run` checks the i-vector bound against the
+    corpus's feature dim as the corpus loads, so no model file or stamp is
+    written."""
+    cfg = {"seed": 1, "corpus": {"manifest": str(corpus_dir[1])},
+           "systems": ["gop", "gmm", "ivector"],
+           "ivector": {"dim": 20, "ubm_components": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: i-vector dim R=20 must be <= K*D=12")
+    assert list((tmp_path / "models").iterdir()) == []
+
+
+# a stage flag's value that its config section may not hold
+_BAD_STAGE_FLAGS = [
     (["train-gmm", "--components", "0"], "gmm.components must be >= 1"),
     (["train-flow", "--layers", "0"], "nf.layers must be >= 1"),
     (["train-dnf", "--classes", "0"], "dnf.classes must be >= 1"),
@@ -609,7 +627,10 @@ def test_train_ivector_dim_above_its_bound_exits_2_before_em(
     (["train-gmm", "--iters", "-1"], "gmm.iters must be >= 0"),
     (["train-flow", "--width", "0"], "nf.width must be >= 1"),
     (["fuse", "--scores", "s.tsv", "--dev-scores", "d.tsv", "--grid-step", "0"],
-     "--grid-step must be > 0")])
+     "fusion.grid_step must be > 0")]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_STAGE_FLAGS)
 def test_stage_flag_below_one_exits_1(corpus_dir, tmp_path, capsys, argv,
                                       message):
     # UBM stands for a model file that loads; the check comes before its use
@@ -619,6 +640,36 @@ def test_stage_flag_below_one_exits_1(corpus_dir, tmp_path, capsys, argv,
     assert main([*argv, "--out", str(tmp_path / "m.bin")]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    *_BAD_STAGE_FLAGS,
+    (["train-dnf", "--seed", "-1"], "seed must be >= 0, got -1")])
+def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, argv,
+                                                  message):
+    """Stage flags and --seed are checked before a subcommand opens a file:
+    the manifest, UBM and score tables named here do not exist."""
+    missing = str(tmp_path / "missing")
+    argv = [missing if a in ("UBM", "s.tsv", "d.tsv") else a for a in argv]
+    if argv[0] != "fuse":
+        argv += ["--manifest", missing]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_svr_gamma_flag_is_a_number(corpus_dir, tmp_path):
+    """--gamma 0.5 trains the SVR of the svr section {"gamma": 0.5}."""
+    m = ["--manifest", str(corpus_dir[1])]
+    emb = _embeddings(m, tmp_path)
+    out, expected = tmp_path / "cli.psvr", tmp_path / "stage.psvr"
+    assert main(["train-svr", *m, "--embeddings", emb, "--gamma", "0.5",
+                 "--out", str(out)]) == 0
+    vectors = {uid: np.array([float(v) for v in vec]) for uid, *vec in
+               (line.split("\t") for line in Path(emb).read_text().splitlines())}
+    save_model(expected, pipeline.train_svr(load_corpus(corpus_dir[1]), vectors,
+                                            {"gamma": 0.5}))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_bad_svr_setting_exits_1(corpus_dir, tmp_path, capsys):

@@ -53,11 +53,10 @@ def test_init_class_means_unit_norm_and_seeded():
 
 def test_train_rejects_missing_class():
     frames = np.random.default_rng(3).standard_normal((200, 4))
-    classes = np.zeros(200, dtype=np.int64)
+    classes = np.repeat([0, 2], 100)
     cfg = AdamConfig(batch_size=64, epochs=1, seed=0)
-    with pytest.raises(DnfError, match="no training frames"):
-        dnf_train(frames, classes, cfg, num_classes=2,
-                  num_layers=2, width=8)
+    with pytest.raises(DnfError, match=r"no training frames: \[1\]"):
+        dnf_train(frames, classes, cfg, num_layers=2, width=8)
 
 
 def test_train_rejects_shape_mismatch():
@@ -103,8 +102,7 @@ def test_training_separates_classes_better_than_vanilla_flow():
     rng = np.random.default_rng(9)
     frames, classes = _two_class_data(rng, n=250, d=2)
     cfg = AdamConfig(learning_rate=0.01, batch_size=100, epochs=15, seed=10)
-    dnf_model, _ = dnf_train(frames, classes, cfg, num_classes=2,
-                             num_layers=4, width=16)
+    dnf_model, _ = dnf_train(frames, classes, cfg, num_layers=4, width=16)
     base = build_flow(2, 4, 16, seed=cfg.seed)
     flow_model, _ = flow_train(base, frames, cfg)
 
@@ -127,8 +125,7 @@ def test_single_class_matches_flow_with_global_mean():
     frames = rng.standard_normal((256, 4)) + 2.0
     classes = np.zeros(256, dtype=np.int64)
     cfg = AdamConfig(learning_rate=0.005, batch_size=64, epochs=6, seed=12)
-    model, trace = dnf_train(frames, classes, cfg, num_classes=1,
-                             num_layers=2, width=8)
+    model, trace = dnf_train(frames, classes, cfg, num_layers=2, width=8)
     assert model.num_classes == 1
     assert trace[-1] < trace[0]
 

@@ -62,6 +62,15 @@ def test_load_config_errors(tmp_path):
         load_config(not_obj)
 
 
+def test_shipped_config_is_the_preset():
+    """configs/synthetic.json holds default_config(), apart from work_dir."""
+    shipped = load_config(
+        Path(__file__).parents[1] / "configs" / "synthetic.json")
+    preset = default_config()
+    del shipped["work_dir"], preset["work_dir"]
+    assert shipped == preset
+
+
 def test_load_config_defaults_work_dir(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3, "corpus": {"synth": {}}}))
@@ -233,12 +242,14 @@ def test_run_inverts_each_utterance_once_per_flow(tmp_path, monkeypatch):
 def tiny_models():
     tiny, _ = synth_corpus(TINY_SYNTH)
     preset = default_config()
-    ubm = pipeline.train_gmm(tiny, {"components": 2, "iters": 3}, 1)
+    ubm = pipeline.train_gmm(tiny, {"components": 2, "iters": 3}, 1)[0]
     return tiny, {
-        "gmm": pipeline.train_gmm(tiny, {"components": 3, "iters": 3}, 1),
-        "ivector": pipeline.train_ivector(tiny, ubm, {"dim": 3, "iters": 2}, 2),
+        "gmm": pipeline.train_gmm(tiny, {"components": 3, "iters": 3}, 1)[0],
+        "ivector": pipeline.train_ivector(tiny, ubm, {"dim": 3, "iters": 2},
+                                          2)[0],
         "nf": pipeline.train_flow(tiny, dict(preset["nf"], **_TINY_FLOW), 3)[0],
-        "dnf": pipeline.train_dnf(tiny, dict(preset["dnf"], **_TINY_FLOW), 4)}
+        "dnf": pipeline.train_dnf(tiny, dict(preset["dnf"], **_TINY_FLOW),
+                                  4)[0]}
 
 
 def test_infer_equals_the_public_functions(tiny_models):
