@@ -261,9 +261,7 @@ class ReportRow:
 def evaluate(table: ScoreTable, split: SplitManifest,
              split_name: str = "eval") -> list:
     """PCC of each populated score column against labels on one split."""
-    ids = {"train": split.train_ids, "dev": split.dev_ids,
-           "eval": split.eval_ids}[split_name]
-    sub = table.subset(ids)
+    sub = table.subset(split.ids(split_name))
     labels = sub.labels()
     rows = []
     for name in ("gop", "predicted", "fused"):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, formats, gmm, gop, pipeline, regress
-from .corpus import CorpusError, SynthConfig, load_corpus
+from .corpus import SPLITS, CorpusError, SynthConfig, load_corpus
 from .flow import TrainingDivergence
 from .formats import DataError
 from .pipeline import ConfigError
@@ -129,9 +129,7 @@ def cmd_score(args) -> int:
     corpus = load_corpus(args.manifest)
     ids = sorted(corpus.features)
     if args.split:
-        ids = sorted({"train": corpus.splits.train_ids,
-                      "dev": corpus.splits.dev_ids,
-                      "eval": corpus.splits.eval_ids}[args.split])
+        ids = sorted(corpus.splits.ids(args.split))
     features = {uid: corpus.features[uid] for uid in ids}
     columns = []
     if args.gop:
@@ -180,10 +178,7 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ConfigError("steps must be >= 1")
-    if args.steps == 1:
-        deltas = [args.delta_min]
-    else:
-        deltas = np.linspace(args.delta_min, args.delta_max, args.steps)
+    deltas = np.linspace(args.delta_min, args.delta_max, args.steps)
     points = gop.competition_sweep(args.a, deltas)
     _write_text(args.out, gop.sweep_to_tsv(points))
     return 0
@@ -250,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     stage_flags(p, "svr", "C", "epsilon", "kernel", "gamma",
-                kernel=("linear", "rbf"))
+                kernel=tuple(regress.KERNEL_IDS))
 
     p = add("embed", cmd_embed, help="extract utterance embeddings")
     p.add_argument("--manifest", required=True)
@@ -264,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="append")
     p.add_argument("--svr", default=None)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--split", choices=("train", "dev", "eval"), default=None)
+    p.add_argument("--split", choices=SPLITS, default=None)
 
     p = add("fuse", cmd_fuse, help="score fusion of GOP and prediction")
     p.add_argument("--scores", required=True)
@@ -278,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--split", choices=("train", "dev", "eval"), default="eval")
+    p.add_argument("--split", choices=SPLITS, default="eval")
 
     p = add("simulate", cmd_simulate, help="two-Gaussian phone competition sweep")
     p.add_argument("--a", type=float, required=True)
@@ -291,8 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, after argparse printed it
+        if exc.code == 0:  # --help
+            raise
+        return EXIT_CONFIG
     try:
         if args.seed is not None:
             pipeline.check_seed(args.seed)

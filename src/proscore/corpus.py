@@ -174,6 +174,9 @@ class RatedUtterance:
         return cls(utterance_id, scores, sum(scores) / len(scores))
 
 
+SPLITS = ("train", "dev", "eval")  # the split names, in SplitManifest order
+
+
 @dataclass(frozen=True)
 class SplitManifest:
     train_ids: tuple
@@ -190,6 +193,11 @@ class SplitManifest:
                 raise CorpusError("split lists must be pairwise disjoint and"
                                   f" list each utterance once: {uid} repeats")
             seen.add(uid)
+
+    def ids(self, name: str) -> tuple:
+        """The utterance ids of split `name`, one of SPLITS."""
+        return {"train": self.train_ids, "dev": self.dev_ids,
+                "eval": self.eval_ids}[name]
 
     def check_covers(self, utterance_ids) -> None:
         covered = set(self.train_ids) | set(self.dev_ids) | set(self.eval_ids)
@@ -327,19 +335,17 @@ def read_labels_file(path) -> dict:
 def write_splits_file(path, splits: SplitManifest) -> None:
     """TSV: utterance_id, split name (train/dev/eval)."""
     Path(path).write_text(formats.tsv(
-        (uid, name) for name, ids in (("train", splits.train_ids),
-                                      ("dev", splits.dev_ids),
-                                      ("eval", splits.eval_ids))
-        for uid in ids), encoding="utf-8")
+        (uid, name) for name in SPLITS for uid in splits.ids(name)),
+        encoding="utf-8")
 
 
 def read_splits_file(path) -> SplitManifest:
-    groups = {"train": [], "dev": [], "eval": []}
+    groups = {name: [] for name in SPLITS}
     for where, (uid, name) in formats.read_tsv(path, CorpusError, 2):
         if name not in groups:
             raise CorpusError(f"{where}: unknown split {name!r}")
         groups[name].append(uid)
-    return SplitManifest(groups["train"], groups["dev"], groups["eval"])
+    return SplitManifest(*groups.values())
 
 
 MANIFEST_ROLES = ("features", "alignments", "posteriors", "labels", "splits")
@@ -459,8 +465,9 @@ class SynthConfig:
         lo, hi = self.frames_per_phone
         if lo < 1 or hi < lo:
             raise CorpusError(f"bad frames_per_phone range {self.frames_per_phone}")
-        if min(self.native_scale, self.shift_scale, self.speaker_spread,
-               self.proficiency_noise, self.label_noise) < 0:
+        if not all(x >= 0 for x in (self.native_scale, self.shift_scale,
+                                    self.speaker_spread, self.proficiency_noise,
+                                    self.label_noise)):
             raise CorpusError("scales and noise levels must be >= 0")
         if not (0 < self.eval_fraction < 1 and 0 <= self.dev_fraction < 1):
             raise CorpusError("split fractions out of range")

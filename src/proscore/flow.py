@@ -5,7 +5,10 @@ scales/shifts the other half as a function of the first, so both the
 inverse and the Jacobian log-determinant are exact. Log-densities follow
 the change-of-variables formula against a standard-normal base prior;
 training minimizes mean negative log-likelihood with Adam using
-hand-written reverse-mode gradients.
+hand-written reverse-mode gradients. One inverse pass (`FlowModel.inverse`)
+and one density (`log_density`) serve training, inference and the
+inversion gates alike, so the loss that training minimizes is the
+log-likelihood that inference reports.
 
 The final linear layers of the coupling networks are zero-initialized, so
 a fresh model is exactly the identity map. Scale outputs pass through
@@ -51,7 +54,7 @@ class AdamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
@@ -187,21 +190,20 @@ class FlowModel:
     def forward(self, batch):
         out = batch
         logdet = np.zeros(batch.shape[0])
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             out, ld = layer.forward(out)
-            if not np.all(np.isfinite(out)):
-                raise FlowError(f"non-finite activations in layer {i} (forward)")
             logdet += ld
         return out, logdet
 
-    def inverse(self, batch):
+    def inverse(self, batch, caches=None):
+        """f^-1 of the batch and ln|det df^-1/do| per row. Each layer's
+        backward cache is appended to `caches` unless it is None."""
         out = batch
         logdet = np.zeros(batch.shape[0])
-        for i, layer in zip(range(len(self.layers) - 1, -1, -1),
-                            reversed(self.layers)):
-            out, sum_s, _ = layer.inverse_cached(out)
-            if not np.all(np.isfinite(out)):
-                raise FlowError(f"non-finite activations in layer {i} (inverse)")
+        for layer in reversed(self.layers):
+            out, sum_s, cache = layer.inverse_cached(out)
+            if caches is not None:
+                caches.append((layer, cache))
             logdet -= sum_s
         return out, logdet
 
@@ -235,18 +237,19 @@ def flow_transform(m: FlowModel, direction: str, batch: np.ndarray):
     """Apply f (forward, latent->data) or f^-1 (inverse) to a batch.
 
     Returns the images and the exact per-row log|det| of the applied map
-    with respect to its input.
+    with respect to its input, or a FlowError if either is not finite.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != m.dim:
         raise FlowError(f"batch must be N x {m.dim}, got {batch.shape}")
     if not np.all(np.isfinite(batch)):
         raise FlowError("non-finite batch input")
-    if direction == "forward":
-        return m.forward(batch)
-    if direction == "inverse":
-        return m.inverse(batch)
-    raise FlowError(f"unknown direction {direction!r}")
+    if direction not in ("forward", "inverse"):
+        raise FlowError(f"unknown direction {direction!r}")
+    out, logdet = getattr(m, direction)(batch)
+    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(logdet))):
+        raise FlowError(f"non-finite activations in the {direction} pass")
+    return out, logdet
 
 
 def log_density(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
@@ -278,22 +281,11 @@ def flow_embed(m: FlowModel, fs: FeatureSequence) -> np.ndarray:
 
 
 def _inverse_nll(m: FlowModel, batch: np.ndarray, prior_means, caches):
-    """Mean NLL of the batch and its residuals z - mu, by the inverse pass.
-
-    Each layer's backward cache is appended to `caches` unless it is None.
-    """
-    out = batch
-    sum_s_total = np.zeros(batch.shape[0])
-    for layer in reversed(m.layers):
-        out, sum_s, cache = layer.inverse_cached(out)
-        if caches is not None:
-            caches.append((layer, cache))
-        sum_s_total += sum_s
-    mu = np.zeros_like(out) if prior_means is None else prior_means
-    resid = out - mu
-    loss = float((0.5 * (resid ** 2).sum(axis=1)
-                  + 0.5 * m.dim * LOG_2PI + sum_s_total).mean())
-    return loss, resid
+    """Mean NLL of the batch and its residuals z - mu, by the inverse pass
+    and the density that inference uses."""
+    z, logdet = m.inverse(batch, caches)
+    resid = z if prior_means is None else z - prior_means
+    return -float(log_density(resid, logdet).mean()), resid
 
 
 def mean_nll(m: FlowModel, batch: np.ndarray, prior_means=None) -> float:

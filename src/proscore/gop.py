@@ -103,7 +103,7 @@ def simulate_competition(a: float, delta: float) -> CompetitionPoint:
     target mean, with positive delta pointing away from the competitor.
     Closed form: p = 1 / (1 + exp(-(a^2 + 2*a*delta))).
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError(f"mean distance a must be positive, got {a}")
     x = a * a + 2.0 * a * delta
     if x >= 0:

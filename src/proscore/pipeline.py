@@ -25,6 +25,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 import warnings
@@ -91,7 +92,7 @@ def _check_type(name: str, value, preset) -> None:
     """ConfigError unless `value` has the type of `preset`.
 
     An int may stand for a float (bool is not an int here), and a list for
-    a tuple of as many values of the tuple's types.
+    a tuple of as many values of the tuple's types. A float must be finite.
     """
     if isinstance(preset, tuple):
         if type(value) not in (list, tuple) or len(value) != len(preset):
@@ -103,6 +104,8 @@ def _check_type(name: str, value, preset) -> None:
     want = type(preset)
     if type(value) is not want and (want, type(value)) != (float, int):
         raise ConfigError(f"{name}: expected {want.__name__}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
 
 
 def _check_names(name: str, value, allowed, what: str) -> None:

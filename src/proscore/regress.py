@@ -42,13 +42,13 @@ class SvrParams:
     max_passes: int = 1000  # pair-update budget is max_passes * N
 
     def __post_init__(self):
-        if self.C <= 0:
+        if not self.C > 0:
             raise SvrError("C must be positive")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise SvrError("epsilon must be non-negative")
         if self.kernel not in KERNEL_IDS:
             raise SvrError(f"unknown kernel {self.kernel!r}")
-        if self.gamma != "scale" and float(self.gamma) <= 0:
+        if self.gamma != "scale" and not float(self.gamma) > 0:
             raise SvrError("gamma must be positive or 'scale'")
         if not self.tol > 0:
             raise SvrError("tol must be positive")

@@ -51,6 +51,8 @@ def test_simulate_single_step(capsys):
 def test_simulate_invalid_a(capsys):
     assert main(["simulate", "--a", "0"]) == 1
     assert "config error" in capsys.readouterr().err
+    assert main(["simulate", "--a", "nan"]) == 1
+    assert "config error" in capsys.readouterr().err
     assert main(["simulate", "--a", "1", "--steps", "0"]) == 1
 
 
@@ -214,6 +216,27 @@ def test_fuse_lambda_out_of_range_exits_1(capsys):
     assert main(["fuse", "--scores", "s.tsv", "--dev-scores", "d.tsv",
                  "--lambda", "1.5"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-gmm", "--manifest", "m.tsv", "--out", "g.pgmm", *flags]
+    for flags in (["--components", "x"], ["--seed", "x"], ["--colour", "red"],
+                  ["--out"])] + [
+    ["fuse", "--scores", "s.tsv", "--dev-scores", "d.tsv",
+     "--normalization", "minmax"]])
+def test_command_line_that_argparse_rejects_exits_1(capsys, argv):
+    """A flag that is unknown, lacks its value or has a value of the wrong
+    type or choice is a config error, after argparse's usage message."""
+    assert main(argv) == 1
+    assert "usage: proscore" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train-gmm", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: proscore" in capsys.readouterr().out
 
 
 def _text_file(path, text):
@@ -554,7 +577,12 @@ def test_bad_section_value_type_exits_1(tmp_path, capsys, section):
     ({"svr": {"max_passes": -1}}, "svr: max_passes must be >= 0"),
     ({"svr": {"tol": -1.0}}, "svr: tol must be positive"),
     ({"corpus": {"synth": {"seed": -1}}},
-     "corpus.synth: seed must be >= 0, got -1")])
+     "corpus.synth: seed must be >= 0, got -1"),
+    ({"svr": {"C": float("nan")}}, "svr.C: expected a finite number, got nan"),
+    ({"nf": {"learning_rate": float("inf")}},
+     "nf.learning_rate: expected a finite number, got inf"),
+    ({"corpus": {"synth": {"label_noise": float("-inf")}}},
+     "corpus.synth.label_noise: expected a finite number, got -inf")])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, section, message):
     """A value that a stage's own check rejects fails before any work."""
     cfg = tmp_path / "cfg.json"
@@ -627,7 +655,10 @@ _BAD_STAGE_FLAGS = [
     (["train-gmm", "--iters", "-1"], "gmm.iters must be >= 0"),
     (["train-flow", "--width", "0"], "nf.width must be >= 1"),
     (["fuse", "--scores", "s.tsv", "--dev-scores", "d.tsv", "--grid-step", "0"],
-     "fusion.grid_step must be > 0")]
+     "fusion.grid_step must be > 0"),
+    (["train-dnf", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["train-flow", "--learning-rate", "nan"],
+     "nf.learning_rate: expected a finite number, got nan")]
 
 
 @pytest.mark.parametrize("argv, message", _BAD_STAGE_FLAGS)
@@ -642,9 +673,7 @@ def test_stage_flag_below_one_exits_1(corpus_dir, tmp_path, capsys, argv,
     assert not (tmp_path / "m.bin").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    *_BAD_STAGE_FLAGS,
-    (["train-dnf", "--seed", "-1"], "seed must be >= 0, got -1")])
+@pytest.mark.parametrize("argv, message", _BAD_STAGE_FLAGS)
 def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, argv,
                                                   message):
     """Stage flags and --seed are checked before a subcommand opens a file:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proscore.corpus import (Corpus, CorpusError, FeatureSequence,
+from proscore.corpus import (SPLITS, Corpus, CorpusError, FeatureSequence,
                              PhoneAlignment, PhonePrior, PosteriorGram,
                              RatedUtterance, SplitManifest, SynthConfig,
                              load_corpus, save_corpus, synth_corpus,
@@ -63,6 +63,16 @@ def test_split_manifest_disjoint_and_coverage():
     m.check_covers(["a", "b", "c"])
     with pytest.raises(CorpusError):
         m.check_covers(["a", "b", "c", "d"])
+
+
+def test_split_manifest_ids_by_name():
+    m = SplitManifest(["a", "d"], ["b"], ["c"])
+    assert [m.ids(name) for name in SPLITS] == [("a", "d"), ("b",), ("c",)]
+
+
+def test_synth_config_rejects_a_nan_scale():
+    with pytest.raises(CorpusError, match="scales and noise levels"):
+        SynthConfig(speaker_spread=float("nan")).validate()
 
 
 def test_split_manifest_rejects_an_utterance_listed_twice_in_one_split():

@@ -5,7 +5,8 @@ from proscore.corpus import FeatureSequence
 from proscore.dnf import (DnfError, DnfModel, classes_from_mean_scores,
                           dnf_embed, dnf_train, init_class_means)
 from proscore.flow import (AdamConfig, build_flow, flow_embed, flow_train,
-                           flow_transform, nll_and_grads)
+                           flow_transform, log_density, mean_nll,
+                           nll_and_grads)
 
 
 def _two_class_data(rng, n=300, d=4):
@@ -116,6 +117,18 @@ def test_training_separates_classes_better_than_vanilla_flow():
     z_dnf, _ = flow_transform(dnf_model.backbone, "inverse", frames)
     z_flow, _ = flow_transform(flow_model, "inverse", frames)
     assert separation(z_dnf) > separation(z_flow)
+
+
+def test_training_loss_is_the_density_under_the_class_means():
+    """The DNF training NLL is minus the mean log-density of the latent
+    residuals from each frame's class mean, to the last bit."""
+    frames, classes = _two_class_data(np.random.default_rng(17), n=64, d=4)
+    cfg = AdamConfig(learning_rate=0.01, batch_size=32, epochs=2, seed=17)
+    model, _ = dnf_train(frames, classes, cfg, num_layers=2, width=8)
+    means = model.class_means[classes]
+    z, logdet = flow_transform(model.backbone, "inverse", frames)
+    assert (mean_nll(model.backbone, frames, means)
+            == -log_density(z - means, logdet).mean())
 
 
 def test_single_class_matches_flow_with_global_mean():

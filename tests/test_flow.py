@@ -62,6 +62,18 @@ def test_transform_input_validation():
         flow_transform(m, "forward", np.full((2, 4), np.nan))
 
 
+@pytest.mark.parametrize("direction, sign", [("forward", 1.0), ("inverse", -1.0)])
+def test_transform_rejects_a_pass_that_overflows(direction, sign):
+    """A log-scale of about 760 overflows exp(s) (forward) or exp(-s)
+    (inverse); flow_transform checks what the pass returns."""
+    m = build_flow(4, 2, 8, seed=0)
+    m.layers[0].cap = np.asarray(1e3)
+    m.layers[0].scale_net.b3[:] = sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FlowError, match="non-finite"):
+            flow_transform(m, direction, np.ones((3, 4)))
+
+
 def test_build_flow_needs_two_dims():
     with pytest.raises(FlowError):
         build_flow(1, 2, 8, seed=0)
@@ -206,6 +218,8 @@ def test_adam_config_validation():
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
+        AdamConfig(learning_rate=float("nan"))
+    with pytest.raises(ValueError):
         AdamConfig(epochs=0)
 
 
@@ -223,6 +237,16 @@ def test_mean_nll_is_the_loss_of_nll_and_grads():
     mu = np.random.default_rng(15).standard_normal(frames.shape)
     for prior in (None, mu):
         assert mean_nll(m, frames, prior) == nll_and_grads(m, frames, prior)[0]
+
+
+def test_training_loss_is_the_inference_density():
+    """The NLL that training minimizes is minus the mean log-density that
+    inference reports, to the last bit."""
+    frames = np.random.default_rng(16).standard_normal((96, 4)) * 2.0 - 1.0
+    m, _ = flow_train(build_flow(4, 4, 8, seed=16), frames,
+                      AdamConfig(learning_rate=0.05, batch_size=32, epochs=2,
+                                 seed=16))
+    assert mean_nll(m, frames) == -flow_logprob(m, frames).mean()
 
 
 def test_trace_ends_with_the_full_batch_loss():

@@ -19,6 +19,10 @@ def test_params_validation():
         SvrParams(kernel="poly")
     with pytest.raises(SvrError):
         SvrParams(gamma=-1.0)
+    for bad in ({"C": float("nan")}, {"epsilon": float("nan")},
+                {"gamma": float("nan")}):
+        with pytest.raises(SvrError):
+            SvrParams(**bad)
 
 
 def test_constant_targets_constant_model():
