@@ -178,6 +178,10 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ConfigError("steps must be >= 1")
+    for flag, value in (("--a", args.a), ("--delta-min", args.delta_min),
+                        ("--delta-max", args.delta_max)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     deltas = np.linspace(args.delta_min, args.delta_max, args.steps)
     points = gop.competition_sweep(args.a, deltas)
     _write_text(args.out, gop.sweep_to_tsv(points))

@@ -9,7 +9,7 @@ proficiency oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +156,7 @@ class PhonePrior:
 class RatedUtterance:
     utterance_id: str
     rater_scores: tuple
-    mean_score: float
+    mean_score: float = field(init=False)  # the mean of rater_scores
 
     def __post_init__(self):
         scores = tuple(int(s) for s in self.rater_scores)
@@ -165,13 +165,7 @@ class RatedUtterance:
             raise CorpusError(f"{self.utterance_id}: needs at least one rater")
         if any(s < 1 or s > 5 for s in scores):
             raise CorpusError(f"{self.utterance_id}: rater scores must lie in [1,5]")
-        if abs(self.mean_score - sum(scores) / len(scores)) > 1e-12:
-            raise CorpusError(f"{self.utterance_id}: mean_score inconsistent")
-
-    @classmethod
-    def from_scores(cls, utterance_id: str, scores) -> "RatedUtterance":
-        scores = tuple(int(s) for s in scores)
-        return cls(utterance_id, scores, sum(scores) / len(scores))
+        object.__setattr__(self, "mean_score", sum(scores) / len(scores))
 
 
 SPLITS = ("train", "dev", "eval")  # the split names, in SplitManifest order
@@ -328,7 +322,7 @@ def read_labels_file(path) -> dict:
     labels = {}
     for where, (uid, scores) in formats.read_tsv(path, CorpusError, 2):
         scores = formats.parse(where, CorpusError, int, *scores.split(","))
-        labels[uid] = RatedUtterance.from_scores(uid, scores)
+        labels[uid] = RatedUtterance(uid, scores)
     return labels
 
 
@@ -525,7 +519,7 @@ def synth_corpus(cfg: SynthConfig):
             features[uid] = FeatureSequence(uid, frames)
             alignments[uid] = PhoneAlignment(uid, segments)
             posteriors[uid] = PosteriorGram(uid, post, phone_table)
-            labels[uid] = RatedUtterance.from_scores(uid, scores)
+            labels[uid] = RatedUtterance(uid, scores)
             oracle[uid] = rho
             speaker_of[uid] = s
 

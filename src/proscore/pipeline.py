@@ -27,7 +27,9 @@ import itertools
 import json
 import math
 import os
+import pickle
 import shutil
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -267,6 +269,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     validate_config(cfg)
     seed = int(cfg["seed"])
     work = Path(cfg.get("work_dir", "."))
+    work.mkdir(parents=True, exist_ok=True)  # _training's split file goes here
     model_dir = work / cfg.get("model_dir", "models")
     report_dir = work / cfg.get("report_dir", "reports")
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -424,7 +427,9 @@ def _training(names, corpus: Corpus, cfg: dict):
     With two or more of `names` and of CPUs, all of `names` start training
     here, in spawned workers sent them in the order of `names`, and arrive
     as they finish; else they arrive in that order and train() trains in
-    this process. No worker outlives the block, on an error neither.
+    this process. The workers load the train split from one temporary file
+    under the work dir, so a worker that dies fails with BrokenProcessPool.
+    No worker and no file outlives the block, on an error neither.
     """
     workers = min(_cpu_count(), len(names))
     if workers < 2:
@@ -433,21 +438,31 @@ def _training(names, corpus: Corpus, cfg: dict):
                for name in names)
         return
     train = set(corpus.splits.train_ids)
-    # a worker is sent what trainers read, not the whole corpus
     split = dataclasses.replace(
         corpus, alignments={}, posteriors={},
         features={u: fs for u, fs in corpus.features.items() if u in train},
         labels={u: lab for u, lab in corpus.labels.items() if u in train})
-    with _pool(workers, split) as pool:
-        try:
-            futures = {name: pool.submit(_train_split, name,
-                                         _merged(cfg, name), cfg["seed"])
-                       for name in names}
-            yield ((name, future.result)
-                   for name, future in _arrivals(futures))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    with tempfile.TemporaryDirectory(dir=cfg.get("work_dir", ".")) as tmp:
+        path = os.path.join(tmp, "split.pickle")
+        with open(path, "wb") as f:
+            pickle.dump(split, f)
+        with _pool(workers) as pool:  # shut down before tmp is removed
+            try:
+                futures = {name: pool.submit(_train_file, name, path,
+                                             _merged(cfg, name), cfg["seed"])
+                           for name in names}
+                yield ((name, future.result)
+                       for name, future in _arrivals(futures))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+
+
+def _train_file(name: str, path: str, section: dict, run_seed: int):
+    """train_marginal on the corpus pickled at `path`: a pool task."""
+    with open(path, "rb") as f:
+        corpus = pickle.load(f)
+    return train_marginal(name, corpus, section, run_seed)
 
 
 def _arrivals(futures: dict):
@@ -478,30 +493,17 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _pool(workers: int, split: Corpus):
-    """A process pool of `workers` spawned workers, each sent `split` once,
-    as it starts. Spawned, not forked: a fork copies this process with the
+def _pool(workers: int):
+    """A process pool of `workers` spawned workers. A task is sent only its
+    arguments, so no spawn writes more than a pipe holds and the workers
+    start at once. Spawned, not forked: a fork copies this process with the
     locks its threads (the pool's own among them) may hold, while a spawned
     worker starts afresh and imports proscore, which pins its BLAS threads.
     The pool modules are imported here, not by every CLI process."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_keep_split, initargs=(split,))
-
-
-_worker_split: Corpus | None = None  # the train split, in a pool worker
-
-
-def _keep_split(split: Corpus) -> None:
-    global _worker_split
-    _worker_split = split
-
-
-def _train_split(name: str, section: dict, run_seed: int):
-    """train_marginal on the split this worker was started with."""
-    return train_marginal(name, _worker_split, section, run_seed)
+                               mp_context=multiprocessing.get_context("spawn"))
 
 
 def _check_ids(ids, have, what: str) -> None:

@@ -54,6 +54,10 @@ def test_simulate_invalid_a(capsys):
     assert main(["simulate", "--a", "nan"]) == 1
     assert "config error" in capsys.readouterr().err
     assert main(["simulate", "--a", "1", "--steps", "0"]) == 1
+    for argv in (["--a", "inf"], ["--a", "1", "--delta-min", "nan"],
+                 ["--a", "1", "--delta-max=-inf"]):
+        assert main(["simulate", *argv, "--steps", "2"]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,14 @@ def test_phone_prior_uniform_and_validation():
 
 
 def test_rated_utterance_mean_and_bounds():
-    r = RatedUtterance.from_scores("u", [3, 4, 5])
-    assert r.mean_score == pytest.approx(4.0)
+    r = RatedUtterance("u", [3, 4, 5])
+    assert r.rater_scores == (3, 4, 5)
+    assert r.mean_score == 4.0
+    assert RatedUtterance("u", [1, 2]).mean_score == 1.5
     with pytest.raises(CorpusError):
-        RatedUtterance.from_scores("u", [0, 3])
+        RatedUtterance("u", [0, 3])
+    with pytest.raises(CorpusError, match="at least one rater"):
+        RatedUtterance("u", [])
 
 
 def test_split_manifest_disjoint_and_coverage():

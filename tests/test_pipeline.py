@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import runpy
 import subprocess
 import sys
@@ -316,17 +317,19 @@ def _files(d: Path) -> dict:
 
 
 def _counted_pools(monkeypatch) -> tuple:
-    """The worker count and the split of each pool that pipeline._pool
-    makes from now, and the arguments of each task submitted to it."""
+    """The worker count of each pool that pipeline._pool makes from now,
+    and the arguments of each task submitted to it, each with the corpus
+    that the file it names held at submit time."""
     make, pools, sent = pipeline._pool, [], []
 
-    def counted(workers, split):
-        pools.append((workers, split))
-        pool = make(workers, split)
+    def counted(workers):
+        pools.append(workers)
+        pool = make(workers)
         submit = pool.submit
 
         def spied(fn, *args):
-            sent.append(args)
+            with open(args[1], "rb") as f:
+                sent.append((args, pickle.load(f)))
             return submit(fn, *args)
 
         pool.submit = spied
@@ -345,15 +348,27 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
         result = run_pipeline(dict(_TINY_RUN, work_dir=str(work)))
         models = {p: b for p, (b, _) in _files(work / "models").items()}
         out[workers] = models, result.report_path.read_bytes()
-    assert [workers for workers, _ in pools] == [2]
+    assert pools == [2]
     assert multiprocessing.active_children() == []
-    # the workers start with the train split only, and no task carries it
-    train = set(result.corpus.splits.train_ids)
-    split = pools[0][1]
-    assert set(split.features) == set(split.labels) == train
-    assert split.alignments == split.posteriors == {}
-    assert sorted(args[0] for args in sent) == sorted(pipeline.MARGINALS)
-    assert not any(isinstance(a, corpus.Corpus) for args in sent for a in args)
+    # each task is (name, split file, section, seed) and carries no corpus;
+    # the one file, in a temporary directory of the work dir that is gone
+    # after the run, holds the train split's features and labels only
+    full = result.corpus
+    train = set(full.splits.train_ids)
+    assert sorted(args[0] for args, _ in sent) == sorted(pipeline.MARGINALS)
+    assert len({args[1] for args, _ in sent}) == 1
+    for (name, path, section, seed), split in sent:
+        assert section == pipeline._merged(_TINY_RUN, name) and seed == 7
+        assert Path(path).parent.parent == tmp_path / "w2"
+        assert not Path(path).parent.exists()
+        assert set(split.features) == set(split.labels) == train
+        for uid in train:
+            np.testing.assert_array_equal(split.features[uid].frames,
+                                          full.features[uid].frames)
+            assert split.labels[uid] == full.labels[uid]
+        assert split.alignments == split.posteriors == {}
+    assert not any(isinstance(a, corpus.Corpus)
+                   for args, _ in sent for a in args)
     assert len(out[1][0]) == 14  # 7 models and their stamps
     assert out[1] == out[2]
     assert b"gop+ivector_score_fusion" in out[1][1]
@@ -366,7 +381,7 @@ def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
     assert len(pools) == 1
-    assert [args[0] for args in sent] == ["gmm", "nf", "dnf", "ivector"]
+    assert [args[0] for args, _ in sent] == ["gmm", "nf", "dnf", "ivector"]
 
 
 def test_an_upstream_change_retrains_only_its_downstream_stages(
@@ -401,7 +416,7 @@ def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
     first = run_pipeline(cfg)
     models = _files(tmp_path / "models")
 
-    def no_pool(workers, split):
+    def no_pool(workers):
         raise AssertionError("a fully cached rerun started a pool")
 
     monkeypatch.setattr(pipeline, "_pool", no_pool)
@@ -410,17 +425,36 @@ def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
     assert rerun.report_rows == first.report_rows
 
 
+def test_pool_run_makes_its_work_dir(tmp_path, monkeypatch):
+    """The split file goes under the work dir even when no other output
+    does: here the corpus, models and reports lie outside it."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    manifest = save_corpus(synth_corpus(TINY_SYNTH)[0], tmp_path / "corpus")
+    work = tmp_path / "work"
+    run_pipeline(dict(_TINY_RUN, corpus={"manifest": str(manifest)},
+                      work_dir=str(work), model_dir=str(tmp_path / "models"),
+                      report_dir=str(tmp_path / "reports"),
+                      systems=["gop", "gmm", "nf"]))
+    assert list(work.iterdir()) == []
+    assert (tmp_path / "models" / "nf.digest").exists()
+
+
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _python(args, threads: dict) -> str:
-    """Run `python ARGS` with proscore importable and the BLAS thread
-    variables of this process replaced by `threads`."""
+def _env(threads: dict) -> dict:
+    """This process's environment with proscore importable and the BLAS
+    thread variables replaced by `threads`."""
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     src = str(Path(pipeline.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], env={**env, **threads},
+    return {**env, **threads}
+
+
+def _python(args, threads: dict) -> str:
+    """Run `python ARGS` in _env(threads)."""
+    proc = subprocess.run([sys.executable, *args], env=_env(threads),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -433,7 +467,7 @@ def test_every_process_runs_one_blas_thread():
     script = f"""
 import json, os, proscore
 from proscore import pipeline
-with pipeline._pool(1, None) as pool:
+with pipeline._pool(1) as pool:
     worker = [pool.submit(os.getenv, n).result() for n in {_THREAD_VARS}]
 print(json.dumps([[os.getenv(n) for n in {_THREAD_VARS}], worker]))
 """
@@ -459,6 +493,38 @@ def test_svr_bytes_do_not_depend_on_the_blas_threads(tmp_path):
                 dict.fromkeys(_THREAD_VARS, threads))
         models.append(out.read_bytes())
     assert models[0] == models[1]
+
+
+def test_unguarded_script_fails_instead_of_hanging(tmp_path):
+    """A script that runs the pipeline with no __main__ guard runs it again
+    in each spawned worker as it imports the script, and starting a pool
+    there fails. The run then fails with BrokenProcessPool and leaves no
+    split file, however far the preset's train split outgrows a pipe. The
+    workers' own runs use another work dir: the pool kills a worker that
+    is still running when another dies, whatever files it holds."""
+    preset, _ = synth_corpus(corpus.SynthConfig())
+    manifest = save_corpus(preset, tmp_path / "corpus")
+    work = tmp_path / "work"
+    cfg = {"seed": 7, "work_dir": str(work),
+           "corpus": {"manifest": str(manifest)},
+           "systems": ["gop", "gmm", "nf"],
+           "gmm": {"components": 2, "iters": 3}, "nf": _TINY_FLOW}
+    script = tmp_path / "unguarded.py"
+    script.write_text("from proscore import pipeline\n"
+                      "pipeline._cpu_count = lambda: 2\n"
+                      f"cfg = {cfg!r}\n"
+                      "if __name__ != '__main__':\n"
+                      f"    cfg['work_dir'] = {str(tmp_path / 'nested')!r}\n"
+                      "pipeline.run_pipeline(cfg)\n")
+    try:
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                              env=_env({}), capture_output=True, text=True,
+                              timeout=90)
+    except subprocess.TimeoutExpired:
+        pytest.fail("an unguarded script hung")
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
+    assert list(work.rglob("*.pickle")) == []
 
 
 @pytest.mark.parametrize("stage, setting, code, message", [
