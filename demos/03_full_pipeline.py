@@ -6,7 +6,7 @@ labels from the embeddings with epsilon-SVR, fuses each predictor with
 the frame-posterior score, and prints the evaluation report: Pearson
 correlation against mean rater labels on the held-out speakers.
 
-Takes about 15 s on two cores.  Artifacts land under
+Takes about 6 s on two cores.  Artifacts land under
 demos/runs/full_pipeline/.
 """
 

@@ -10,15 +10,14 @@ i-vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import formats
-from .corpus import FeatureSequence
 from .gmm import GmmModel, read_gmm, responsibilities, write_gmm
 
 IVECTOR_MAGIC = "PIVM"
+_BLOCK = 256  # utterances per posterior block, so memory is bounded in U
 
 
 class IVectorError(formats.DataError):
@@ -27,19 +26,20 @@ class IVectorError(formats.DataError):
 
 @dataclass(frozen=True)
 class BaumWelchStats:
-    utterance_id: str
-    zeroth: np.ndarray          # (K,) occupancy counts N_k
-    first_centered: np.ndarray  # (K, D) sum_t gamma_tk * (o_t - m_k)
+    zeroth: np.ndarray          # (U, K) occupancy counts N_k per utterance
+    first_centered: np.ndarray  # (U, K, D) sum_t gamma_tk * (o_t - m_k)
 
     def __post_init__(self):
         z = np.asarray(self.zeroth, dtype=np.float64)
         fc = np.asarray(self.first_centered, dtype=np.float64)
         object.__setattr__(self, "zeroth", z)
         object.__setattr__(self, "first_centered", fc)
+        if z.ndim != 2 or fc.ndim != 3 or fc.shape[:2] != z.shape:
+            raise IVectorError("statistics must be (U, K) and (U, K, D)")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(fc))):
-            raise IVectorError(f"{self.utterance_id}: non-finite statistics")
+            raise IVectorError("non-finite statistics")
         if np.any(z < 0):
-            raise IVectorError(f"{self.utterance_id}: negative occupancy")
+            raise IVectorError("negative occupancy")
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,6 @@ class IVectorModel:
     def dim(self) -> int:
         return self.loadings.shape[2]
 
-    @cached_property
-    def precision_terms(self):
-        """The `_precision_terms` of the loadings, computed once."""
-        return _precision_terms(self.loadings, 1.0 / self.ubm.variances)
-
 
 def check_dim(R: int, K: int, D: int) -> None:
     """IVectorError unless an i-vector dim R is at most K*D, the dim of the
@@ -72,42 +67,45 @@ def check_dim(R: int, K: int, D: int) -> None:
         raise IVectorError(f"i-vector dim R={R} must be <= K*D={K * D}")
 
 
-def ubm_stats(m: GmmModel, fs: FeatureSequence) -> BaumWelchStats:
-    """Zeroth and centered first-order statistics under the UBM."""
-    if fs.dim != m.dim:
-        raise IVectorError(f"{fs.utterance_id}: dim {fs.dim} vs UBM dim {m.dim}")
-    gamma = responsibilities(m, fs.frames)            # (T, K)
-    zeroth = gamma.sum(axis=0)
-    first = gamma.T @ fs.frames - zeroth[:, None] * m.means
-    return BaumWelchStats(fs.utterance_id, zeroth, first)
+def ubm_stats(m: GmmModel, utterances) -> BaumWelchStats:
+    """Zeroth and centered first-order statistics of each feature sequence."""
+    utterances = list(utterances)
+    zeroth = np.empty((len(utterances), m.num_components))
+    first = np.empty((len(utterances), m.num_components, m.dim))
+    for u, fs in enumerate(utterances):
+        if fs.dim != m.dim:
+            raise IVectorError(
+                f"{fs.utterance_id}: dim {fs.dim} vs UBM dim {m.dim}")
+        gamma = responsibilities(m, fs.frames)        # (T, K)
+        zeroth[u] = gamma.sum(axis=0)
+        first[u] = gamma.T @ fs.frames - zeroth[u, :, None] * m.means
+    return BaumWelchStats(zeroth, first)
 
 
-def _precision_terms(loadings, inv_var):
-    """Sigma_k^-1 T_k, (K, D, R), and T_k' Sigma_k^-1 T_k, (K, R, R): the
-    utterance-independent parts of every posterior."""
-    TS = loadings * inv_var[:, :, None]
-    return TS, np.array([T.T @ ts for T, ts in zip(loadings, TS)])
+def _posteriors(loadings, inv_var, stats: BaumWelchStats):
+    """For each block of `_BLOCK` utterances of `stats`: its slice, the
+    posterior precisions L = I + sum_k N_k T_k' Sigma_k^-1 T_k, (B, R, R),
+    and the linear terms b = sum_k T_k' Sigma_k^-1 F_k, (B, R), of z."""
+    K, _, R = loadings.shape
+    TS = loadings * inv_var[:, :, None]                # Sigma_k^-1 T_k
+    P = (np.swapaxes(loadings, 1, 2) @ TS).reshape(K, R * R)
+    for lo in range(0, len(stats.zeroth), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        L = np.eye(R) + (stats.zeroth[blk] @ P).reshape(-1, R, R)
+        b = np.einsum("ukd,kdr->ur", stats.first_centered[blk], TS)
+        yield blk, L, b
 
 
-def _posterior(TS, P, st: BaumWelchStats):
-    """Posterior precision L and mean of z given one utterance's stats."""
-    K, D, R = TS.shape
-    L = np.eye(R)
-    b = np.zeros(R)
-    for k in range(K):
-        L += st.zeroth[k] * P[k]
-        b += TS[k].T @ st.first_centered[k]
-    return L, b
+def ivector_infer(m: IVectorModel, stats: BaumWelchStats) -> np.ndarray:
+    """The (U, R) i-vectors: posterior means of z given each row of stats."""
+    out = np.empty((len(stats.zeroth), m.dim))
+    for blk, L, b in _posteriors(m.loadings, 1.0 / m.ubm.variances, stats):
+        out[blk] = np.linalg.solve(L, b[:, :, None])[:, :, 0]
+    return out
 
 
-def ivector_infer(m: IVectorModel, st: BaumWelchStats):
-    """Posterior mean of z (the i-vector) and its precision matrix L."""
-    L, b = _posterior(*m.precision_terms, st)
-    z = np.linalg.solve(L, b)
-    return z, L
-
-
-def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
+def tmatrix_train(ubm: GmmModel, stats: BaumWelchStats, R: int, iters: int,
+                  seed: int):
     """EM training of the loading matrices; returns (model, evidence trace).
 
     The trace holds the total log-evidence of the statistics (up to
@@ -129,28 +127,24 @@ def tmatrix_train(ubm: GmmModel, stats: list, R: int, iters: int, seed: int):
         A = np.zeros((K, R, R))
         C = np.zeros((K, D, R))
         evidence = 0.0
-        terms = _precision_terms(loadings, inv_var)
-        for st in stats:
-            L, b = _posterior(*terms, st)
+        for blk, L, b in _posteriors(loadings, inv_var, stats):
             cov = np.linalg.inv(L)
-            zbar = cov @ b
-            evidence += -0.5 * np.linalg.slogdet(L)[1] + 0.5 * float(b @ zbar)
-            if last:
-                continue
-            Ezz = cov + np.outer(zbar, zbar)
-            A += st.zeroth[:, None, None] * Ezz[None, :, :]
-            C += st.first_centered[:, :, None] * zbar[None, None, :]
+            zbar = (cov @ b[:, :, None])[:, :, 0]
+            evidence += 0.5 * float(np.sum(np.einsum("ur,ur->u", b, zbar)
+                                           - np.linalg.slogdet(L)[1]))
+            if not last:
+                cov += zbar[:, :, None] * zbar[:, None, :]  # E[z z']
+                A += np.tensordot(stats.zeroth[blk], cov, axes=(0, 0))
+                C += np.tensordot(stats.first_centered[blk], zbar, axes=(0, 0))
         trace.append(evidence)
         if last:
             break
-        new = np.empty_like(loadings)
         for k in range(K):
             try:
-                new[k] = np.linalg.solve(A[k].T, C[k].T).T
+                loadings[k] = np.linalg.solve(A[k].T, C[k].T).T
             except np.linalg.LinAlgError as exc:
                 raise IVectorError(
                     f"singular accumulator for component {k}") from exc
-        loadings = new
     return IVectorModel(ubm, loadings), trace
 
 

@@ -276,7 +276,8 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     cache = StageCache(model_dir, force)
 
     corpus, corpus_key = _corpus_stage(cfg, work, force)
-    if "ivector" in cfg.get("systems", DEFAULT_SYSTEMS):  # before any training
+    systems = cfg.get("systems", DEFAULT_SYSTEMS)
+    if "ivector" in systems:  # before any training
         iv = _merged(cfg, "ivector")
         ivector.check_dim(iv["dim"], iv["ubm_components"],
                           next(iter(corpus.features.values())).dim)
@@ -285,8 +286,13 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     eval_ids = list(corpus.splits.eval_ids)
     all_ids = sorted(corpus.features)
     _check_ids(all_ids, corpus.labels, "label")  # before any stage trains
-
     label_means = {uid: corpus.labels[uid].mean_score for uid in corpus.labels}
+    fusion_cfg = _merged(cfg, "fusion")
+    if ("score" in fusion_cfg["modes"] and set(systems) & set(EMBEDDED)
+            and len({label_means[uid] for uid in dev_ids}) < 2):
+        raise CorpusError(
+            "score fusion needs two dev-split utterances with different"
+            f" labels; the dev split has {len(dev_ids)} utterance(s)")
     eval_labels = np.array([label_means[u] for u in eval_ids])
     report_rows = []  # in arrival order; put in REPORT_ROWS order at the end
 
@@ -309,12 +315,9 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     row("gop", eval_pcc(gop_scores))
 
     svr_cfg = _merged(cfg, "svr")
-    fusion_cfg = _merged(cfg, "fusion")
-    modes = fusion_cfg["modes"]
     # cached stage -> its stamp; an SVR's joins when its model arrives
     stamps = {name: _stamp(name, _merged(cfg, name), corpus_key, seed)
-              for name in MARGINALS
-              if name in cfg.get("systems", DEFAULT_SYSTEMS)}
+              for name in MARGINALS if name in systems}
     fused = {}  # system -> (lambda, fused eval table) of its score fusion
 
     def model_file(name):  # NAME.MAGIC; an svr_* stage's model is an SVR
@@ -339,7 +342,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
         svr = cached(f"svr_{name}", lambda: train_svr(corpus, emb, svr_cfg))
         pred = predict(svr, emb, all_ids)
         row(f"{name}_svr", eval_pcc(pred))
-        if "score" in modes:
+        if "score" in fusion_cfg["modes"]:
             table = assess.ScoreTable(tuple(
                 assess.ScoreRow(u, gop_scores[u], pred[u], label_means[u])
                 for u in all_ids))
@@ -347,7 +350,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                 table.subset(eval_ids), table.subset(dev_ids), fusion_cfg)
             row(f"gop+{name}_score_fusion",
                 assess.pcc(fused_eval.column("fused"), eval_labels), lam)
-        if "feature" in modes:
+        if "feature" in fusion_cfg["modes"]:
             order = train_ids + dev_ids + eval_ids
             fused_X = assess.feature_fuse(
                 np.array([emb[u] for u in order]),
@@ -429,7 +432,9 @@ def _training(names, corpus: Corpus, cfg: dict):
     as they finish; else they arrive in that order and train() trains in
     this process. The workers load the train split from one temporary file
     under the work dir, so a worker that dies fails with BrokenProcessPool.
-    No worker and no file outlives the block, on an error neither.
+    The file is written after a first worker starts, so the nested run of
+    an unguarded script writes nothing. No worker and no file outlives the
+    block, on an error neither.
     """
     workers = min(_cpu_count(), len(names))
     if workers < 2:
@@ -442,11 +447,12 @@ def _training(names, corpus: Corpus, cfg: dict):
         corpus, alignments={}, posteriors={},
         features={u: fs for u, fs in corpus.features.items() if u in train},
         labels={u: lab for u, lab in corpus.labels.items() if u in train})
-    with tempfile.TemporaryDirectory(dir=cfg.get("work_dir", ".")) as tmp:
-        path = os.path.join(tmp, "split.pickle")
-        with open(path, "wb") as f:
-            pickle.dump(split, f)
-        with _pool(workers) as pool:  # shut down before tmp is removed
+    with _pool(workers) as pool:
+        pool.submit(int)  # a worker starts before the file is written
+        with tempfile.TemporaryDirectory(dir=cfg.get("work_dir", ".")) as tmp:
+            path = os.path.join(tmp, "split.pickle")
+            with open(path, "wb") as f:
+                pickle.dump(split, f)
             try:
                 futures = {name: pool.submit(_train_file, name, path,
                                              _merged(cfg, name), cfg["seed"])
@@ -456,6 +462,7 @@ def _training(names, corpus: Corpus, cfg: dict):
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
+            pool.shutdown()  # before tmp is removed
 
 
 def _train_file(name: str, path: str, section: dict, run_seed: int):
@@ -534,8 +541,8 @@ def train_ivector(corpus: Corpus, ubm: gmm.GmmModel, section: dict,
                   seed: int):
     """T-matrix EM on the train split's statistics under a trained UBM;
     returns (model, evidence trace) as `ivector.tmatrix_train` does."""
-    stats = [ivector.ubm_stats(ubm, corpus.features[uid])
-             for uid in corpus.splits.train_ids]
+    stats = ivector.ubm_stats(ubm, [corpus.features[uid]
+                                    for uid in corpus.splits.train_ids])
     return ivector.tmatrix_train(ubm, stats, int(section["dim"]),
                                  int(section["iters"]), seed)
 
@@ -618,9 +625,8 @@ def infer(model, features: dict):
         return {uid: gmm.gmm_loglik(model, fs)[1]
                 for uid, fs in features.items()}, None
     if isinstance(model, ivector.IVectorModel):
-        return None, {uid: ivector.ivector_infer(
-            model, ivector.ubm_stats(model.ubm, fs))[0]
-            for uid, fs in features.items()}
+        return None, dict(zip(features, ivector.ivector_infer(
+            model, ivector.ubm_stats(model.ubm, features.values()))))
     backbone = model.backbone if isinstance(model, dnf.DnfModel) else model
     if not isinstance(backbone, flow.FlowModel):
         return None, None

@@ -160,14 +160,15 @@ def test_criterion_4_em_monotonicity():
                        np.array([[-20.0, 0.0], [20.0, 0.0]]),
                        np.ones((2, 2)))
     loadings_true = rng.standard_normal((2, 2, 2))
-    stats = []
+    utts = []
     for u in range(30):
         z = rng.standard_normal(2)
         assign = rng.integers(0, 2, size=10)
         obs = (ubm.means[assign] + loadings_true[assign] @ z
                + rng.standard_normal((10, 2)))
-        stats.append(ivector.ubm_stats(ubm, FeatureSequence(f"u{u}", obs)))
-    _, aux = ivector.tmatrix_train(ubm, stats, R=2, iters=10, seed=11)
+        utts.append(FeatureSequence(f"u{u}", obs))
+    _, aux = ivector.tmatrix_train(ubm, ivector.ubm_stats(ubm, utts), R=2,
+                                   iters=10, seed=11)
     adiffs = np.diff(aux)
     assert np.all(adiffs >= -1e-8 * np.maximum(np.abs(aux[:-1]), 1.0))
     assert time.time() - start < 60.0
@@ -193,14 +194,14 @@ def test_criterion_5_oracle_equivalence():
 
         assign = rng.integers(0, K, size=6)
         frames = means[assign] + 0.3 * rng.standard_normal((6, D))
-        st = ivector.ubm_stats(ubm, FeatureSequence("u", frames))
+        st = ivector.ubm_stats(ubm, [FeatureSequence("u", frames)])
 
         T_stack = np.vstack([loadings[k] for k in assign])
         noise = np.diag(variances[assign].ravel())
         cov_oo = T_stack @ T_stack.T + noise
         expected = T_stack.T @ np.linalg.solve(
             cov_oo, (frames - means[assign]).ravel())
-        z, _ = ivector.ivector_infer(model, st)
+        [z] = ivector.ivector_infer(model, st)
         np.testing.assert_allclose(z, expected, atol=1e-9)
 
     # SVR dual vs projected-gradient QP oracle on N <= 10 problems

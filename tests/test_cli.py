@@ -618,10 +618,10 @@ def test_train_ivector_dim_above_its_bound_exits_2_before_em(
         corpus_dir, tmp_path, capsys, monkeypatch):
     """With a manifest corpus the bound is checked by the T-matrix EM,
     before its first E-step."""
-    def no_posterior(*args):
+    def no_posteriors(*args):
         raise AssertionError("T-matrix EM ran with an i-vector dim above K*D")
 
-    monkeypatch.setattr(ivector, "_posterior", no_posterior)
+    monkeypatch.setattr(ivector, "_posteriors", no_posteriors)
     ubm = tmp_path / "ubm.pgmm"
     gmm.save_gmm(ubm, gmm.GmmModel(np.full(2, 0.5), np.zeros((2, 6)),
                                    np.ones((2, 6))))

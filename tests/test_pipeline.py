@@ -257,12 +257,12 @@ def test_infer_equals_the_public_functions(tiny_models):
     tiny, models = tiny_models
     out = {name: pipeline.infer(m, tiny.features) for name, m in models.items()}
     assert out["gmm"][1] is None and out["ivector"][0] is None
-    for uid, fs in tiny.features.items():
+    ivectors = ivector.ivector_infer(models["ivector"], ivector.ubm_stats(
+        models["ivector"].ubm, tiny.features.values()))
+    assert list(out["ivector"][1]) == list(tiny.features)
+    for (uid, fs), iv in zip(tiny.features.items(), ivectors):
         assert out["gmm"][0][uid] == gmm.gmm_loglik(models["gmm"], fs)[1]
-        np.testing.assert_array_equal(
-            out["ivector"][1][uid], ivector.ivector_infer(
-                models["ivector"],
-                ivector.ubm_stats(models["ivector"].ubm, fs))[0])
+        np.testing.assert_array_equal(out["ivector"][1][uid], iv)
         for name, embed in (("nf", flow.flow_embed), ("dnf", dnf.dnf_embed)):
             backbone = models["nf"] if name == "nf" else models["dnf"].backbone
             assert out[name][0][uid] == \
@@ -318,9 +318,11 @@ def _files(d: Path) -> dict:
 
 def _counted_pools(monkeypatch) -> tuple:
     """The worker count of each pool that pipeline._pool makes from now,
-    and the arguments of each task submitted to it, each with the corpus
-    that the file it names held at submit time."""
-    make, pools, sent = pipeline._pool, [], []
+    the arguments of each training task submitted to it, each with the
+    corpus that the file it names held at submit time, and for each task
+    with no arguments, which only starts a worker, the number of training
+    tasks sent before it."""
+    make, pools, sent, starts = pipeline._pool, [], [], []
 
     def counted(workers):
         pools.append(workers)
@@ -328,6 +330,9 @@ def _counted_pools(monkeypatch) -> tuple:
         submit = pool.submit
 
         def spied(fn, *args):
+            if not args:
+                starts.append(len(sent))
+                return submit(fn)
             with open(args[1], "rb") as f:
                 sent.append((args, pickle.load(f)))
             return submit(fn, *args)
@@ -336,11 +341,11 @@ def _counted_pools(monkeypatch) -> tuple:
         return pool
 
     monkeypatch.setattr(pipeline, "_pool", counted)
-    return pools, sent
+    return pools, sent, starts
 
 
 def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
-    pools, sent = _counted_pools(monkeypatch)
+    pools, sent, starts = _counted_pools(monkeypatch)
     out = {}
     for workers in (1, 2):
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
@@ -349,6 +354,7 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
         models = {p: b for p, (b, _) in _files(work / "models").items()}
         out[workers] = models, result.report_path.read_bytes()
     assert pools == [2]
+    assert starts == [0]  # a worker starts before any task is sent
     assert multiprocessing.active_children() == []
     # each task is (name, split file, section, seed) and carries no corpus;
     # the one file, in a temporary directory of the work dir that is gone
@@ -377,7 +383,7 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
 def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
     """A pool is sent its tasks in the order this process would train
     them: MARGINALS order."""
-    pools, sent = _counted_pools(monkeypatch)
+    pools, sent, _ = _counted_pools(monkeypatch)
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
     assert len(pools) == 1
@@ -500,8 +506,9 @@ def test_unguarded_script_fails_instead_of_hanging(tmp_path):
     in each spawned worker as it imports the script, and starting a pool
     there fails. The run then fails with BrokenProcessPool and leaves no
     split file, however far the preset's train split outgrows a pipe. The
-    workers' own runs use another work dir: the pool kills a worker that
-    is still running when another dies, whatever files it holds."""
+    workers' own runs use another work dir and fail as they start their
+    first worker, before they write a split file of their own: else the
+    pool could kill one between that write and its cleanup."""
     preset, _ = synth_corpus(corpus.SynthConfig())
     manifest = save_corpus(preset, tmp_path / "corpus")
     work = tmp_path / "work"
@@ -510,11 +517,18 @@ def test_unguarded_script_fails_instead_of_hanging(tmp_path):
            "systems": ["gop", "gmm", "nf"],
            "gmm": {"components": 2, "iters": 3}, "nf": _TINY_FLOW}
     script = tmp_path / "unguarded.py"
+    dumps = tmp_path / "nested_dumps.txt"
     script.write_text("from proscore import pipeline\n"
                       "pipeline._cpu_count = lambda: 2\n"
                       f"cfg = {cfg!r}\n"
                       "if __name__ != '__main__':\n"
                       f"    cfg['work_dir'] = {str(tmp_path / 'nested')!r}\n"
+                      "    dump = pipeline.pickle.dump\n"
+                      "    def recorded(obj, f, *args, **kwargs):\n"
+                      f"        with open({str(dumps)!r}, 'a') as r:\n"
+                      "            r.write(f.name + '\\n')\n"
+                      "        return dump(obj, f, *args, **kwargs)\n"
+                      "    pipeline.pickle.dump = recorded\n"
                       "pipeline.run_pipeline(cfg)\n")
     try:
         proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
@@ -525,6 +539,26 @@ def test_unguarded_script_fails_instead_of_hanging(tmp_path):
     assert proc.returncode != 0
     assert "BrokenProcessPool" in proc.stderr
     assert list(work.rglob("*.pickle")) == []
+    assert not dumps.exists()  # no nested run wrote a split file
+
+
+def test_one_utterance_dev_split_fails_before_training(tmp_path, capsys):
+    """dev_fraction 0 leaves a synth corpus one dev utterance, too few to
+    pick a score-fusion weight on: the run fails before any stage trains,
+    naming the dev split and its size. Feature fusion uses no dev split."""
+    cfg = {"seed": 7, "corpus": {"synth": dict(vars(TINY_SYNTH),
+                                               dev_fraction=0.0)},
+           "systems": ["gop", "ivector"], "ivector": _TINY_RUN["ivector"]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: score fusion needs two dev-split utterances with"
+        " different labels; the dev split has 1 utterance(s)")
+    assert list((tmp_path / "models").glob("*")) == []
+    config.write_text(json.dumps(dict(cfg, fusion={"modes": ["feature"]})))
+    assert main(["run", str(config)]) == 0
+    assert (tmp_path / "models" / "svr_ivector.psvr").exists()
 
 
 @pytest.mark.parametrize("stage, setting, code, message", [
