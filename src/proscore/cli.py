@@ -99,9 +99,17 @@ def cmd_train_svr(args) -> int:  # SMO is deterministic: --seed is unused
                                           _section(args)))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite embedding value {text!r}")
+    return value
+
+
 def _read_embeddings(path) -> dict:
-    return {uid: np.array(formats.parse(where, CorpusError, float, *vec))
-            for where, (uid, *vec) in formats.read_tsv(path, CorpusError)}
+    return {uid: np.array(formats.parse(where, CorpusError, _finite, *vec))
+            for where, (uid, *vec)
+            in formats.read_tsv(path, CorpusError, keyed=True)}
 
 
 def _write_embeddings(path, emb: dict) -> None:
@@ -126,6 +134,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.svr and not args.embeddings:  # before any file is read
+        raise ConfigError("--svr requires --embeddings")
+    if not (args.gop or args.model or args.svr):
+        raise ConfigError("no score columns requested (use --gop/--model/--svr)")
     corpus = load_corpus(args.manifest)
     ids = sorted(corpus.features)
     if args.split:
@@ -140,12 +152,8 @@ def cmd_score(args) -> int:
         columns.append((f"{pipeline.model_system(model)}_loglik",
                         _inferred(model, features, 0, "frame log-likelihood")))
     if args.svr:
-        if not args.embeddings:
-            raise ConfigError("--svr requires --embeddings")
         columns.append(("predicted", pipeline.predict(
             regress.load_svr(args.svr), _read_embeddings(args.embeddings), ids)))
-    if not columns:
-        raise ConfigError("no score columns requested (use --gop/--model/--svr)")
     nan = float("nan")
     columns.append(("label_mean", {
         uid: corpus.labels[uid].mean_score if uid in corpus.labels else nan
@@ -302,10 +310,10 @@ def main(argv=None) -> int:
         if args.stage:  # before the subcommand reads any file
             pipeline.check_section(args.stage, _section(args))
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # ConfigError, SvrError and other bad settings
+    except (ValueError, OSError) as exc:  # bad settings, or an unusable output
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergence as exc:

@@ -320,7 +320,8 @@ def write_labels_file(path, labels) -> None:
 
 def read_labels_file(path) -> dict:
     labels = {}
-    for where, (uid, scores) in formats.read_tsv(path, CorpusError, 2):
+    rows = formats.read_tsv(path, CorpusError, 2, keyed=True)
+    for where, (uid, scores) in rows:
         scores = formats.parse(where, CorpusError, int, *scores.split(","))
         labels[uid] = RatedUtterance(uid, scores)
     return labels
@@ -354,7 +355,8 @@ def write_manifest(path, roles: dict) -> None:
 def read_manifest(path) -> dict:
     path = Path(path)
     roles = {}
-    for where, (role, target) in formats.read_tsv(path, CorpusError, 2):
+    rows = formats.read_tsv(path, CorpusError, 2, keyed=True)
+    for where, (role, target) in rows:
         if role not in MANIFEST_ROLES:
             raise CorpusError(f"{where}: unknown role {role!r}")
         roles[role] = path.parent / target
@@ -392,10 +394,6 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 def load_corpus(manifest_path) -> Corpus:
     """Load and cross-validate a corpus from its manifest."""
     roles = read_manifest(manifest_path)
-    for role in MANIFEST_ROLES:
-        if not Path(roles[role]).exists():
-            raise CorpusError(f"missing {role} path: {roles[role]}")
-
     feat_dir = Path(roles["features"])
     post_dir = Path(roles["posteriors"])
     features = {p.stem: read_feature_file(p, p.stem)

@@ -10,12 +10,13 @@ reader can derive from the fields before it. Serialization is canonical:
 writing what was just read reproduces the bytes exactly.
 
 Text tables (manifests, alignments, labels, splits, embeddings, score
-tables) are TSV: one row per line, fields separated by tabs, blank lines
-skipped, floats written as `%.17g` so that they read back exactly.
+tables) are UTF-8 TSV: one row per line, fields separated by tabs, blank
+lines skipped, floats written as `%.17g` so that they read back exactly.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -47,17 +48,33 @@ def save(path, write, model) -> None:
 
 
 def load(path, read):
-    """Read one file with `read(f)`; trailing bytes are an error. A
-    DataError raised while reading gets the path in front of its message."""
-    with open(path, "rb") as f:
-        try:
+    """Read one input file with `read(f)`; trailing bytes are an error. An
+    OSError, bytes that are not UTF-8 or a DataError raised while reading
+    is a DataError whose message starts with the path."""
+    try:
+        with open(path, "rb") as f:
             model = read(f)
             if f.read(1):
                 raise FormatError("trailing bytes after payload")
-        except DataError as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return model
+
+
+def file_magic(path, known) -> str:
+    """The 4-byte magic that the file at `path` starts with, one of `known`."""
+    def read(f):
+        got = f.read(4).decode("ascii", errors="replace")
+        if got not in known:
+            raise FormatError(f"unknown model file magic {got!r}")
+        f.seek(0, os.SEEK_END)  # the rest is for the loader of that magic
+        return got
+    return load(path, read)
 
 
 def write_magic(f: BinaryIO, magic: str) -> None:
@@ -145,37 +162,38 @@ def write_string(f: BinaryIO, s: str) -> None:
 
 
 def read_string(f: BinaryIO) -> str:
-    raw = read_bytes(f, read_u32(f), "string")
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"string is not UTF-8 ({exc.reason})") from None
+    return read_bytes(f, read_u32(f), "string").decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
 # text tables
 
 
-def read_tsv(path, error, columns=None):
+def read_tsv(path, error, columns=None, keyed=False):
     """Yield ("PATH:LINE", fields) for each non-blank line of a TSV file.
 
     Every line must have `columns` fields, or as many as the first line
-    when `columns` is None; any other count raises `error`.
+    when `columns` is None; any other count raises `error`, as does, when
+    `keyed`, a first field that an earlier line holds. Lines end as in a
+    file read in text mode, so a CRLF file reads as an LF one.
     """
-    name = str(path)
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if columns is None:
-                columns = len(fields)
-            where = f"{name}:{lineno}"
-            if len(fields) != columns:
-                raise error(f"{where}: expected {columns} TSV columns,"
-                            f" got {len(fields)}")
-            yield where, fields
+    text = load(path, lambda f: f.read().decode("utf-8"))
+    first = {}  # key -> the line that holds it
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if columns is None:
+            columns = len(fields)
+        where = f"{path}:{lineno}"
+        if len(fields) != columns:
+            raise error(f"{where}: expected {columns} TSV columns,"
+                        f" got {len(fields)}")
+        if keyed and first.setdefault(fields[0], lineno) != lineno:
+            raise error(f"{where}: {fields[0]} is listed twice"
+                        f" (first on line {first[fields[0]]})")
+        yield where, fields
 
 
 def parse(where: str, error, convert, *values) -> list:

@@ -40,7 +40,6 @@ import numpy as np
 from . import assess, dnf, flow, formats, gmm, gop, ivector, regress
 from .corpus import (Corpus, CorpusError, SynthConfig, load_corpus,
                      save_corpus, synth_corpus)
-from .formats import FormatError
 
 
 class ConfigError(ValueError):
@@ -76,12 +75,13 @@ def default_config(work_dir: str = ".") -> dict:
 
 def load_config(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file not found or not readable: {path}"
+                          f" ({exc.strerror})") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -671,12 +671,8 @@ def save_model(path, model):
 
 def load_model(path):
     """Read any model file, dispatching on its 4-byte magic."""
-    with open(path, "rb") as f:
-        magic = f.read(4).decode("ascii", errors="replace")
-    for _cls, file_magic, _save, load in _codecs().values():
-        if magic == file_magic:
-            return load(path)
-    raise FormatError(f"{path}: unknown model file magic {magic!r}")
+    loaders = {magic: load for _cls, magic, _save, load in _codecs().values()}
+    return loaders[formats.file_magic(path, loaders)](path)
 
 
 # ---------------------------------------------------------------------------
@@ -702,12 +698,7 @@ def _corpus_stage(cfg, work: Path, force: bool):
             "synth", key, ["manifest.tsv", "oracle.tsv"],
             lambda: write_synth_corpus(synth, corpus_dir),
             lambda: load_corpus(corpus_dir / "manifest.tsv")), key
-    manifest = Path(corpus_cfg["manifest"])
-    if not manifest.is_absolute():
-        manifest = work / manifest
-    if not manifest.exists():
-        raise CorpusError(f"corpus manifest not found: {manifest}")
-    corpus_obj = load_corpus(manifest)
+    corpus_obj = load_corpus(work / corpus_cfg["manifest"])  # if relative
     return corpus_obj, _corpus_digest(corpus_obj)
 
 

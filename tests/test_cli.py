@@ -315,57 +315,127 @@ def _svr_with_kernel_7(d):
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [
+def _corpus_with(m, d, name, old, new):
+    """A copy of the corpus of manifest `m[1]` in which file `name` has the
+    first `old` of its bytes replaced by `new`."""
+    root = d / "corpus"
+    shutil.copytree(Path(m[1]).parent, root)
+    path = root / name
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    return str(root / "manifest.tsv")
+
+
+# argv(m, d) of m = ["--manifest", MANIFEST] and the tmp dir d, and the path
+# under d that the message starts with (None where it names no file)
+@pytest.mark.parametrize("argv, where", [
     pytest.param(lambda m, d: [
         "train-svr", *m, "--out", str(d / "x.psvr"), "--embeddings",
-        _text_file(d / "e.tsv", "nobody\t1.0\n")], id="CorpusError"),
+        _text_file(d / "e.tsv", "nobody\t1.0\n")], None, id="CorpusError"),
     pytest.param(lambda m, d: [
         "embed", *m, "--out", str(d / "e.tsv"), "--model",
-        _text_file(d / "bogus.bin", "WHAT1234")], id="FormatError"),
+        _text_file(d / "bogus.bin", "WHAT1234")], "bogus.bin", id="FormatError"),
     pytest.param(lambda m, d: [
         "fuse", "--scores", _text_file(d / "s.tsv", "utterance_id\tgop\n"),
-        "--dev-scores", str(d / "s.tsv")], id="AssessError"),
+        "--dev-scores", str(d / "s.tsv")], "s.tsv", id="AssessError"),
     pytest.param(lambda m, d: [
         "train-gmm", *m, "--out", str(d / "g.pgmm"), "--components", "100000"],
-        id="GmmError"),
+        None, id="GmmError"),
     pytest.param(lambda m, d: [
         "train-flow", *m, "--out", str(d / "f.pnf1"), "--epochs", "1",
-        "--batch-size", "100000"], id="FlowError"),
+        "--batch-size", "100000"], None, id="FlowError"),
     pytest.param(lambda m, d: [
         "train-ivector", *m, "--out", str(d / "i.pivm"),
-        "--ubm", _ubm_of_dim_2(d)], id="IVectorError"),
+        "--ubm", _ubm_of_dim_2(d)], None, id="IVectorError"),
     pytest.param(lambda m, d: [
         "embed", *m, "--out", str(d / "e.tsv"),
-        "--model", _dnf_without_classes(d)], id="DnfError"),
+        "--model", _dnf_without_classes(d)], "s0.pdnf", id="DnfError"),
     pytest.param(lambda m, d: [
         "embed", *m, "--out", str(d / "e.tsv"),
-        "--model", str(d / "missing.pivm")], id="FileNotFoundError"),
+        "--model", str(d / "missing.pivm")], "missing.pivm",
+        id="FileNotFoundError"),
     pytest.param(lambda m, d: [
         "embed", *m, "--out", str(d / "e.tsv"), "--model", _pivm_v1(d)],
-        id="FormatError-version"),
+        "v1.pivm", id="FormatError-version"),
     pytest.param(lambda m, d: [
         "score", *m, "--svr", _svr_of_dim_2(d),
-        "--embeddings", _embeddings(m, d, skip=1)], id="CorpusError-predict"),
+        "--embeddings", _embeddings(m, d, skip=1)], None,
+        id="CorpusError-predict"),
     pytest.param(lambda m, d: [
-        "train-svr", *m, "--out", str(d / "x.psvr"),
-        "--embeddings", _embeddings(m, d, nan=True)], id="SvrDataError"),
+        "train-svr", *m, "--out", str(d / "x.psvr"), "--embeddings",
+        _text_file(d / "e.tsv", load_corpus(m[1]).splits.train_ids[0]
+                   + "\t0.5\n")], None, id="SvrDataError"),
     pytest.param(lambda m, d: [
         "score", *m, "--svr", _svr_of_dim_2(d),
-        "--embeddings", _embeddings(m, d, dim=3)], id="SvrDataError-shape"),
+        "--embeddings", _embeddings(m, d, dim=3)], None,
+        id="SvrDataError-shape"),
     pytest.param(lambda m, d: [
         "score", *m, "--svr", _svr_with_kernel_7(d),
-        "--embeddings", _embeddings(m, d)], id="FormatError-kernel"),
+        "--embeddings", _embeddings(m, d)], "k7.psvr", id="FormatError-kernel"),
     pytest.param(lambda m, d: [
         "score", "--manifest", _corpus_without(m, d, "alignment"), "--gop"],
-        id="CorpusError-gop-alignment"),
+        None, id="CorpusError-gop-alignment"),
     pytest.param(lambda m, d: [
         "score", "--manifest", _corpus_without(m, d, "posteriorgram"), "--gop"],
-        id="CorpusError-gop-posteriorgram"),
+        None, id="CorpusError-gop-posteriorgram"),
+    pytest.param(lambda m, d: ["score", "--manifest", str(d), "--gop"], "",
+                 id="IsADirectoryError-manifest"),
+    pytest.param(lambda m, d: ["evaluate", *m, "--scores", str(d)], "",
+                 id="IsADirectoryError-scores"),
+    pytest.param(lambda m, d: [
+        "score", "--manifest", _corpus_with(m, d, "labels.tsv", b",", b"\xff"),
+        "--gop"], "corpus/labels.tsv", id="UnicodeDecodeError-text"),
+    pytest.param(lambda m, d: [
+        "score", "--manifest", _corpus_with(
+            m, d, "posteriors/spk000_utt00.post", b"ph00", b"\xffh00"),
+        "--gop"], "corpus/posteriors/spk000_utt00.post",
+        id="UnicodeDecodeError-binary"),
+    pytest.param(lambda m, d: [
+        "score", *m, "--svr", _svr_of_dim_2(d),
+        "--embeddings", _embeddings(m, d, nan=True)], "e.tsv:1",
+        id="CorpusError-nan-embedding"),
 ])
-def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv):
+def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv, where):
+    """Every data fault exits 2 and writes nothing; a fault of one file
+    names it first."""
     _, manifest = corpus_dir
     assert main(argv(["--manifest", str(manifest)], tmp_path)) == 2
-    assert "data error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("data error: " if where is None
+                          else f"data error: {tmp_path / where}: ")
+
+
+def _dir(path):
+    path.mkdir()
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda m, d: (["run", _dir(d / "c")], d / "c"),
+                 id="config-is-a-directory"),
+    pytest.param(lambda m, d: ([
+        "train-gmm", *m, "--components", "2", "--iters", "1",
+        "--out", _dir(d / "c")], d / "c"), id="out-is-a-directory"),
+    pytest.param(lambda m, d: ([
+        "train-gmm", *m, "--components", "2", "--iters", "1",
+        "--out", str(d / "nodir" / "g.pgmm")], d / "nodir" / "g.pgmm"),
+        id="out-in-a-missing-directory"),
+    pytest.param(lambda m, d: (["run", _text_file(d / "cfg.json", json.dumps({
+        "seed": 1, "work_dir": _text_file(d / "w", ""),
+        "corpus": {"manifest": m[1]}, "systems": ["gop"]}))], d / "w"),
+        id="work-dir-is-a-file"),
+])
+def test_unusable_config_or_output_exits_1(corpus_dir, tmp_path, capsys, argv):
+    """A config file that cannot be read, an output that cannot be written
+    and a work dir that is a file are config errors that name the path,
+    with no traceback, and nothing is written."""
+    argv, path = argv(["--manifest", str(corpus_dir[1])], tmp_path)
+    before = sorted(tmp_path.rglob("*")), _tree(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert "Traceback" not in err
+    assert (sorted(tmp_path.rglob("*")), _tree(tmp_path)) == before
 
 
 @pytest.mark.parametrize("command, split", [
@@ -491,13 +561,19 @@ def test_every_exception_class_but_settings_is_a_data_error():
     ("splits.tsv", 3, "spk000_utt00\ttrain\t1"),
     ("e.tsv", 2, "spk000_utt01\t0.5\tabc"),
     ("e.tsv", 2, "spk000_utt01\t0.5"),
+    ("e.tsv", 2, "spk000_utt01\tnan\t0.5"),
+    ("e.tsv", 2, "spk000_utt01\t0.5\t-inf"),
+    ("e.tsv", 2, "spk000_utt00\t0.5\t0.5"),
+    ("labels.tsv", 2, "spk000_utt00\t5,5,5,5,5"),
+    ("manifest.tsv", 5, "labels\tlabels.tsv"),
     ("s.tsv", 3, "u2\tabc\t1\t2"),
     ("s.tsv", 3, "u2\t1\t2"),
 ])
 def test_malformed_text_line_exits_2(corpus_dir, tmp_path, capsys, name,
                                      lineno, line):
-    """A non-numeric field or a wrong field count in any text input is a
-    data error that names the file and the line."""
+    """A non-numeric field, a wrong field count, a key listed twice or a
+    non-finite embedding in any text input is a data error that names the
+    file and the line."""
     root = tmp_path / "corpus"
     shutil.copytree(corpus_dir[1].parent, root)
     m = ["--manifest", str(root / "manifest.tsv")]
@@ -662,7 +738,9 @@ _BAD_STAGE_FLAGS = [
      "fusion.grid_step must be > 0"),
     (["train-dnf", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["train-flow", "--learning-rate", "nan"],
-     "nf.learning_rate: expected a finite number, got nan")]
+     "nf.learning_rate: expected a finite number, got nan"),
+    (["score", "--svr", "s.psvr"], "--svr requires --embeddings"),
+    (["score"], "no score columns requested")]
 
 
 @pytest.mark.parametrize("argv, message", _BAD_STAGE_FLAGS)

@@ -161,6 +161,18 @@ def test_save_load_round_trip(tiny_corpus, tmp_path):
         assert loaded.labels[uid] == corpus.labels[uid]
 
 
+def test_crlf_text_files_load_as_lf(tiny_corpus, tmp_path):
+    """Text files with CRLF line ends read as those the program writes."""
+    corpus, _ = tiny_corpus
+    manifest = save_corpus(corpus, tmp_path)
+    lf = load_corpus(manifest)
+    for path in tmp_path.glob("*.tsv"):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    crlf = load_corpus(manifest)
+    assert (crlf.alignments, crlf.labels, crlf.splits) == (
+        lf.alignments, lf.labels, lf.splits)
+
+
 def test_load_empty_corpus_errors(tmp_path):
     (tmp_path / "features").mkdir()
     (tmp_path / "posteriors").mkdir()
