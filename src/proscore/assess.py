@@ -15,14 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import formats
+from .formats import DataError
 from .corpus import SplitManifest
 
 
 NORMALIZATIONS = ("zscore", "none")
-
-
-class AssessError(formats.DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -42,20 +39,20 @@ class ScoreTable:
         object.__setattr__(self, "rows", tuple(self.rows))
         ids = [r.utterance_id for r in self.rows]
         if len(set(ids)) != len(ids):
-            raise AssessError("duplicate utterance ids in score table")
+            raise DataError("duplicate utterance ids in score table")
         for r in self.rows:
             vals = [r.gop, r.predicted]
             if r.fused is not None:
                 vals.append(r.fused)
             if not np.all(np.isfinite(vals)):
-                raise AssessError(f"{r.utterance_id}: non-finite score")
+                raise DataError(f"{r.utterance_id}: non-finite score")
             if math.isinf(r.label_mean):  # nan marks an unlabeled utterance
-                raise AssessError(f"{r.utterance_id}: infinite label_mean")
+                raise DataError(f"{r.utterance_id}: infinite label_mean")
 
     def column(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.rows]
         if any(v is None for v in vals):
-            raise AssessError(f"column {name!r} not populated")
+            raise DataError(f"column {name!r} not populated")
         return np.array(vals, dtype=np.float64)
 
     def subset(self, utterance_ids) -> "ScoreTable":
@@ -63,15 +60,15 @@ class ScoreTable:
         found = {r.utterance_id for r in self.rows} & wanted
         missing = sorted(wanted - found)
         if missing:
-            raise AssessError(f"missing utterances in score table: {missing[:5]}")
+            raise DataError(f"missing utterances in score table: {missing[:5]}")
         return ScoreTable(tuple(r for r in self.rows if r.utterance_id in wanted))
 
     def labels(self) -> np.ndarray:
         """The label_mean column, which correlations need for every row."""
         for r in self.rows:
             if math.isnan(r.label_mean):
-                raise AssessError(f"{r.utterance_id}: unlabeled utterance"
-                                  " (label_mean is nan)")
+                raise DataError(f"{r.utterance_id}: unlabeled utterance"
+                                " (label_mean is nan)")
         return self.column("label_mean")
 
 
@@ -82,9 +79,9 @@ class FusionConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_ <= 1.0:
-            raise AssessError(f"lambda must lie in [0,1], got {self.lambda_}")
+            raise ValueError(f"lambda must lie in [0,1], got {self.lambda_}")
         if self.normalization not in NORMALIZATIONS:
-            raise AssessError(f"unknown normalization {self.normalization!r}")
+            raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
 def pcc(xs, ys) -> float:
@@ -92,15 +89,15 @@ def pcc(xs, ys) -> float:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
-        raise AssessError(f"length mismatch: {xs.shape} vs {ys.shape}")
+        raise DataError(f"length mismatch: {xs.shape} vs {ys.shape}")
     if xs.shape[0] < 2:
-        raise AssessError("need at least 2 points")
+        raise DataError("need at least 2 points")
     xc = xs - xs.mean()
     yc = ys - ys.mean()
     sx = float(np.sqrt((xc ** 2).sum()))
     sy = float(np.sqrt((yc ** 2).sum()))
     if sx == 0.0 or sy == 0.0:
-        raise AssessError("constant input vector")
+        raise DataError("constant input vector")
     return float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
 
 
@@ -123,7 +120,7 @@ def score_fuse(table: ScoreTable, cfg: FusionConfig,
     """
     if cfg.normalization == "zscore":
         if norm_stats is None:
-            raise AssessError("zscore fusion needs dev-split normalization stats")
+            raise ValueError("zscore fusion needs dev-split normalization stats")
         gm, gs = norm_stats["gop"]
         pm, ps = norm_stats["predicted"]
     else:
@@ -153,10 +150,10 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
     ordered oppositely fuse to [0, 0] at lambda 0.5).
     """
     if grid_step <= 0:
-        raise AssessError("grid_step must be positive")
+        raise ValueError("grid_step must be positive")
     labels = dev_table.labels()
     if float(labels.std()) == 0.0:
-        raise AssessError("degenerate dev labels: constant")
+        raise DataError("degenerate dev labels: constant")
     stats = fusion_stats(dev_table) if normalization == "zscore" else None
     grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     grid = np.minimum(grid, 1.0)
@@ -167,14 +164,14 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
         fused = score_fuse(dev_table, cfg, stats).column("fused")
         try:
             val = pcc(fused, labels)
-        except AssessError:  # the fused column is constant: labels vary
+        except DataError:  # the fused column is constant: labels vary
             val = float("nan")
         curve.append((float(lam), val))
         if val > best_val + _TIE_TOL:
             best_lam, best_val = float(lam), val
     if best_lam is None:
-        raise AssessError("no fusion weight has a PCC on the dev split: the"
-                          " fused dev score is constant at every weight")
+        raise DataError("no fusion weight has a PCC on the dev split: the"
+                        " fused dev score is constant at every weight")
     return best_lam, curve
 
 
@@ -184,7 +181,7 @@ def feature_fuse(embeddings: np.ndarray, gop_scores) -> np.ndarray:
     gop_scores = np.asarray(gop_scores, dtype=np.float64)
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] != gop_scores.shape[0]:
-        raise AssessError(
+        raise DataError(
             f"length mismatch: {embeddings.shape[0]} embeddings vs "
             f"{gop_scores.shape[0]} GOP scores")
     return np.hstack([embeddings, gop_scores[:, None]])
@@ -198,7 +195,7 @@ def inter_rater_pcc(ratings: np.ndarray) -> float:
     """
     ratings = np.asarray(ratings, dtype=np.float64)
     if ratings.ndim != 2 or ratings.shape[1] < 2:
-        raise AssessError("need an n x R rating matrix with R >= 2")
+        raise DataError("need an n x R rating matrix with R >= 2")
     usable = []
     for r in range(ratings.shape[1]):
         if float(ratings[:, r].std()) == 0.0:
@@ -206,7 +203,7 @@ def inter_rater_pcc(ratings: np.ndarray) -> float:
         else:
             usable.append(r)
     if len(usable) < 2:
-        raise AssessError("fewer than 2 non-constant raters")
+        raise DataError("fewer than 2 non-constant raters")
     vals = []
     for a in range(len(usable)):
         for b in range(a + 1, len(usable)):
@@ -227,21 +224,22 @@ def read_score_table(path) -> ScoreTable:
 
     utterance_id, gop, predicted and label_mean are required and fused is
     optional; log-likelihood columns (`*_loglik`, as `proscore score`
-    writes them) are skipped.
+    writes them) are skipped. An utterance id on two lines is a DataError
+    naming both.
     """
     required = ("utterance_id", "gop", "predicted", "label_mean")
     known = required + ("fused",)
-    lines = formats.read_tsv(path, AssessError)
+    lines = formats.read_tsv(path)
     _, header = next(lines, (path, []))
     if (len(set(header)) != len(header) or not set(required) <= set(header)
             or not all(c in known or c.endswith("_loglik") for c in header)):
-        raise AssessError(f"{path}: unexpected score table header {header}")
+        raise DataError(f"{path}: unexpected score table header {header}")
     col = {name: header.index(name) for name in known if name in header}
-    rows = []
+    rows, first = [], {}
     for where, parts in lines:
         uid, *vals = (parts[i] for i in col.values())
-        gop, predicted, label_mean, *fused = formats.parse(
-            where, AssessError, float, *vals)
+        formats.check_key(first, uid, where)
+        gop, predicted, label_mean, *fused = formats.parse(where, float, *vals)
         rows.append(ScoreRow(uid, gop, predicted, label_mean, *fused))
     return ScoreTable(tuple(rows))
 
@@ -267,7 +265,7 @@ def evaluate(table: ScoreTable, split: SplitManifest,
     for name in ("gop", "predicted", "fused"):
         try:
             col = sub.column(name)
-        except AssessError:
+        except DataError:
             continue
         rows.append(ReportRow(name, split_name, pcc(col, labels)))
     return rows

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, formats, gmm, gop, pipeline, regress
-from .corpus import SPLITS, CorpusError, SynthConfig, load_corpus
+from .corpus import SPLITS, SynthConfig, load_corpus
 from .flow import TrainingDivergence
 from .formats import DataError
 from .pipeline import ConfigError
@@ -107,9 +107,9 @@ def _finite(text: str) -> float:
 
 
 def _read_embeddings(path) -> dict:
-    return {uid: np.array(formats.parse(where, CorpusError, _finite, *vec))
+    return {uid: np.array(formats.parse(where, _finite, *vec))
             for where, (uid, *vec)
-            in formats.read_tsv(path, CorpusError, keyed=True)}
+            in formats.read_tsv(path, keyed=True)}
 
 
 def _write_embeddings(path, emb: dict) -> None:
@@ -121,7 +121,7 @@ def _inferred(model, features: dict, index: int, what: str) -> dict:
     embeddings, which the model must give."""
     values = pipeline.infer(model, features)[index]
     if values is None:
-        raise formats.FormatError(
+        raise DataError(
             f"{pipeline.model_system(model)} models give no {what}")
     return values
 

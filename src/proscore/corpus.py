@@ -15,12 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
+from .formats import DataError
 
 FEATURE_MAGIC = "PRF1"
-
-
-class CorpusError(formats.DataError):
-    """Invalid, inconsistent or missing corpus data."""
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +35,11 @@ class FeatureSequence:
         frames = np.asarray(self.frames, dtype=np.float64)
         object.__setattr__(self, "frames", frames)
         if frames.ndim != 2 or frames.shape[0] < 1:
-            raise CorpusError(
+            raise DataError(
                 f"{self.utterance_id}: frames must be a T x D matrix with T >= 1"
             )
         if not np.all(np.isfinite(frames)):
-            raise CorpusError(f"{self.utterance_id}: non-finite feature values")
+            raise DataError(f"{self.utterance_id}: non-finite feature values")
 
     @property
     def num_frames(self) -> int:
@@ -64,13 +61,13 @@ class PhoneAlignment:
         segs = tuple((int(p), int(s), int(e)) for p, s, e in self.segments)
         object.__setattr__(self, "segments", segs)
         if len(segs) < 1:
-            raise CorpusError(f"{self.utterance_id}: empty alignment")
+            raise DataError(f"{self.utterance_id}: empty alignment")
         prev_end = 0
         for p, s, e in segs:
             if p < 0:
-                raise CorpusError(f"{self.utterance_id}: negative phone id")
+                raise DataError(f"{self.utterance_id}: negative phone id")
             if s < prev_end or s >= e:
-                raise CorpusError(
+                raise DataError(
                     f"{self.utterance_id}: segments must be ordered, "
                     f"non-overlapping, start < end (got {s}..{e})"
                 )
@@ -79,11 +76,11 @@ class PhoneAlignment:
     def check_bounds(self, num_frames: int, num_phones: int | None = None) -> None:
         for p, s, e in self.segments:
             if e > num_frames:
-                raise CorpusError(
+                raise DataError(
                     f"{self.utterance_id}: segment end {e} exceeds T={num_frames}"
                 )
             if num_phones is not None and p >= num_phones:
-                raise CorpusError(
+                raise DataError(
                     f"{self.utterance_id}: phone id {p} out of range [0,{num_phones})"
                 )
 
@@ -108,18 +105,18 @@ class PosteriorGram:
         object.__setattr__(self, "post", post)
         object.__setattr__(self, "phone_table", tuple(self.phone_table))
         if post.ndim != 2 or post.shape[0] < 1:
-            raise CorpusError(f"{self.utterance_id}: posteriorgram must be T x P")
+            raise DataError(f"{self.utterance_id}: posteriorgram must be T x P")
         if post.shape[1] != len(self.phone_table):
-            raise CorpusError(
+            raise DataError(
                 f"{self.utterance_id}: {post.shape[1]} columns but "
                 f"{len(self.phone_table)} phone names"
             )
         if np.any(post < 0):
-            raise CorpusError(f"{self.utterance_id}: negative posterior entries")
+            raise DataError(f"{self.utterance_id}: negative posterior entries")
         sums = post.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
-            raise CorpusError(
+            raise DataError(
                 f"{self.utterance_id}: posteriorgram row {bad[0]} sums to "
                 f"{sums[bad[0]]:.6g}, expected 1"
             )
@@ -143,9 +140,9 @@ class PhonePrior:
         prior = np.asarray(self.prior, dtype=np.float64)
         object.__setattr__(self, "prior", prior)
         if prior.ndim != 1 or np.any(prior <= 0):
-            raise CorpusError("phone prior entries must be positive")
+            raise DataError("phone prior entries must be positive")
         if abs(prior.sum() - 1.0) > 1e-9:
-            raise CorpusError(f"phone prior sums to {prior.sum()!r}, expected 1")
+            raise DataError(f"phone prior sums to {prior.sum()!r}, expected 1")
 
     @classmethod
     def uniform(cls, num_phones: int) -> "PhonePrior":
@@ -162,9 +159,9 @@ class RatedUtterance:
         scores = tuple(int(s) for s in self.rater_scores)
         object.__setattr__(self, "rater_scores", scores)
         if len(scores) < 1:
-            raise CorpusError(f"{self.utterance_id}: needs at least one rater")
+            raise DataError(f"{self.utterance_id}: needs at least one rater")
         if any(s < 1 or s > 5 for s in scores):
-            raise CorpusError(f"{self.utterance_id}: rater scores must lie in [1,5]")
+            raise DataError(f"{self.utterance_id}: rater scores must lie in [1,5]")
         object.__setattr__(self, "mean_score", sum(scores) / len(scores))
 
 
@@ -184,8 +181,8 @@ class SplitManifest:
         seen = set()
         for uid in self.train_ids + self.dev_ids + self.eval_ids:
             if uid in seen:
-                raise CorpusError("split lists must be pairwise disjoint and"
-                                  f" list each utterance once: {uid} repeats")
+                raise DataError("split lists must be pairwise disjoint and"
+                                f" list each utterance once: {uid} repeats")
             seen.add(uid)
 
     def ids(self, name: str) -> tuple:
@@ -198,9 +195,9 @@ class SplitManifest:
         missing = set(utterance_ids) - covered
         extra = covered - set(utterance_ids)
         if missing:
-            raise CorpusError(f"splits do not cover utterances: {sorted(missing)[:5]}")
+            raise DataError(f"splits do not cover utterances: {sorted(missing)[:5]}")
         if extra:
-            raise CorpusError(f"splits reference unknown utterances: {sorted(extra)[:5]}")
+            raise DataError(f"splits reference unknown utterances: {sorted(extra)[:5]}")
 
 
 @dataclass(frozen=True)
@@ -218,27 +215,27 @@ class Corpus:
 
     def validate(self) -> None:
         if not self.features:
-            raise CorpusError("empty corpus")
+            raise DataError("empty corpus")
         dims = {fs.dim for fs in self.features.values()}
         if len(dims) != 1:
-            raise CorpusError(f"inconsistent feature dims across corpus: {sorted(dims)}")
+            raise DataError(f"inconsistent feature dims across corpus: {sorted(dims)}")
         for uid, al in self.alignments.items():
             if uid not in self.features:
-                raise CorpusError(f"alignment for unknown utterance {uid}")
+                raise DataError(f"alignment for unknown utterance {uid}")
             al.check_bounds(self.features[uid].num_frames, self.num_phones)
         for uid, pg in self.posteriors.items():
             if uid not in self.features:
-                raise CorpusError(f"posteriorgram for unknown utterance {uid}")
+                raise DataError(f"posteriorgram for unknown utterance {uid}")
             if pg.num_frames != self.features[uid].num_frames:
-                raise CorpusError(
+                raise DataError(
                     f"{uid}: posteriorgram has {pg.num_frames} frames, "
                     f"features have {self.features[uid].num_frames}"
                 )
             if pg.phone_table != self.phone_table:
-                raise CorpusError(f"{uid}: posteriorgram phone table mismatch")
+                raise DataError(f"{uid}: posteriorgram phone table mismatch")
         for uid in self.labels:
             if uid not in self.features:
-                raise CorpusError(f"label for unknown utterance {uid}")
+                raise DataError(f"label for unknown utterance {uid}")
         self.splits.check_covers(self.features.keys())
 
     def frames_for(self, utterance_ids) -> np.ndarray:
@@ -302,11 +299,11 @@ def write_alignment_file(path, alignments, phone_table) -> None:
 def read_alignment_file(path, phone_table) -> dict:
     index = {name: i for i, name in enumerate(phone_table)}
     rows: dict[str, list] = {}
-    for where, fields in formats.read_tsv(path, CorpusError, 4):
+    for where, fields in formats.read_tsv(path, 4):
         uid, phone, start, end = fields
         if phone not in index:
-            raise CorpusError(f"{where}: unknown phone {phone!r}")
-        start, end = formats.parse(where, CorpusError, int, start, end)
+            raise DataError(f"{where}: unknown phone {phone!r}")
+        start, end = formats.parse(where, int, start, end)
         rows.setdefault(uid, []).append((index[phone], start, end))
     return {uid: PhoneAlignment(uid, segs) for uid, segs in rows.items()}
 
@@ -320,9 +317,9 @@ def write_labels_file(path, labels) -> None:
 
 def read_labels_file(path) -> dict:
     labels = {}
-    rows = formats.read_tsv(path, CorpusError, 2, keyed=True)
+    rows = formats.read_tsv(path, 2, keyed=True)
     for where, (uid, scores) in rows:
-        scores = formats.parse(where, CorpusError, int, *scores.split(","))
+        scores = formats.parse(where, int, *scores.split(","))
         labels[uid] = RatedUtterance(uid, scores)
     return labels
 
@@ -336,9 +333,9 @@ def write_splits_file(path, splits: SplitManifest) -> None:
 
 def read_splits_file(path) -> SplitManifest:
     groups = {name: [] for name in SPLITS}
-    for where, (uid, name) in formats.read_tsv(path, CorpusError, 2):
+    for where, (uid, name) in formats.read_tsv(path, 2):
         if name not in groups:
-            raise CorpusError(f"{where}: unknown split {name!r}")
+            raise DataError(f"{where}: unknown split {name!r}")
         groups[name].append(uid)
     return SplitManifest(*groups.values())
 
@@ -355,14 +352,14 @@ def write_manifest(path, roles: dict) -> None:
 def read_manifest(path) -> dict:
     path = Path(path)
     roles = {}
-    rows = formats.read_tsv(path, CorpusError, 2, keyed=True)
+    rows = formats.read_tsv(path, 2, keyed=True)
     for where, (role, target) in rows:
         if role not in MANIFEST_ROLES:
-            raise CorpusError(f"{where}: unknown role {role!r}")
+            raise DataError(f"{where}: unknown role {role!r}")
         roles[role] = path.parent / target
     missing = [r for r in MANIFEST_ROLES if r not in roles]
     if missing:
-        raise CorpusError(f"{path}: manifest missing roles {missing}")
+        raise DataError(f"{path}: manifest missing roles {missing}")
     return roles
 
 
@@ -399,7 +396,7 @@ def load_corpus(manifest_path) -> Corpus:
     features = {p.stem: read_feature_file(p, p.stem)
                 for p in sorted(feat_dir.glob("*.feat"))}
     if not features:
-        raise CorpusError(f"empty corpus: no feature files under {feat_dir}")
+        raise DataError(f"empty corpus: no feature files under {feat_dir}")
 
     posteriors = {}
     phone_table = None
@@ -408,7 +405,7 @@ def load_corpus(manifest_path) -> Corpus:
         if phone_table is None:
             phone_table = pg.phone_table
     if phone_table is None:
-        raise CorpusError(f"no posteriorgram files under {post_dir}")
+        raise DataError(f"no posteriorgram files under {post_dir}")
 
     alignments = read_alignment_file(roles["alignments"], phone_table)
     labels = read_labels_file(roles["labels"])
@@ -453,18 +450,18 @@ class SynthConfig:
                   self.utterances_per_speaker, self.phones_per_utterance,
                   self.num_raters)
         if any(c < 1 for c in counts):
-            raise CorpusError("all synth counts must be >= 1")
+            raise ValueError("all synth counts must be >= 1")
         lo, hi = self.frames_per_phone
         if lo < 1 or hi < lo:
-            raise CorpusError(f"bad frames_per_phone range {self.frames_per_phone}")
+            raise ValueError(f"bad frames_per_phone range {self.frames_per_phone}")
         if not all(x >= 0 for x in (self.native_scale, self.shift_scale,
                                     self.speaker_spread, self.proficiency_noise,
                                     self.label_noise)):
-            raise CorpusError("scales and noise levels must be >= 0")
+            raise ValueError("scales and noise levels must be >= 0")
         if not (0 < self.eval_fraction < 1 and 0 <= self.dev_fraction < 1):
-            raise CorpusError("split fractions out of range")
+            raise ValueError("split fractions out of range")
         if self.seed < 0:
-            raise CorpusError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def synth_corpus(cfg: SynthConfig):

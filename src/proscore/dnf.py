@@ -13,15 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
+from .formats import DataError
 from .corpus import FeatureSequence
 from .flow import (AdamConfig, FlowModel, build_flow, flow_embed, read_flow,
                    train_core, write_flow)
 
 DNF_MAGIC = "PDNF"
-
-
-class DnfError(formats.DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,9 @@ class DnfModel:
         object.__setattr__(self, "class_means", means)
         dim = self.backbone.dim
         if means.ndim != 2 or len(means) < 1 or means.shape[1] != dim:
-            raise DnfError(f"class means must be S x {dim} with S >= 1")
+            raise DataError(f"class means must be S x {dim} with S >= 1")
         if not np.all(np.isfinite(means)):
-            raise DnfError("non-finite class means")
+            raise DataError("non-finite class means")
 
     @property
     def num_classes(self) -> int:
@@ -61,11 +58,11 @@ def dnf_train(frames: np.ndarray, frame_class: np.ndarray, cfg: AdamConfig,
     frames = np.asarray(frames, dtype=np.float64)
     frame_class = np.asarray(frame_class, dtype=np.int64)
     if frame_class.shape != (frames.shape[0],):
-        raise DnfError("frame_class must assign one class per frame")
+        raise DataError("frame_class must assign one class per frame")
     present = np.bincount(frame_class)
     missing = np.nonzero(present == 0)[0]
     if missing.size:
-        raise DnfError(f"classes with no training frames: {missing.tolist()}")
+        raise DataError(f"classes with no training frames: {missing.tolist()}")
 
     backbone = build_flow(frames.shape[1], num_layers, width, seed=cfg.seed)
     class_means = init_class_means(len(present), frames.shape[1], [cfg.seed, 1])

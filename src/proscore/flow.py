@@ -23,16 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
+from .formats import DataError
 from .corpus import FeatureSequence
 
 FLOW_MAGIC = "PNF1"
 LOG_2PI = float(np.log(2.0 * np.pi))
 INIT_CAP = 2.0  # initial bound on the coupling log-scales
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-class FlowError(formats.DataError):
-    pass
 
 
 class TrainingDivergence(RuntimeError):
@@ -106,7 +103,7 @@ def alternating_halves(dim: int, index: int):
     layer `index`: the first dim // 2 dimensions condition the even layers,
     the others the odd ones."""
     if dim < 2:
-        raise FlowError("a coupling flow needs at least 2 dimensions")
+        raise DataError("a coupling flow needs at least 2 dimensions")
     low, high = slice(0, dim // 2), slice(dim // 2, dim)
     return (low, high) if index % 2 == 0 else (high, low)
 
@@ -237,18 +234,18 @@ def flow_transform(m: FlowModel, direction: str, batch: np.ndarray):
     """Apply f (forward, latent->data) or f^-1 (inverse) to a batch.
 
     Returns the images and the exact per-row log|det| of the applied map
-    with respect to its input, or a FlowError if either is not finite.
+    with respect to its input, or a DataError if either is not finite.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != m.dim:
-        raise FlowError(f"batch must be N x {m.dim}, got {batch.shape}")
+        raise DataError(f"batch must be N x {m.dim}, got {batch.shape}")
     if not np.all(np.isfinite(batch)):
-        raise FlowError("non-finite batch input")
+        raise DataError("non-finite batch input")
     if direction not in ("forward", "inverse"):
-        raise FlowError(f"unknown direction {direction!r}")
+        raise ValueError(f"unknown direction {direction!r}")
     out, logdet = getattr(m, direction)(batch)
     if not (np.all(np.isfinite(out)) and np.all(np.isfinite(logdet))):
-        raise FlowError(f"non-finite activations in the {direction} pass")
+        raise DataError(f"non-finite activations in the {direction} pass")
     return out, logdet
 
 
@@ -266,7 +263,7 @@ def flow_logprob(m: FlowModel, batch: np.ndarray) -> np.ndarray:
 def utterance_frames(m: FlowModel, fs: FeatureSequence) -> np.ndarray:
     """The frames of `fs`, which must have the model's dimension."""
     if fs.dim != m.dim:
-        raise FlowError(f"{fs.utterance_id}: frames have dim {fs.dim}, model {m.dim}")
+        raise DataError(f"{fs.utterance_id}: frames have dim {fs.dim}, model {m.dim}")
     return fs.frames
 
 
@@ -365,7 +362,7 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[0]
     if n < cfg.batch_size:
-        raise FlowError(f"need at least batch_size={cfg.batch_size} frames, got {n}")
+        raise DataError(f"need at least batch_size={cfg.batch_size} frames, got {n}")
     params = m.params()
     trained = params if class_means is None else params + [class_means]
     flat, views = _flat_views(trained)

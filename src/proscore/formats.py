@@ -34,11 +34,8 @@ _UNCHECKED_READ = 1 << 20
 
 
 class DataError(ValueError):
-    """Input data the program cannot use (the CLI exits 2 on it)."""
-
-
-class FormatError(DataError):
-    """Raised when a binary file does not match its declared format."""
+    """Input data the program cannot use (the CLI exits 2 on it). A bad
+    setting is a plain ValueError (exit 1)."""
 
 
 def save(path, write, model) -> None:
@@ -55,7 +52,7 @@ def load(path, read):
         with open(path, "rb") as f:
             model = read(f)
             if f.read(1):
-                raise FormatError("trailing bytes after payload")
+                raise DataError("trailing bytes after payload")
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -71,7 +68,7 @@ def file_magic(path, known) -> str:
     def read(f):
         got = f.read(4).decode("ascii", errors="replace")
         if got not in known:
-            raise FormatError(f"unknown model file magic {got!r}")
+            raise DataError(f"unknown model file magic {got!r}")
         f.seek(0, os.SEEK_END)  # the rest is for the loader of that magic
         return got
     return load(path, read)
@@ -85,25 +82,25 @@ def write_magic(f: BinaryIO, magic: str) -> None:
 def read_magic(f: BinaryIO, magic: str) -> None:
     got = f.read(4)
     if got != magic.encode("ascii"):
-        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+        raise DataError(f"bad magic {got!r}, expected {magic!r}")
     version = read_u32(f)
     if version != VERSIONS[magic]:
-        raise FormatError(f"{magic} version {version} is not supported"
-                          f" (expected version {VERSIONS[magic]})")
+        raise DataError(f"{magic} version {version} is not supported"
+                        f" (expected version {VERSIONS[magic]})")
 
 
 def read_bytes(f: BinaryIO, n: int, what: str) -> bytes:
-    """Exactly n bytes of f, else FormatError naming `what`."""
+    """Exactly n bytes of f, else DataError naming `what`."""
     if n > _UNCHECKED_READ:
         pos = f.tell()
         left = f.seek(0, os.SEEK_END) - pos
         f.seek(pos)
         if n > left:
-            raise FormatError(f"truncated file while reading {what}"
-                              f" ({n} bytes, {left} left)")
+            raise DataError(f"truncated file while reading {what}"
+                            f" ({n} bytes, {left} left)")
     raw = f.read(n)
     if len(raw) != n:
-        raise FormatError(f"truncated file while reading {what}")
+        raise DataError(f"truncated file while reading {what}")
     return raw
 
 
@@ -122,7 +119,7 @@ def write_f64(f: BinaryIO, value: float) -> None:
 def read_f64(f: BinaryIO) -> float:
     value = struct.unpack("<d", read_bytes(f, 8, "f64"))[0]
     if value != value:
-        raise FormatError("NaN in a real-valued field")
+        raise DataError("NaN in a real-valued field")
     return value
 
 
@@ -135,7 +132,7 @@ def read_array(f: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
     raw = read_bytes(f, 8 * math.prod(shape), "array payload")
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.isfinite(arr).all():
-        raise FormatError("non-finite value in an array payload")
+        raise DataError("non-finite value in an array payload")
     return arr
 
 
@@ -143,7 +140,7 @@ def write_matrix(f: BinaryIO, mat: np.ndarray) -> None:
     """u32 rows, u32 cols, then the row-major payload."""
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
-        raise FormatError(f"expected a 2-D matrix, got shape {mat.shape}")
+        raise DataError(f"expected a 2-D matrix, got shape {mat.shape}")
     write_u32(f, mat.shape[0])
     write_u32(f, mat.shape[1])
     write_array(f, mat)
@@ -169,11 +166,11 @@ def read_string(f: BinaryIO) -> str:
 # text tables
 
 
-def read_tsv(path, error, columns=None, keyed=False):
+def read_tsv(path, columns=None, keyed=False):
     """Yield ("PATH:LINE", fields) for each non-blank line of a TSV file.
 
     Every line must have `columns` fields, or as many as the first line
-    when `columns` is None; any other count raises `error`, as does, when
+    when `columns` is None; any other count is a DataError, as is, when
     `keyed`, a first field that an earlier line holds. Lines end as in a
     file read in text mode, so a CRLF file reads as an LF one.
     """
@@ -188,21 +185,29 @@ def read_tsv(path, error, columns=None, keyed=False):
             columns = len(fields)
         where = f"{path}:{lineno}"
         if len(fields) != columns:
-            raise error(f"{where}: expected {columns} TSV columns,"
-                        f" got {len(fields)}")
-        if keyed and first.setdefault(fields[0], lineno) != lineno:
-            raise error(f"{where}: {fields[0]} is listed twice"
-                        f" (first on line {first[fields[0]]})")
+            raise DataError(f"{where}: expected {columns} TSV columns,"
+                            f" got {len(fields)}")
+        if keyed:
+            check_key(first, fields[0], where)
         yield where, fields
 
 
-def parse(where: str, error, convert, *values) -> list:
-    """[convert(v) for v in values], with a ValueError raised as `error`
-    at `where`."""
+def check_key(first: dict, key: str, where: str) -> None:
+    """Note that line `where` ("PATH:LINE") holds `key`, in `first` (key ->
+    line); a DataError if an earlier line holds it."""
+    lineno = where.rpartition(":")[2]
+    if first.setdefault(key, lineno) != lineno:
+        raise DataError(f"{where}: {key} is listed twice"
+                        f" (first on line {first[key]})")
+
+
+def parse(where: str, convert, *values) -> list:
+    """[convert(v) for v in values], with a ValueError raised as a
+    DataError at `where`."""
     try:
         return list(map(convert, values))
     except ValueError as exc:
-        raise error(f"{where}: {exc}") from None
+        raise DataError(f"{where}: {exc}") from None
 
 
 def tsv(rows) -> str:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
+from .formats import DataError
 from .corpus import FeatureSequence
 
 GMM_MAGIC = "PGMM"
@@ -23,10 +24,6 @@ VARIANCE_FLOOR_FRACTION = 1e-4
 # k-means and the EM log-sum-exp take frames in blocks of this many and
 # add a block's D or K terms per frame as whole rows (_pairwise_sum)
 _BLOCK = 4096
-
-
-class GmmError(formats.DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -43,11 +40,11 @@ class GmmModel:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
         if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
-            raise GmmError("mixture weights must be a simplex")
+            raise DataError("mixture weights must be a simplex")
         if m.shape != v.shape or w.shape[0] != m.shape[0]:
-            raise GmmError("inconsistent GMM parameter shapes")
+            raise DataError("inconsistent GMM parameter shapes")
         if np.any(v <= 0):
-            raise GmmError("variances must be positive")
+            raise DataError("variances must be positive")
 
     @property
     def num_components(self) -> int:
@@ -137,7 +134,7 @@ def responsibilities(m: GmmModel, frames: np.ndarray) -> np.ndarray:
 def gmm_loglik(m: GmmModel, fs: FeatureSequence):
     """Per-frame log-likelihoods ln p(o_i) and their utterance mean."""
     if fs.dim != m.dim:
-        raise GmmError(f"{fs.utterance_id}: frames have dim {fs.dim}, model {m.dim}")
+        raise DataError(f"{fs.utterance_id}: frames have dim {fs.dim}, model {m.dim}")
     per_frame = _logsumexp_rows(
         _component_loglik(m, fs.frames, fs.frames ** 2))
     return per_frame, float(per_frame.mean())
@@ -210,10 +207,10 @@ def gmm_train(frames: np.ndarray, K: int, iters: int, seed: int):
     frames = np.asarray(frames, dtype=np.float64)
     N, D = frames.shape
     if N < K:
-        raise GmmError(f"need at least K={K} frames, got {N}")
+        raise DataError(f"need at least K={K} frames, got {N}")
     global_var = frames.var(axis=0)
     if np.all(global_var == 0):
-        raise GmmError("degenerate input: all frames identical")
+        raise DataError("degenerate input: all frames identical")
     floor = np.maximum(VARIANCE_FLOOR_FRACTION * global_var, 1e-12)
 
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
+from .formats import DataError
 from .corpus import PhoneAlignment, PhonePrior, PosteriorGram
 
 POSTERIOR_FLOOR = 1e-12
@@ -35,9 +36,9 @@ def segment_posterior(pg: PosteriorGram, segment) -> float:
     """
     phone_id, start, end = segment
     if start >= end:
-        raise ValueError(f"{pg.utterance_id}: empty segment {start}..{end}")
+        raise DataError(f"{pg.utterance_id}: empty segment {start}..{end}")
     if end > pg.num_frames or phone_id >= pg.num_phones:
-        raise ValueError(f"{pg.utterance_id}: segment out of posteriorgram bounds")
+        raise DataError(f"{pg.utterance_id}: segment out of posteriorgram bounds")
     return max(float(pg.post[start:end, phone_id].mean()), POSTERIOR_FLOOR)
 
 
@@ -47,7 +48,7 @@ def _segment_log_posterior(pg, segment, mode):
     if mode == "mean-of-log":
         phone_id, start, end = segment
         if start >= end:
-            raise ValueError(f"{pg.utterance_id}: empty segment {start}..{end}")
+            raise DataError(f"{pg.utterance_id}: empty segment {start}..{end}")
         vals = np.maximum(pg.post[start:end, phone_id], POSTERIOR_FLOOR)
         return float(np.log(vals).mean())
     raise ValueError(f"unknown GOP mode {mode!r}")
@@ -62,7 +63,7 @@ def gop_score(pg: PosteriorGram, al: PhoneAlignment,
     "mean-of-log" averages frame log-posteriors.
     """
     if pg.utterance_id != al.utterance_id:
-        raise ValueError(
+        raise DataError(
             f"utterance mismatch: posteriorgram {pg.utterance_id!r} "
             f"vs alignment {al.utterance_id!r}")
     al.check_bounds(pg.num_frames, pg.num_phones)
@@ -80,11 +81,11 @@ def conditional_score(pg: PosteriorGram, frame_marginal_loglik: np.ndarray,
     """
     marg = np.asarray(frame_marginal_loglik, dtype=np.float64)
     if marg.shape != (pg.num_frames,):
-        raise ValueError(
+        raise DataError(
             f"marginal log-likelihood has shape {marg.shape}, "
             f"expected ({pg.num_frames},)")
     if prior.prior.shape != (pg.num_phones,):
-        raise ValueError("prior dimension does not match posteriorgram")
+        raise DataError("prior dimension does not match posteriorgram")
     al.check_bounds(pg.num_frames, pg.num_phones)
     total = 0.0
     for seg in al.segments:

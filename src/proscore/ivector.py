@@ -14,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
+from .formats import DataError
 from .gmm import GmmModel, read_gmm, responsibilities, write_gmm
 
 IVECTOR_MAGIC = "PIVM"
 _BLOCK = 256  # utterances per posterior block, so memory is bounded in U
-
-
-class IVectorError(formats.DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -35,11 +32,11 @@ class BaumWelchStats:
         object.__setattr__(self, "zeroth", z)
         object.__setattr__(self, "first_centered", fc)
         if z.ndim != 2 or fc.ndim != 3 or fc.shape[:2] != z.shape:
-            raise IVectorError("statistics must be (U, K) and (U, K, D)")
+            raise DataError("statistics must be (U, K) and (U, K, D)")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(fc))):
-            raise IVectorError("non-finite statistics")
+            raise DataError("non-finite statistics")
         if np.any(z < 0):
-            raise IVectorError("negative occupancy")
+            raise DataError("negative occupancy")
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class IVectorModel:
         object.__setattr__(self, "loadings", T)
         K, D, R = T.shape
         if (K, D) != (self.ubm.num_components, self.ubm.dim):
-            raise IVectorError("loadings do not match the UBM shape")
+            raise DataError("loadings do not match the UBM shape")
         check_dim(R, K, D)
 
     @property
@@ -61,10 +58,10 @@ class IVectorModel:
 
 
 def check_dim(R: int, K: int, D: int) -> None:
-    """IVectorError unless an i-vector dim R is at most K*D, the dim of the
+    """DataError unless an i-vector dim R is at most K*D, the dim of the
     supervector of a UBM of K components of dim D."""
     if R > K * D:
-        raise IVectorError(f"i-vector dim R={R} must be <= K*D={K * D}")
+        raise DataError(f"i-vector dim R={R} must be <= K*D={K * D}")
 
 
 def ubm_stats(m: GmmModel, utterances) -> BaumWelchStats:
@@ -74,7 +71,7 @@ def ubm_stats(m: GmmModel, utterances) -> BaumWelchStats:
     first = np.empty((len(utterances), m.num_components, m.dim))
     for u, fs in enumerate(utterances):
         if fs.dim != m.dim:
-            raise IVectorError(
+            raise DataError(
                 f"{fs.utterance_id}: dim {fs.dim} vs UBM dim {m.dim}")
         gamma = responsibilities(m, fs.frames)        # (T, K)
         zeroth[u] = gamma.sum(axis=0)
@@ -113,7 +110,7 @@ def tmatrix_train(ubm: GmmModel, stats: BaumWelchStats, R: int, iters: int,
     loadings, as the next E-step scores them, and is non-decreasing.
     """
     if iters < 1:
-        raise IVectorError("iters must be >= 1")
+        raise ValueError("iters must be >= 1")
     K, D = ubm.num_components, ubm.dim
     check_dim(R, K, D)
     rng = np.random.default_rng(seed)
@@ -143,7 +140,7 @@ def tmatrix_train(ubm: GmmModel, stats: BaumWelchStats, R: int, iters: int,
             try:
                 loadings[k] = np.linalg.solve(A[k].T, C[k].T).T
             except np.linalg.LinAlgError as exc:
-                raise IVectorError(
+                raise DataError(
                     f"singular accumulator for component {k}") from exc
     return IVectorModel(ubm, loadings), trace
 

@@ -38,8 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, dnf, flow, formats, gmm, gop, ivector, regress
-from .corpus import (Corpus, CorpusError, SynthConfig, load_corpus,
-                     save_corpus, synth_corpus)
+from .corpus import Corpus, SynthConfig, load_corpus, save_corpus, synth_corpus
 
 
 class ConfigError(ValueError):
@@ -73,14 +72,25 @@ def default_config(work_dir: str = ".") -> dict:
     }
 
 
+def _json_object(pairs) -> dict:
+    """A JSON object as a dict; a key that it sets twice is a ConfigError."""
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ConfigError(f"repeated key {key!r}")
+    return dict(pairs)
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
+            cfg = json.load(f, object_pairs_hook=_json_object)
     except OSError as exc:
         raise ConfigError(f"config file not found or not readable: {path}"
                           f" ({exc.strerror})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
@@ -290,7 +300,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     fusion_cfg = _merged(cfg, "fusion")
     if ("score" in fusion_cfg["modes"] and set(systems) & set(EMBEDDED)
             and len({label_means[uid] for uid in dev_ids}) < 2):
-        raise CorpusError(
+        raise formats.DataError(
             "score fusion needs two dev-split utterances with different"
             f" labels; the dev split has {len(dev_ids)} utterance(s)")
     eval_labels = np.array([label_means[u] for u in eval_ids])
@@ -514,11 +524,11 @@ def _pool(workers: int):
 
 
 def _check_ids(ids, have, what: str) -> None:
-    """CorpusError naming the first of `ids` that is not in `have`."""
+    """formats.DataError naming the first of `ids` that is not in `have`."""
     missing = [uid for uid in ids if uid not in have]
     if missing:
-        raise CorpusError(f"no {what} for utterance {missing[0]}"
-                          f" ({len(missing)} missing)")
+        raise formats.DataError(f"no {what} for utterance {missing[0]}"
+                                f" ({len(missing)} missing)")
 
 
 def score_gop(corpus: Corpus, section: dict, ids) -> dict:
@@ -586,7 +596,7 @@ def train_svr(corpus: Corpus, emb: dict, section: dict) -> regress.SvrModel:
     SMO is deterministic, so unlike the other trainers it takes no seed."""
     train_ids = [uid for uid in corpus.splits.train_ids if uid in emb]
     if not train_ids:
-        raise CorpusError("no train-split utterances among the embeddings")
+        raise formats.DataError("no train-split utterances among the embeddings")
     _check_ids(train_ids, corpus.labels, "label")
     model = regress.svr_train(
         np.array([emb[uid] for uid in train_ids]),

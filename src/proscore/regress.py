@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
+from .formats import DataError
 
 SVR_MAGIC = "PSVR"
 KERNEL_IDS = {"linear": 0, "rbf": 1}
@@ -22,14 +23,6 @@ _BOUND_EPS = 1e-12  # t this close to 0 or C is at its bound
 # the RBF kernel is finished in place over blocks of this many rows, so
 # its temporaries are (block, len(B)) rather than three full matrices
 _KERNEL_BLOCK = 512
-
-
-class SvrError(ValueError):
-    """Bad SVR settings; its subclass SvrDataError is for bad data."""
-
-
-class SvrDataError(SvrError, formats.DataError):
-    """Training or prediction inputs the SVR cannot use."""
 
 
 @dataclass(frozen=True)
@@ -43,17 +36,17 @@ class SvrParams:
 
     def __post_init__(self):
         if not self.C > 0:
-            raise SvrError("C must be positive")
+            raise ValueError("C must be positive")
         if not self.epsilon >= 0:
-            raise SvrError("epsilon must be non-negative")
+            raise ValueError("epsilon must be non-negative")
         if self.kernel not in KERNEL_IDS:
-            raise SvrError(f"unknown kernel {self.kernel!r}")
+            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.gamma != "scale" and not float(self.gamma) > 0:
-            raise SvrError("gamma must be positive or 'scale'")
+            raise ValueError("gamma must be positive or 'scale'")
         if not self.tol > 0:
-            raise SvrError("tol must be positive")
+            raise ValueError("tol must be positive")
         if self.max_passes < 0:
-            raise SvrError("max_passes must be >= 0")
+            raise ValueError("max_passes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -119,12 +112,12 @@ def svr_train(X: np.ndarray, y: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise SvrDataError(
+        raise DataError(
             f"X must be N x d matching y, got {X.shape} and {y.shape}")
     if X.shape[0] < 2:
-        raise SvrDataError("need at least 2 training points")
+        raise DataError("need at least 2 training points")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise SvrDataError("non-finite training data")
+        raise DataError("non-finite training data")
 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -209,14 +202,14 @@ def svr_predict(m: SvrModel, x: np.ndarray) -> float:
     """Point prediction sum_i beta_i K(sv_i, x) + b."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (m.dim,):
-        raise SvrDataError(f"input has shape {x.shape}, expected ({m.dim},)")
+        raise DataError(f"input has shape {x.shape}, expected ({m.dim},)")
     return float(svr_predict_batch(m, x[None, :])[0])
 
 
 def svr_predict_batch(m: SvrModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.dim:
-        raise SvrDataError(f"inputs must be N x {m.dim}, got {X.shape}")
+        raise DataError(f"inputs must be N x {m.dim}, got {X.shape}")
     Xs = _standardize(X, m.feat_mean, m.feat_std)
     if m.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], m.bias)
@@ -229,7 +222,7 @@ def kkt_residual(m: SvrModel, X: np.ndarray, y: np.ndarray) -> float:
 
     Only meaningful for the training set the model was fitted on: each
     support vector is the standardized row of X it was trained on, bit for
-    bit, and one that equals no row raises SvrDataError.
+    bit, and one that equals no row raises DataError.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -240,7 +233,7 @@ def kkt_residual(m: SvrModel, X: np.ndarray, y: np.ndarray) -> float:
     for n, (sv, c) in enumerate(zip(m.support_vectors, m.coef)):
         rows = np.flatnonzero((Xs == sv).all(axis=1))
         if len(rows) == 0:
-            raise SvrDataError(f"support vector {n} is no row of X")
+            raise DataError(f"support vector {n} is no row of X")
         beta[rows[0]] += c
     eps, C = m.epsilon, m.C
     worst = 0.0
@@ -283,7 +276,7 @@ def read_svr(f) -> SvrModel:
     formats.read_magic(f, SVR_MAGIC)
     kernel_id = formats.read_u32(f)
     if kernel_id not in KERNEL_NAMES:
-        raise formats.FormatError(f"unknown SVR kernel id {kernel_id}")
+        raise DataError(f"unknown SVR kernel id {kernel_id}")
     kernel = KERNEL_NAMES[kernel_id]
     C = formats.read_f64(f)
     epsilon = formats.read_f64(f)

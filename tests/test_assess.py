@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from proscore.assess import (AssessError, FusionConfig, ScoreRow, ScoreTable,
-                             evaluate, feature_fuse, fusion_stats,
+from proscore.assess import (FusionConfig, ScoreRow, ScoreTable, evaluate,
+                             feature_fuse, fusion_stats,
                              inter_rater_pcc, pcc, read_score_table,
                              report_to_tsv, ReportRow, score_fuse,
                              score_table_to_tsv, select_lambda)
 from proscore.corpus import SplitManifest
+from proscore.formats import DataError
 from proscore.regress import svr_predict_batch, svr_train
 
 
@@ -38,11 +39,11 @@ def test_pcc_affine_invariance():
 
 
 def test_pcc_errors():
-    with pytest.raises(AssessError, match="constant"):
+    with pytest.raises(DataError, match="constant"):
         pcc(np.ones(5), np.arange(5.0))
-    with pytest.raises(AssessError, match="length mismatch"):
+    with pytest.raises(DataError, match="length mismatch"):
         pcc(np.zeros(3), np.zeros(4))
-    with pytest.raises(AssessError, match="at least 2"):
+    with pytest.raises(DataError, match="at least 2"):
         pcc(np.zeros(1), np.zeros(1))
 
 
@@ -51,13 +52,13 @@ def test_pcc_errors():
 
 
 def test_score_table_rejects_duplicates_and_nonfinite():
-    with pytest.raises(AssessError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate"):
         _table([0.0, 0.0], [1.0, 1.0], [2.0, 2.0], ids=["a", "a"])
-    with pytest.raises(AssessError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         _table([np.inf], [1.0], [2.0])
-    with pytest.raises(AssessError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         _table([1.0], [np.nan], [2.0])
-    with pytest.raises(AssessError, match="infinite label_mean"):
+    with pytest.raises(DataError, match="infinite label_mean"):
         _table([1.0], [2.0], [-np.inf])
 
 
@@ -69,9 +70,9 @@ def test_unlabeled_rows_are_kept_but_not_correlated():
     labeled = t.subset(["u0", "u2"])
     np.testing.assert_array_equal(labeled.labels(), [1.0, 3.0])
     assert evaluate(t, _split_for(["u0", "u2"]))[0].pcc == pytest.approx(1.0)
-    with pytest.raises(AssessError, match="u1: unlabeled"):
+    with pytest.raises(DataError, match="u1: unlabeled"):
         evaluate(t, _split_for(["u0", "u1", "u2", "u3"]))
-    with pytest.raises(AssessError, match="u1: unlabeled"):
+    with pytest.raises(DataError, match="u1: unlabeled"):
         select_lambda(t)
 
 
@@ -79,7 +80,7 @@ def test_score_table_subset_and_missing():
     t = _table([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [3.0, 4.0, 5.0])
     sub = t.subset(["u0", "u2"])
     assert [r.utterance_id for r in sub.rows] == ["u0", "u2"]
-    with pytest.raises(AssessError, match="missing"):
+    with pytest.raises(DataError, match="missing"):
         t.subset(["u0", "ghost"])
 
 
@@ -118,14 +119,14 @@ def test_score_fuse_midpoint_of_normalized_components():
 
 def test_score_fuse_requires_stats_for_zscore():
     t = _table([0.0], [1.0], [2.0])
-    with pytest.raises(AssessError, match="normalization stats"):
+    with pytest.raises(ValueError, match="normalization stats"):
         score_fuse(t, FusionConfig(0.5))
 
 
 def test_fusion_config_validation():
-    with pytest.raises(AssessError):
+    with pytest.raises(ValueError, match=r"lambda must lie in \[0,1\]"):
         FusionConfig(1.5)
-    with pytest.raises(AssessError):
+    with pytest.raises(ValueError, match="unknown normalization"):
         FusionConfig(0.5, "minmax")
 
 
@@ -183,17 +184,17 @@ def test_select_lambda_skips_a_constant_fused_column():
 
 def test_select_lambda_with_no_pcc_names_the_split():
     t = _table([1.0, 1.0], [2.0, 2.0], [1.0, 2.0])
-    with pytest.raises(AssessError, match="dev split: the fused dev score is"
+    with pytest.raises(DataError, match="dev split: the fused dev score is"
                                           " constant at every weight"):
         select_lambda(t)
 
 
 def test_select_lambda_errors():
     t = _table([0.0, 1.0], [1.0, 2.0], [3.0, 3.0])
-    with pytest.raises(AssessError, match="degenerate dev labels"):
+    with pytest.raises(DataError, match="degenerate dev labels"):
         select_lambda(t)
     t2 = _table([0.0, 1.0], [1.0, 2.0], [3.0, 4.0])
-    with pytest.raises(AssessError, match="grid_step"):
+    with pytest.raises(ValueError, match="grid_step"):
         select_lambda(t2, grid_step=0.0)
 
 
@@ -227,7 +228,7 @@ def test_feature_fuse_empty_embedding():
     gop = np.array([1.0, 3.0])
     fused = feature_fuse(np.zeros((2, 0)), gop)
     assert fused.shape == (2, 1)
-    with pytest.raises(AssessError, match="length mismatch"):
+    with pytest.raises(DataError, match="length mismatch"):
         feature_fuse(np.zeros((3, 2)), gop)
 
 
@@ -256,8 +257,11 @@ def test_inter_rater_excludes_constant_rater():
     with pytest.warns(UserWarning, match="constant"):
         val = inter_rater_pcc(ratings)
     assert val == pytest.approx(pcc(good[:, 0], good[:, 1]))
-    with pytest.raises(AssessError, match="fewer than 2"):
-        inter_rater_pcc(np.full((5, 2), 2.0))
+    with pytest.warns(UserWarning, match="constant scores") as caught:
+        with pytest.raises(DataError, match="fewer than 2"):
+            inter_rater_pcc(np.full((5, 2), 2.0))
+    assert [str(w.message) for w in caught] == [
+        f"rater {r} has constant scores; excluded" for r in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +296,7 @@ def test_evaluate_row_order_invariance():
 
 def test_evaluate_missing_utterance():
     t = _table([0.0, 1.0], [1.0, 2.0], [3.0, 4.0])
-    with pytest.raises(AssessError, match="missing"):
+    with pytest.raises(DataError, match="missing"):
         evaluate(t, _split_for(["u0", "u1", "ghost"]))
 
 

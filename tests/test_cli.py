@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import proscore
-from proscore import dnf, flow, formats, gmm, ivector, pipeline, regress
+from proscore import (assess, dnf, flow, formats, gmm, ivector, pipeline,
+                      regress)
 from proscore.cli import build_parser, main
-from proscore.corpus import load_corpus, save_corpus, synth_corpus
+from proscore.corpus import SynthConfig, load_corpus, save_corpus, synth_corpus
 from proscore.formats import DataError
 from proscore.pipeline import default_config, save_model, validate_config
 
@@ -486,6 +487,26 @@ def test_utterance_listed_twice_in_a_split_exits_2(corpus_dir, tmp_path,
     assert list(tmp_path.glob("models/*")) == []
 
 
+@pytest.mark.parametrize("header", [
+    "utterance_id\tgop\tpredicted\tlabel_mean",
+    "gop\tpredicted\tutterance_id\tlabel_mean"], ids=["id-first", "id-third"])
+def test_utterance_listed_twice_in_a_score_table_exits_2(corpus_dir, tmp_path,
+                                                        capsys, header):
+    """A score table row whose utterance id an earlier row holds is a data
+    error naming the file, both lines and the id, wherever its column is."""
+    lines = [header]
+    for i, uid in enumerate(["u0", "u1", "u2", "u1"]):
+        row = {"utterance_id": uid, "gop": str(i), "predicted": str(i % 3),
+               "label_mean": str(i % 4 + 1)}
+        lines.append("\t".join(row[name] for name in header.split("\t")))
+    scores = _text_file(tmp_path / "s.tsv", "\n".join(lines) + "\n")
+    for command in (["fuse", "--dev-scores", scores],
+                    ["evaluate", "--manifest", str(corpus_dir[1])]):
+        assert main([*command, "--scores", scores]) == 2
+        assert capsys.readouterr() == ("", f"data error: {scores}:5: u1 is"
+                                       " listed twice (first on line 3)\n")
+
+
 def _model_of_dim_2(d, system):
     ubm = gmm.GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
     backbone = flow.build_flow(2, 2, 4)
@@ -535,21 +556,39 @@ def test_model_without_the_value_exits_2(corpus_dir, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_every_exception_class_but_settings_is_a_data_error():
-    """cli.main exits 2 on a DataError, so an exception class that a
-    proscore module defines derives from DataError unless it stands for bad
-    settings (exit 1) or a diverged training (exit 3)."""
-    not_data = {"ConfigError", "SvrError", "TrainingDivergence"}
-    classes = {}
+def test_proscore_defines_three_exception_classes():
+    """A data fault is a DataError (exit 2), a settings fault a ValueError
+    (exit 1) and a diverged training a TrainingDivergence (exit 3); the
+    CLI's own settings checks raise ConfigError, a ValueError."""
+    classes = set()
     for info in pkgutil.iter_modules(proscore.__path__):
         module = importlib.import_module(f"proscore.{info.name}")
-        classes.update((obj.__name__, obj) for obj in vars(module).values()
+        classes.update(obj for obj in vars(module).values()
                        if isinstance(obj, type)
                        and issubclass(obj, BaseException)
                        and obj.__module__ == module.__name__)
-    assert not_data | {"DataError", "CorpusError", "SvrDataError"} <= set(classes)
-    for name, cls in classes.items():
-        assert issubclass(cls, DataError) != (name in not_data), name
+    assert classes == {DataError, pipeline.ConfigError,
+                       flow.TrainingDivergence}
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: regress.SvrParams(C=0), id="SvrParams"),
+    pytest.param(lambda: flow.AdamConfig(learning_rate=0), id="AdamConfig"),
+    pytest.param(lambda: assess.FusionConfig(1.5), id="FusionConfig"),
+    pytest.param(lambda: SynthConfig(num_phones=0).validate(),
+                 id="SynthConfig"),
+    pytest.param(lambda: assess.select_lambda(assess.ScoreTable(
+        [assess.ScoreRow("u", 0.0, 1.0, 2.0)]), grid_step=0),
+                 id="select_lambda"),
+    pytest.param(lambda: ivector.tmatrix_train(
+        gmm.GmmModel(np.ones(1), np.zeros((1, 1)), np.ones((1, 1))),
+        ivector.BaumWelchStats(np.zeros((0, 1)), np.zeros((0, 1, 1))),
+        R=1, iters=0, seed=0), id="tmatrix_train"),
+])
+def test_bad_setting_is_a_value_error_not_a_data_error(make):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert not isinstance(caught.value, DataError)
 
 
 @pytest.mark.parametrize("name, lineno, line", [
@@ -921,6 +960,21 @@ def test_synth_writes_the_run_corpus(pipeline_runs, tmp_path):
 def test_run_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 1, "seed": 3, "corpus": {"synth": {}}}', "seed"),
+    ('{"seed": 1, "corpus": {"synth": {}}, "gmm": {"iters": 1, "iters": 2}}',
+     "iters")], ids=["top-level", "nested"])
+def test_run_repeated_config_key_exits_1(tmp_path, capsys, text, key):
+    """JSON keeps the last of two equal keys; a config that sets one twice
+    is a config error naming the file and the key, and nothing runs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {cfg}: repeated key"
+                                   f" {key!r}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_run_invalid_config_field(tmp_path, capsys):

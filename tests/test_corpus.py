@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from proscore.corpus import (SPLITS, Corpus, CorpusError, FeatureSequence,
-                             PhoneAlignment, PhonePrior, PosteriorGram,
-                             RatedUtterance, SplitManifest, SynthConfig,
-                             load_corpus, save_corpus, synth_corpus,
-                             write_manifest)
+from proscore.corpus import (SPLITS, Corpus, FeatureSequence, PhoneAlignment,
+                             PhonePrior, PosteriorGram, RatedUtterance,
+                             SplitManifest, SynthConfig, load_corpus,
+                             save_corpus, synth_corpus, write_manifest)
 from proscore.assess import pcc
+from proscore.formats import DataError
 
 from conftest import TINY_SYNTH
 
@@ -16,28 +16,28 @@ from conftest import TINY_SYNTH
 
 
 def test_feature_sequence_rejects_non_finite():
-    with pytest.raises(CorpusError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         FeatureSequence("u", np.array([[1.0, np.nan]]))
 
 
 def test_feature_sequence_rejects_empty():
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match="T >= 1"):
         FeatureSequence("u", np.zeros((0, 3)))
 
 
 def test_alignment_rejects_overlap_and_empty_segments():
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match=r"non-overlapping.*\(got 3\.\.8\)"):
         PhoneAlignment("u", [(0, 0, 5), (1, 3, 8)])
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match=r"start < end \(got 4\.\.4\)"):
         PhoneAlignment("u", [(0, 4, 4)])
-    with pytest.raises(CorpusError, match="empty alignment"):
+    with pytest.raises(DataError, match="empty alignment"):
         PhoneAlignment("u", [])
 
 
 def test_posteriorgram_row_sum_violation_names_row():
     post = np.full((3, 4), 0.25)
     post[1] = 0.225  # row sums to 0.9
-    with pytest.raises(CorpusError, match="row 1"):
+    with pytest.raises(DataError, match="row 1"):
         PosteriorGram("u", post, ("a", "b", "c", "d"))
 
 
@@ -45,7 +45,7 @@ def test_phone_prior_uniform_and_validation():
     prior = PhonePrior.uniform(8)
     assert prior.prior.shape == (8,)
     assert abs(prior.prior.sum() - 1.0) < 1e-12
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match="phone prior sums to"):
         PhonePrior(np.array([0.5, 0.6]))
 
 
@@ -54,18 +54,18 @@ def test_rated_utterance_mean_and_bounds():
     assert r.rater_scores == (3, 4, 5)
     assert r.mean_score == 4.0
     assert RatedUtterance("u", [1, 2]).mean_score == 1.5
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match=r"must lie in \[1,5\]"):
         RatedUtterance("u", [0, 3])
-    with pytest.raises(CorpusError, match="at least one rater"):
+    with pytest.raises(DataError, match="at least one rater"):
         RatedUtterance("u", [])
 
 
 def test_split_manifest_disjoint_and_coverage():
-    with pytest.raises(CorpusError, match="disjoint"):
+    with pytest.raises(DataError, match="disjoint"):
         SplitManifest(["a", "b"], ["b"], ["c"])
     m = SplitManifest(["a"], ["b"], ["c"])
     m.check_covers(["a", "b", "c"])
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match="do not cover"):
         m.check_covers(["a", "b", "c", "d"])
 
 
@@ -75,12 +75,12 @@ def test_split_manifest_ids_by_name():
 
 
 def test_synth_config_rejects_a_nan_scale():
-    with pytest.raises(CorpusError, match="scales and noise levels"):
+    with pytest.raises(ValueError, match="scales and noise levels"):
         SynthConfig(speaker_spread=float("nan")).validate()
 
 
 def test_split_manifest_rejects_an_utterance_listed_twice_in_one_split():
-    with pytest.raises(CorpusError, match="spk003_utt00 repeats"):
+    with pytest.raises(DataError, match="spk003_utt00 repeats"):
         SplitManifest(["a"], ["b"], ["spk003_utt00", "c", "spk003_utt00"])
 
 
@@ -133,11 +133,11 @@ def test_synth_splits_speaker_disjoint(tiny_corpus):
 
 
 def test_synth_config_validation():
-    with pytest.raises(CorpusError):
+    with pytest.raises(ValueError, match="counts must be >= 1"):
         SynthConfig(num_phones=0).validate()
-    with pytest.raises(CorpusError):
+    with pytest.raises(ValueError, match="frames_per_phone range"):
         SynthConfig(frames_per_phone=(5, 3)).validate()
-    with pytest.raises(CorpusError):
+    with pytest.raises(ValueError, match="split fractions"):
         SynthConfig(eval_fraction=1.5).validate()
 
 
@@ -184,14 +184,14 @@ def test_load_empty_corpus_errors(tmp_path):
                               "posteriors": "posteriors",
                               "labels": "labels.tsv",
                               "splits": "splits.tsv"})
-    with pytest.raises(CorpusError, match="empty corpus"):
+    with pytest.raises(DataError, match="empty corpus"):
         load_corpus(manifest)
 
 
 def test_load_missing_manifest_role(tmp_path):
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("features\tfeatures\n")
-    with pytest.raises(CorpusError, match="missing roles"):
+    with pytest.raises(DataError, match="missing roles"):
         load_corpus(manifest)
 
 
@@ -202,5 +202,5 @@ def test_validate_catches_cross_references(tiny_corpus):
                  dict(corpus.posteriors), dict(corpus.labels),
                  corpus.splits, corpus.phone_table)
     bad.alignments["ghost"] = corpus.alignments[uid]
-    with pytest.raises(CorpusError, match="unknown utterance"):
+    with pytest.raises(DataError, match="unknown utterance"):
         bad.validate()

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from proscore.corpus import FeatureSequence
-from proscore.dnf import (DnfError, DnfModel, classes_from_mean_scores,
-                          dnf_embed, dnf_train, init_class_means)
+from proscore.dnf import (DnfModel, classes_from_mean_scores, dnf_embed,
+                          dnf_train, init_class_means)
 from proscore.flow import (AdamConfig, build_flow, flow_embed, flow_train,
                            flow_transform, log_density, mean_nll,
                            nll_and_grads)
+from proscore.formats import DataError
 
 
 def _two_class_data(rng, n=300, d=4):
@@ -23,9 +24,9 @@ def _two_class_data(rng, n=300, d=4):
 
 
 def test_model_validation():
-    with pytest.raises(DnfError):
+    with pytest.raises(DataError, match=r"class means must be S x 4"):
         DnfModel(build_flow(4, 2, 8, seed=0), np.zeros((2, 3)))
-    with pytest.raises(DnfError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         DnfModel(build_flow(4, 2, 8, seed=0), np.full((2, 4), np.nan))
 
 
@@ -56,13 +57,13 @@ def test_train_rejects_missing_class():
     frames = np.random.default_rng(3).standard_normal((200, 4))
     classes = np.repeat([0, 2], 100)
     cfg = AdamConfig(batch_size=64, epochs=1, seed=0)
-    with pytest.raises(DnfError, match=r"no training frames: \[1\]"):
+    with pytest.raises(DataError, match=r"no training frames: \[1\]"):
         dnf_train(frames, classes, cfg, num_layers=2, width=8)
 
 
 def test_train_rejects_shape_mismatch():
     cfg = AdamConfig(batch_size=8, epochs=1, seed=0)
-    with pytest.raises(DnfError, match="one class per frame"):
+    with pytest.raises(DataError, match="one class per frame"):
         dnf_train(np.zeros((10, 4)), np.zeros(9, dtype=np.int64), cfg)
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from proscore import dnf, flow
 from proscore.corpus import FeatureSequence
-from proscore.flow import (AdamConfig, FlowError, TrainingDivergence,
-                           build_flow, flow_embed, flow_logprob, flow_train,
+from proscore.flow import (AdamConfig, TrainingDivergence, build_flow,
+                           flow_embed, flow_logprob, flow_train,
                            flow_transform, mean_nll, nll_and_grads, train_core)
+from proscore.formats import DataError
 from proscore.pipeline import load_model
 
 LOG_2PI = np.log(2 * np.pi)
@@ -54,11 +55,11 @@ def test_logdet_antisymmetry():
 
 def test_transform_input_validation():
     m = build_flow(4, 2, 8, seed=0)
-    with pytest.raises(FlowError, match="direction"):
+    with pytest.raises(ValueError, match="direction"):
         flow_transform(m, "sideways", np.zeros((2, 4)))
-    with pytest.raises(FlowError):
+    with pytest.raises(DataError, match=r"batch must be N x 4, got \(2, 3\)"):
         flow_transform(m, "forward", np.zeros((2, 3)))
-    with pytest.raises(FlowError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         flow_transform(m, "forward", np.full((2, 4), np.nan))
 
 
@@ -70,12 +71,12 @@ def test_transform_rejects_a_pass_that_overflows(direction, sign):
     m.layers[0].cap = np.asarray(1e3)
     m.layers[0].scale_net.b3[:] = sign
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FlowError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             flow_transform(m, direction, np.ones((3, 4)))
 
 
 def test_build_flow_needs_two_dims():
-    with pytest.raises(FlowError):
+    with pytest.raises(DataError, match="at least 2 dimensions"):
         build_flow(1, 2, 8, seed=0)
 
 
@@ -194,7 +195,8 @@ def test_training_divergence_guard():
     frames = rng.standard_normal((64, 4)) * 1e200
     base = build_flow(4, 4, 8, seed=7)
     cfg = AdamConfig(learning_rate=1.0, batch_size=32, epochs=5, seed=8)
-    with pytest.raises((TrainingDivergence, FlowError)):
+    with pytest.raises((TrainingDivergence, DataError),
+                       match="training diverged|non-finite"):
         flow_train(base, frames, cfg)
 
 
@@ -210,7 +212,7 @@ def test_training_divergence_pickles():
 def test_train_requires_enough_frames():
     base = build_flow(4, 2, 8, seed=0)
     cfg = AdamConfig(batch_size=128, epochs=1, seed=0)
-    with pytest.raises(FlowError, match="batch_size"):
+    with pytest.raises(DataError, match="batch_size"):
         flow_train(base, np.zeros((10, 4)), cfg)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from proscore import gmm
 from proscore.corpus import FeatureSequence
-from proscore.gmm import (GmmError, GmmModel, gmm_loglik, gmm_train,
-                          responsibilities)
+from proscore.formats import DataError
+from proscore.gmm import GmmModel, gmm_loglik, gmm_train, responsibilities
 
 
 def _model(weights, means, variances):
@@ -16,9 +16,9 @@ def _model(weights, means, variances):
 
 
 def test_model_invariants():
-    with pytest.raises(GmmError, match="simplex"):
+    with pytest.raises(DataError, match="simplex"):
         _model([0.5, 0.6], [[0.0], [1.0]], [[1.0], [1.0]])
-    with pytest.raises(GmmError, match="positive"):
+    with pytest.raises(DataError, match="positive"):
         _model([1.0], [[0.0]], [[0.0]])
 
 
@@ -110,9 +110,9 @@ def test_train_deterministic():
 
 
 def test_train_errors():
-    with pytest.raises(GmmError, match="at least"):
+    with pytest.raises(DataError, match="at least"):
         gmm_train(np.zeros((2, 2)) + np.eye(2), K=3, iters=1, seed=0)
-    with pytest.raises(GmmError, match="identical"):
+    with pytest.raises(DataError, match="identical"):
         gmm_train(np.ones((10, 2)), K=2, iters=1, seed=0)
 
 
@@ -131,7 +131,7 @@ def test_density_integrates_to_one_1d():
 
 def test_dimension_mismatch():
     m = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-    with pytest.raises(GmmError, match="dim"):
+    with pytest.raises(DataError, match="dim"):
         gmm_loglik(m, FeatureSequence("u", [[0.0]]))
 
 

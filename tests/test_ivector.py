@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from proscore.corpus import FeatureSequence
+from proscore.formats import DataError
 from proscore.gmm import GmmModel, responsibilities
-from proscore.ivector import (_BLOCK, BaumWelchStats, IVectorError,
-                              IVectorModel, _posteriors, ivector_infer,
+from proscore.ivector import (_BLOCK, BaumWelchStats, IVectorModel,
+                              _posteriors, ivector_infer,
                               tmatrix_train, ubm_stats)
 
 
@@ -118,18 +119,18 @@ def test_ubm_stats_matches_direct_summation():
 def test_ubm_stats_dim_mismatch_names_the_utterance():
     utts = [FeatureSequence("a", np.zeros((2, 1))),
             FeatureSequence("b", np.zeros((2, 2)))]
-    with pytest.raises(IVectorError, match="^b: dim 2 vs UBM dim 1"):
+    with pytest.raises(DataError, match="^b: dim 2 vs UBM dim 1"):
         ubm_stats(_scalar_ubm(), utts)
 
 
 def test_stats_validation():
-    with pytest.raises(IVectorError, match="negative occupancy"):
+    with pytest.raises(DataError, match="negative occupancy"):
         _stats([-1.0], [[0.0]])
-    with pytest.raises(IVectorError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         _stats([1.0], [[np.nan]])
-    with pytest.raises(IVectorError, match="must be"):
+    with pytest.raises(DataError, match="must be"):
         BaumWelchStats(np.ones(2), np.zeros((2, 1)))  # one utterance's rows
-    with pytest.raises(IVectorError, match="must be"):
+    with pytest.raises(DataError, match="must be"):
         BaumWelchStats(np.ones((3, 2)), np.zeros((2, 2, 1)))
 
 
@@ -353,11 +354,11 @@ def test_tmatrix_recovers_single_factor_scale():
 
 
 def test_tmatrix_rejects_bad_iters():
-    with pytest.raises(IVectorError):
+    with pytest.raises(ValueError, match="iters must be >= 1"):
         tmatrix_train(_scalar_ubm(), BaumWelchStats(
             np.zeros((0, 1)), np.zeros((0, 1, 1))), R=1, iters=0, seed=0)
 
 
 def test_model_rank_bound():
-    with pytest.raises(IVectorError, match="must be <="):
+    with pytest.raises(DataError, match="must be <="):
         IVectorModel(_scalar_ubm(), np.ones((1, 1, 2)))

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from proscore import pipeline, regress
-from proscore.regress import (SvrDataError, SvrError, SvrParams, kkt_residual,
-                              svr_predict, svr_predict_batch, svr_train)
+from proscore.formats import DataError
+from proscore.regress import (SvrParams, kkt_residual, svr_predict,
+                              svr_predict_batch, svr_train)
 
 from conftest import svr_dual_oracle
 
 
 def test_params_validation():
-    with pytest.raises(SvrError):
+    with pytest.raises(ValueError, match="C must be positive"):
         SvrParams(C=0.0)
-    with pytest.raises(SvrError):
+    with pytest.raises(ValueError, match="epsilon must be non-negative"):
         SvrParams(epsilon=-0.1)
-    with pytest.raises(SvrError):
+    with pytest.raises(ValueError, match="unknown kernel 'poly'"):
         SvrParams(kernel="poly")
-    with pytest.raises(SvrError):
+    with pytest.raises(ValueError, match="gamma must be positive"):
         SvrParams(gamma=-1.0)
     for bad in ({"C": float("nan")}, {"epsilon": float("nan")},
                 {"gamma": float("nan")}):
-        with pytest.raises(SvrError):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             SvrParams(**bad)
 
 
@@ -90,7 +91,7 @@ def test_kkt_residual_matches_support_vectors_exactly(tmp_path):
     # one ulp off its row is no support vector of this training set
     sv = m.support_vectors.copy()
     sv[1, 2] = np.nextafter(sv[1, 2], np.inf)
-    with pytest.raises(SvrDataError, match="support vector 1 is no row"):
+    with pytest.raises(DataError, match="support vector 1 is no row"):
         kkt_residual(replace(m, support_vectors=sv), X, y)
 
 
@@ -150,15 +151,15 @@ def test_rbf_prediction_decays_to_bias():
 
 
 def test_input_validation():
-    with pytest.raises(SvrError):
+    with pytest.raises(DataError, match="at least 2 training points"):
         svr_train(np.zeros((1, 2)), np.zeros(1))
-    with pytest.raises(SvrError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         svr_train(np.full((4, 2), np.nan), np.zeros(4))
     m = svr_train(np.random.default_rng(6).standard_normal((5, 2)),
                   np.arange(5.0))
-    with pytest.raises(SvrError):
+    with pytest.raises(DataError, match=r"input has shape \(3,\)"):
         svr_predict(m, np.zeros(3))
-    with pytest.raises(SvrError):
+    with pytest.raises(DataError, match=r"inputs must be N x 2"):
         svr_predict_batch(m, np.zeros((2, 3)))
 
 

@@ -9,7 +9,7 @@ from proscore import dnf, flow, formats, gmm, ivector, regress
 from proscore.corpus import (FeatureSequence, PosteriorGram,
                              read_feature_file, read_posteriorgram_file,
                              write_feature_file, write_posteriorgram_file)
-from proscore.formats import FormatError
+from proscore.formats import DataError
 from proscore.pipeline import load_model
 
 
@@ -117,9 +117,9 @@ def test_bad_magic_and_truncation():
     buf = BytesIO()
     gmm.write_gmm(buf, make_gmm())
     payload = buf.getvalue()
-    with pytest.raises(FormatError, match="bad magic"):
+    with pytest.raises(DataError, match="bad magic"):
         gmm.read_gmm(BytesIO(b"XXXX" + payload[4:]))
-    with pytest.raises(FormatError, match="truncated"):
+    with pytest.raises(DataError, match="truncated"):
         gmm.read_gmm(BytesIO(payload[:-4]))
 
 
@@ -127,7 +127,7 @@ def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "m.pgmm"
     gmm.save_gmm(path, make_gmm())
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FormatError, match="trailing"):
+    with pytest.raises(DataError, match="trailing"):
         gmm.load_gmm(path)
 
 
@@ -173,5 +173,5 @@ def test_other_version_rejected(tmp_path, make, save):
     current = formats.VERSIONS[raw[:4].decode()]
     for version in sorted({0, 1, 2, 3} - {current}):
         path.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
-        with pytest.raises(FormatError, match=f"version {version} "):
+        with pytest.raises(DataError, match=f"version {version} "):
             load_model(path)
