@@ -94,26 +94,8 @@ def cmd_train_dnf(args) -> int:
 
 def cmd_train_svr(args) -> int:  # SMO is deterministic: --seed is unused
     corpus = load_corpus(args.manifest)
-    return _save(args, pipeline.train_svr(corpus,
-                                          _read_embeddings(args.embeddings),
-                                          _section(args)))
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite embedding value {text!r}")
-    return value
-
-
-def _read_embeddings(path) -> dict:
-    return {uid: np.array(formats.parse(where, _finite, *vec))
-            for where, (uid, *vec)
-            in formats.read_tsv(path, keyed=True)}
-
-
-def _write_embeddings(path, emb: dict) -> None:
-    _write_text(path, formats.tsv((uid, *emb[uid]) for uid in sorted(emb)))
+    return _save(args, pipeline.train_svr(
+        corpus, pipeline.read_embeddings(args.embeddings), _section(args)))
 
 
 def _inferred(model, features: dict, index: int, what: str) -> dict:
@@ -128,8 +110,8 @@ def _inferred(model, features: dict, index: int, what: str) -> dict:
 
 def cmd_embed(args) -> int:
     corpus = load_corpus(args.manifest)
-    _write_embeddings(args.out, _inferred(pipeline.load_model(args.model),
-                                          corpus.features, 1, "embeddings"))
+    _write_text(args.out, pipeline.embeddings_tsv(_inferred(
+        pipeline.load_model(args.model), corpus.features, 1, "embeddings")))
     return 0
 
 
@@ -153,7 +135,8 @@ def cmd_score(args) -> int:
                         _inferred(model, features, 0, "frame log-likelihood")))
     if args.svr:
         columns.append(("predicted", pipeline.predict(
-            regress.load_svr(args.svr), _read_embeddings(args.embeddings), ids)))
+            regress.load_svr(args.svr),
+            pipeline.read_embeddings(args.embeddings), ids)))
     nan = float("nan")
     columns.append(("label_mean", {
         uid: corpus.labels[uid].mean_score if uid in corpus.labels else nan

@@ -166,15 +166,19 @@ def read_string(f: BinaryIO) -> str:
 # text tables
 
 
-def read_tsv(path, columns=None, keyed=False):
+def read_tsv(path, columns=None, keyed=False, whole=False):
     """Yield ("PATH:LINE", fields) for each non-blank line of a TSV file.
 
     Every line must have `columns` fields, or as many as the first line
     when `columns` is None; any other count is a DataError, as is, when
-    `keyed`, a first field that an earlier line holds. Lines end as in a
-    file read in text mode, so a CRLF file reads as an LF one.
+    `keyed`, a first field that an earlier line holds, and, when `whole`,
+    a last line with no newline (a file that `tsv` wrote, cut short).
+    Lines end as in a file read in text mode, so a CRLF file reads as an
+    LF one.
     """
     text = load(path, lambda f: f.read().decode("utf-8"))
+    if whole and not text.endswith("\n"):
+        raise DataError(f"{path}: cut short: no newline at the end")
     first = {}  # key -> the line that holds it
     for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
         line = line.rstrip("\n")

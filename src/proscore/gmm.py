@@ -63,7 +63,9 @@ def _component_loglik(m: GmmModel, frames: np.ndarray,
     const = -0.5 * (m.dim * LOG_2PI + np.log(m.variances).sum(axis=1))
     # expand ||o - mu||^2_inv without forming an N x K x D tensor; the cross
     # term is taken first, so that at most three N-row arrays are alive
-    cross = 2.0 * frames @ (m.means * inv).T
+    # (sq, cross, ll); it is doubled in its K x D factor, which is exact, so
+    # no doubled copy of the frames is made
+    cross = frames @ (2.0 * m.means * inv).T
     ll = sq @ inv.T
     ll -= cross
     ll += ((m.means ** 2) * inv).sum(axis=1)

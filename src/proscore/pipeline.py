@@ -342,9 +342,14 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 
     def downstream(name, model):
         """The report rows and score fusion of marginal model `name`, from
-        one inference pass of it."""
-        loglik, emb = infer(model, corpus.features)
-        if name in ("gmm", "nf"):
+        one inference pass of it, cached as its INFERENCE_FILES."""
+        loglik, emb = cache.run(
+            f"infer_{name}", _stamp("infer", stamps[name]),
+            [file for file in INFERENCE_FILES[name] if file],
+            lambda: save_inference(model_dir, name,
+                                   infer(model, corpus.features)),
+            lambda: load_inference(model_dir, name, all_ids))
+        if loglik is not None:
             row(f"{name}_loglik", eval_pcc(loglik))
         if emb is None:
             return
@@ -647,6 +652,75 @@ def infer(model, features: dict):
         logliks[uid] = float(flow.log_density(z, logdet).mean())
         embeddings[uid] = z.mean(axis=0)
     return logliks, embeddings
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite embedding value {text!r}")
+    return value
+
+
+def read_embeddings(path, columns=None, whole=False) -> dict:
+    """uid -> vector of each `uid<TAB>values` row of an embeddings TSV.
+
+    Every row holds at least one value, and as many as the first row, or
+    `columns` - 1 values. With `whole`, the file is one that this program
+    wrote, so a last line with no newline means that it was cut short.
+    """
+    emb = {}
+    for where, (uid, *vec) in formats.read_tsv(path, columns, keyed=True,
+                                               whole=whole):
+        if not vec:
+            raise formats.DataError(f"{where}: {uid} has no values")
+        emb[uid] = np.array(formats.parse(where, _finite, *vec))
+    return emb
+
+
+def embeddings_tsv(emb: dict) -> str:
+    """The embeddings TSV of `emb` (uid -> vector): one row per utterance,
+    in uid order, the layout of `proscore embed` and the inference files."""
+    return formats.tsv((uid, *emb[uid]) for uid in sorted(emb))
+
+
+# the files of each marginal model's inference stage: its (log-likelihoods,
+# embeddings) that a report row uses, None for those that none uses
+INFERENCE_FILES = {"gmm": ("gmm.loglik", None), "nf": ("nf.loglik", "nf.emb"),
+                   "dnf": (None, "dnf.emb"), "ivector": (None, "ivector.emb")}
+
+
+def save_inference(model_dir: Path, name: str, values) -> tuple:
+    """Write infer()'s (log-likelihoods, embeddings) `values` of marginal
+    model `name` to its INFERENCE_FILES, a log-likelihood as a row of one
+    value; returns what it wrote, None for the rest."""
+    loglik_file, emb_file = INFERENCE_FILES[name]
+    loglik, emb = values
+    if loglik_file:
+        (model_dir / loglik_file).write_text(embeddings_tsv(
+            {uid: (v,) for uid, v in loglik.items()}), encoding="utf-8")
+    if emb_file:
+        (model_dir / emb_file).write_text(embeddings_tsv(emb),
+                                          encoding="utf-8")
+    return loglik if loglik_file else None, emb if emb_file else None
+
+
+def load_inference(model_dir: Path, name: str, ids) -> tuple:
+    """What save_inference wrote of marginal model `name`, for the
+    utterances `ids`; a file cut short or without one row for each of `ids`
+    is a DataError that names it."""
+    out = []
+    for file, columns in zip(INFERENCE_FILES[name], (2, None)):
+        if file is None:
+            out.append(None)
+            continue
+        path = model_dir / file
+        rows = read_embeddings(path, columns, whole=True)
+        if rows.keys() != set(ids):
+            raise formats.DataError(
+                f"{path}: {len(rows)} rows for {len(ids)} utterances")
+        out.append(rows if columns is None
+                   else {uid: float(v[0]) for uid, v in rows.items()})
+    return tuple(out)
 
 
 def _codecs() -> dict:

@@ -116,6 +116,8 @@ def svr_train(X: np.ndarray, y: np.ndarray,
             f"X must be N x d matching y, got {X.shape} and {y.shape}")
     if X.shape[0] < 2:
         raise DataError("need at least 2 training points")
+    if X.shape[1] == 0:
+        raise DataError("X has no columns: the points have no values")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DataError("non-finite training data")
 

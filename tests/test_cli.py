@@ -394,6 +394,13 @@ def _corpus_with(m, d, name, old, new):
         "score", *m, "--svr", _svr_of_dim_2(d),
         "--embeddings", _embeddings(m, d, nan=True)], "e.tsv:1",
         id="CorpusError-nan-embedding"),
+    pytest.param(lambda m, d: [
+        "train-svr", *m, "--out", str(d / "x.psvr"), "--embeddings",
+        _embeddings(m, d, dim=0)], "e.tsv:1", id="zero-width-embeddings"),
+    pytest.param(lambda m, d: [
+        "score", *m, "--svr", _svr_of_dim_2(d),
+        "--embeddings", _embeddings(m, d, dim=0)], "e.tsv:1",
+        id="zero-width-embeddings-score"),
 ])
 def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv, where):
     """Every data fault exits 2 and writes nothing; a fault of one file
@@ -898,6 +905,25 @@ def test_cli_chain_reproduces_run_models(pipeline_runs, tmp_path, capsys):
     assert evaluated == {"gop": report["gop"][0],
                          "predicted": report["ivector_svr"][0],
                          "fused": fusion[0]}
+
+
+def test_run_inference_files_are_what_the_cli_writes(pipeline_runs,
+                                                     tmp_path):
+    """A preset run and the CLI share one stage layer: each `NAME.emb` of
+    the run is what `embed` writes with the run's model, and `train-svr`
+    on the run's i-vector embeddings writes the run's SVR."""
+    work = pipeline_runs["dirs"][0]
+    models = work / "models"
+    m = ["--manifest", str(work / "corpus" / "manifest.tsv")]
+    for name, magic in (("ivector", "pivm"), ("nf", "pnf1"), ("dnf", "pdnf")):
+        out = tmp_path / f"{name}.emb"
+        assert main(["embed", *m, "--model", str(models / f"{name}.{magic}"),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (models / f"{name}.emb").read_bytes(), name
+    out = tmp_path / "svr_ivector.psvr"
+    assert main(["train-svr", *m, "--embeddings", str(models / "ivector.emb"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (models / "svr_ivector.psvr").read_bytes()
 
 
 def test_train_dnf_drops_empty_classes(corpus_dir, tmp_path):

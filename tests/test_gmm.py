@@ -283,10 +283,10 @@ def test_kmeans_init_memory_is_bounded():
 
 def test_gmm_train_memory_is_bounded():
     """100,000 x 16 frames, K=16, 2 iterations. Training holds at most
-    three 12.8 MB N-row arrays at once (38.4 MB; frames ** 2, 2.0 * frames
-    or the log-likelihoods, and the cross term), plus the small K-length
-    and per-block temporaries. A fourth N-row array, such as a hoisted
-    2.0 * frames, must not join them."""
+    three 12.8 MB N-row arrays at once (38.4 MB; frames ** 2, the cross
+    term and the log-likelihoods), plus the small K-length and per-block
+    temporaries. A fourth N-row array, such as a hoisted 2.0 * frames,
+    must not join them."""
     frames = _clustered_frames(100_000, 16, 16)
     tracemalloc.start()
     try:

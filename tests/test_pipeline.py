@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import pickle
 import runpy
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -375,7 +376,8 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
         assert split.alignments == split.posteriors == {}
     assert not any(isinstance(a, corpus.Corpus)
                    for args, _ in sent for a in args)
-    assert len(out[1][0]) == 14  # 7 models and their stamps
+    # 7 models, 5 inference files and the stamps of 11 stages
+    assert len(out[1][0]) == 23
     assert out[1] == out[2]
     assert b"gop+ivector_score_fusion" in out[1][1]
 
@@ -393,8 +395,8 @@ def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
 def test_an_upstream_change_retrains_only_its_downstream_stages(
         tmp_path, monkeypatch):
     """A changed svr section rewrites the SVRs and their stamps alone, and a
-    changed i-vector section the i-vector extractor and its SVR alone; the
-    other files keep their bytes and mtimes."""
+    changed i-vector section the i-vector extractor, its inference and its
+    SVR alone; the other files keep their bytes and mtimes."""
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
     cfg = dict(_TINY_RUN, work_dir=str(tmp_path))
     run_pipeline(cfg)
@@ -412,8 +414,8 @@ def test_an_upstream_change_retrains_only_its_downstream_stages(
         for ext in ("digest", "psvr")]
     ivector = dict(_TINY_RUN["ivector"], ubm_iters=4)
     assert rewritten(svr=svr, ivector=ivector) == [
-        "ivector.digest", "ivector.pivm", "svr_ivector.digest",
-        "svr_ivector.psvr"]
+        "infer_ivector.digest", "ivector.digest", "ivector.emb",
+        "ivector.pivm", "svr_ivector.digest", "svr_ivector.psvr"]
 
 
 def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
@@ -429,6 +431,88 @@ def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
     rerun = run_pipeline(cfg)
     assert _files(tmp_path / "models") == models
     assert rerun.report_rows == first.report_rows
+
+
+def _counted_infer(monkeypatch) -> list:
+    """The system of each model that pipeline.infer is called on from now."""
+    infer, calls = pipeline.infer, []
+
+    def counted(model, features):
+        calls.append(pipeline.model_system(model))
+        return infer(model, features)
+
+    monkeypatch.setattr(pipeline, "infer", counted)
+    return calls
+
+
+def test_cached_rerun_reads_the_inference_files(tmp_path, monkeypatch):
+    """A fully cached rerun runs no inference pass and writes no file under
+    models/ or corpus/; its report is the first run's. --force runs one
+    pass per marginal model again."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(_TINY_RUN))
+    assert main(["run", str(config)]) == 0
+    report = (tmp_path / "reports" / "report.tsv").read_bytes()
+    files = _files(tmp_path / "models"), _files(tmp_path / "corpus")
+    assert sorted(p.name for p in files[0] if p.suffix in (".emb", ".loglik")) \
+        == ["dnf.emb", "gmm.loglik", "ivector.emb", "nf.emb", "nf.loglik"]
+
+    def no_infer(model, features):
+        raise AssertionError("a fully cached rerun ran inference")
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "infer", no_infer)
+        assert main(["run", str(config)]) == 0
+    assert (_files(tmp_path / "models"), _files(tmp_path / "corpus")) == files
+    assert (tmp_path / "reports" / "report.tsv").read_bytes() == report
+    calls = _counted_infer(monkeypatch)
+    assert main(["run", str(config), "--force"]) == 0
+    assert sorted(calls) == sorted(pipeline.MARGINALS)
+    assert (tmp_path / "reports" / "report.tsv").read_bytes() == report
+    assert {p: b for p, (b, _) in _files(tmp_path / "models").items()} == \
+        {p: b for p, (b, _) in files[0].items()}
+
+
+def test_no_stale_inference_file_is_served(tmp_path, monkeypatch):
+    """An inference file without its stamp, as a run cut short leaves it,
+    and one stamped for another model are both computed again, and only
+    they."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    cfg = dict(_TINY_RUN, work_dir=str(tmp_path / "a"))
+    first = run_pipeline(cfg)
+    models = tmp_path / "a" / "models"
+    files = {p: b for p, (b, _) in _files(models).items()}
+    nf = dict(_TINY_FLOW, epochs=2)
+    run_pipeline(dict(cfg, work_dir=str(tmp_path / "b"), nf=nf))
+    for name in ("nf.emb", "nf.loglik", "infer_nf.digest"):  # another NF's
+        shutil.copy(tmp_path / "b" / "models" / name, models / name)
+    emb = models / "ivector.emb"  # cut short, and its stamp not yet written
+    emb.write_bytes(emb.read_bytes()[:len(emb.read_bytes()) // 2])
+    (models / "infer_ivector.digest").unlink()
+    calls = _counted_infer(monkeypatch)
+    rerun = run_pipeline(cfg)
+    assert sorted(calls) == ["ivector", "nf"]
+    assert {p: b for p, (b, _) in _files(models).items()} == files
+    assert rerun.report_rows == first.report_rows
+
+
+@pytest.mark.parametrize("cut", ["mid-row", "row-boundary", "last-value"])
+def test_corrupt_inference_file_exits_2(tmp_path, capsys, cut):
+    """An inference file cut short under a valid stamp is a data error
+    that names it, wherever the cut falls."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(_TINY_RUN, systems=["gop", "ivector"])))
+    assert main(["run", str(config)]) == 0
+    emb = tmp_path / "models" / "ivector.emb"
+    raw = emb.read_bytes()
+    end = {"mid-row": raw.index(b"\t", len(raw) // 2) + 1,
+           "row-boundary": raw.rindex(b"\n", 0, len(raw) - 1) + 1,
+           "last-value": len(raw) - 2}[cut]
+    emb.write_bytes(raw[:end])
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {emb}"), err
 
 
 def test_pool_run_makes_its_work_dir(tmp_path, monkeypatch):
@@ -624,7 +708,8 @@ def test_arrival_order_changes_no_output(tmp_path, monkeypatch):
                         "svr_dnf.psvr", "ivector.pivm", "svr_ivector.psvr"]
     assert order[2] == ["ivector.pivm", "svr_ivector.psvr", "dnf.pdnf",
                         "svr_dnf.psvr", "nf.pnf1", "svr_nf.psvr", "gmm.pgmm"]
-    assert len(out[1][0]) == 14  # 7 models and their stamps
+    # 7 models, 5 inference files and the stamps of 11 stages
+    assert len(out[1][0]) == 23
     assert out[1] == out[2]
     assert out[1][3] == out[1][4] == ["ivector", "nf", "dnf"]
     assert [r.system for r in out[1][2]][:7] == [

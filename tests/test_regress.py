@@ -155,6 +155,8 @@ def test_input_validation():
         svr_train(np.zeros((1, 2)), np.zeros(1))
     with pytest.raises(DataError, match="non-finite"):
         svr_train(np.full((4, 2), np.nan), np.zeros(4))
+    with pytest.raises(DataError, match="X has no columns"):
+        svr_train(np.zeros((4, 0)), np.arange(4.0))
     m = svr_train(np.random.default_rng(6).standard_normal((5, 2)),
                   np.arange(5.0))
     with pytest.raises(DataError, match=r"input has shape \(3,\)"):
