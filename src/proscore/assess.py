@@ -154,21 +154,30 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
     labels = dev_table.labels()
     if float(labels.std()) == 0.0:
         raise DataError("degenerate dev labels: constant")
-    stats = fusion_stats(dev_table) if normalization == "zscore" else None
+    FusionConfig(0.0, normalization)  # a known normalization
+    # each fused column as score_fuse computes it, in its order of operations
+    g, p = dev_table.column("gop"), dev_table.column("predicted")
+    if normalization == "zscore":
+        stats = fusion_stats(dev_table)
+        g = (g - stats["gop"][0]) / stats["gop"][1]
+        p = (p - stats["predicted"][0]) / stats["predicted"][1]
     grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     grid = np.minimum(grid, 1.0)
     curve = []
     best_lam, best_val = None, -np.inf
     for lam in grid:
-        cfg = FusionConfig(float(lam), normalization)
-        fused = score_fuse(dev_table, cfg, stats).column("fused")
+        lam = float(lam)
+        fused = lam * g + (1.0 - lam) * p
+        if not np.isfinite(fused).all():  # as the ScoreTable of score_fuse
+            uid = dev_table.rows[np.argmin(np.isfinite(fused))].utterance_id
+            raise DataError(f"{uid}: non-finite score")
         try:
             val = pcc(fused, labels)
         except DataError:  # the fused column is constant: labels vary
             val = float("nan")
-        curve.append((float(lam), val))
+        curve.append((lam, val))
         if val > best_val + _TIE_TOL:
-            best_lam, best_val = float(lam), val
+            best_lam, best_val = lam, val
     if best_lam is None:
         raise DataError("no fusion weight has a PCC on the dev split: the"
                         " fused dev score is constant at every weight")

@@ -124,13 +124,13 @@ def cmd_score(args) -> int:
     ids = sorted(corpus.features)
     if args.split:
         ids = sorted(corpus.splits.ids(args.split))
-    features = {uid: corpus.features[uid] for uid in ids}
     columns = []
     if args.gop:
         columns.append(("gop", pipeline.score_gop(
             corpus, pipeline.default_config()["gop"], ids)))
     for model_path in args.model or []:
         model = pipeline.load_model(model_path)
+        features = {uid: corpus.features[uid] for uid in ids}
         columns.append((f"{pipeline.model_system(model)}_loglik",
                         _inferred(model, features, 0, "frame log-likelihood")))
     if args.svr:

@@ -9,6 +9,8 @@ proficiency oracle.
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,12 +204,26 @@ class SplitManifest:
 
 @dataclass(frozen=True)
 class Corpus:
-    features: dict
-    alignments: dict
-    posteriors: dict
-    labels: dict
+    """Each of features, alignments, posteriors and labels maps an
+    utterance id to its item. A corpus that `load_corpus` read parses its
+    features, posteriorgrams and alignments on first use; its phone table
+    is then that of its posteriorgrams."""
+
+    features: Mapping
+    alignments: Mapping
+    posteriors: Mapping
+    labels: Mapping
     splits: SplitManifest
-    phone_table: tuple
+    _phone_table: tuple | None
+    # manifest role -> _Part of a corpus that load_corpus read
+    sources: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+
+    @property
+    def phone_table(self) -> tuple:
+        if self._phone_table is not None:
+            return self._phone_table
+        return next(iter(self.posteriors.values())).phone_table
 
     @property
     def num_phones(self) -> int:
@@ -216,31 +232,62 @@ class Corpus:
     def validate(self) -> None:
         if not self.features:
             raise DataError("empty corpus")
-        dims = {fs.dim for fs in self.features.values()}
-        if len(dims) != 1:
-            raise DataError(f"inconsistent feature dims across corpus: {sorted(dims)}")
-        for uid, al in self.alignments.items():
-            if uid not in self.features:
-                raise DataError(f"alignment for unknown utterance {uid}")
-            al.check_bounds(self.features[uid].num_frames, self.num_phones)
-        for uid, pg in self.posteriors.items():
-            if uid not in self.features:
-                raise DataError(f"posteriorgram for unknown utterance {uid}")
-            if pg.num_frames != self.features[uid].num_frames:
-                raise DataError(
-                    f"{uid}: posteriorgram has {pg.num_frames} frames, "
-                    f"features have {self.features[uid].num_frames}"
-                )
-            if pg.phone_table != self.phone_table:
-                raise DataError(f"{uid}: posteriorgram phone table mismatch")
-        for uid in self.labels:
-            if uid not in self.features:
-                raise DataError(f"label for unknown utterance {uid}")
+        _check_features(self.features)
+        _check_alignments(self.alignments, self.features, self.num_phones)
+        _check_posteriors(self.posteriors, self.features, self.phone_table)
+        _check_labels(self.labels, self.features)
         self.splits.check_covers(self.features.keys())
 
     def frames_for(self, utterance_ids) -> np.ndarray:
         """Stack the frames of the given utterances into one N x D matrix."""
         return np.vstack([self.features[uid].frames for uid in utterance_ids])
+
+    def release(self, *roles) -> None:
+        """Drop the parsed parts of `roles` of a corpus that load_corpus
+        read, to free their memory; a later use parses them again."""
+        for role in roles:
+            self.sources[role].release()
+
+    def digest(self, *roles, parse: bool = False) -> str:
+        """sha256 of the bytes of the files of `roles` (MANIFEST_ROLES) of a
+        corpus that load_corpus read. Each file is read once: with `parse`,
+        a part not parsed yet is parsed from those same bytes."""
+        h = hashlib.sha256()
+        for role in roles:
+            h.update(self.sources[role].digest(parse).encode())
+        return h.hexdigest()
+
+
+def _check_features(features) -> None:
+    dims = {fs.dim for fs in features.values()}
+    if len(dims) != 1:
+        raise DataError(f"inconsistent feature dims across corpus: {sorted(dims)}")
+
+
+def _check_alignments(alignments, features, num_phones: int) -> None:
+    for uid, al in alignments.items():
+        if uid not in features:
+            raise DataError(f"alignment for unknown utterance {uid}")
+        al.check_bounds(features[uid].num_frames, num_phones)
+
+
+def _check_posteriors(posteriors, features, phone_table) -> None:
+    for uid, pg in posteriors.items():
+        if uid not in features:
+            raise DataError(f"posteriorgram for unknown utterance {uid}")
+        if pg.num_frames != features[uid].num_frames:
+            raise DataError(
+                f"{uid}: posteriorgram has {pg.num_frames} frames, "
+                f"features have {features[uid].num_frames}"
+            )
+        if pg.phone_table != phone_table:
+            raise DataError(f"{uid}: posteriorgram phone table mismatch")
+
+
+def _check_labels(labels, features) -> None:
+    for uid in labels:
+        if uid not in features:
+            raise DataError(f"label for unknown utterance {uid}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +308,9 @@ def write_feature_file(path, fs: FeatureSequence) -> None:
     formats.save(path, _write_frames, fs.frames)
 
 
-def read_feature_file(path, utterance_id: str) -> FeatureSequence:
+def read_feature_file(path, utterance_id: str, data=None) -> FeatureSequence:
     return formats.load(
-        path, lambda f: FeatureSequence(utterance_id, _read_frames(f)))
+        path, lambda f: FeatureSequence(utterance_id, _read_frames(f)), data)
 
 
 def _write_posteriorgram(f, pg: PosteriorGram) -> None:
@@ -285,8 +332,10 @@ def write_posteriorgram_file(path, pg: PosteriorGram) -> None:
     formats.save(path, _write_posteriorgram, pg)
 
 
-def read_posteriorgram_file(path, utterance_id: str) -> PosteriorGram:
-    return formats.load(path, lambda f: _read_posteriorgram(f, utterance_id))
+def read_posteriorgram_file(path, utterance_id: str,
+                            data=None) -> PosteriorGram:
+    return formats.load(path, lambda f: _read_posteriorgram(f, utterance_id),
+                        data)
 
 
 def write_alignment_file(path, alignments, phone_table) -> None:
@@ -296,10 +345,10 @@ def write_alignment_file(path, alignments, phone_table) -> None:
         for p, s, e in alignments[uid].segments), encoding="utf-8")
 
 
-def read_alignment_file(path, phone_table) -> dict:
+def read_alignment_file(path, phone_table, data=None) -> dict:
     index = {name: i for i, name in enumerate(phone_table)}
     rows: dict[str, list] = {}
-    for where, fields in formats.read_tsv(path, 4):
+    for where, fields in formats.read_tsv(path, 4, data=data):
         uid, phone, start, end = fields
         if phone not in index:
             raise DataError(f"{where}: unknown phone {phone!r}")
@@ -315,9 +364,9 @@ def write_labels_file(path, labels) -> None:
         for uid in sorted(labels)), encoding="utf-8")
 
 
-def read_labels_file(path) -> dict:
+def read_labels_file(path, data=None) -> dict:
     labels = {}
-    rows = formats.read_tsv(path, 2, keyed=True)
+    rows = formats.read_tsv(path, 2, keyed=True, data=data)
     for where, (uid, scores) in rows:
         scores = formats.parse(where, int, *scores.split(","))
         labels[uid] = RatedUtterance(uid, scores)
@@ -331,9 +380,9 @@ def write_splits_file(path, splits: SplitManifest) -> None:
         encoding="utf-8")
 
 
-def read_splits_file(path) -> SplitManifest:
+def read_splits_file(path, data=None) -> SplitManifest:
     groups = {name: [] for name in SPLITS}
-    for where, (uid, name) in formats.read_tsv(path, 2):
+    for where, (uid, name) in formats.read_tsv(path, 2, data=data):
         if name not in groups:
             raise DataError(f"{where}: unknown split {name!r}")
         groups[name].append(uid)
@@ -388,30 +437,119 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
     return manifest
 
 
+class _Part(Mapping):
+    """One part of a corpus that load_corpus read, from its files `paths`:
+    its features, posteriorgrams or alignments (uid -> item), its labels
+    or its splits. `parse(path, raw)` parses the bytes of one file, and
+    `build` makes and checks the part from the list of what they gave.
+
+    The part is parsed when it is first used; `ids`, if given, are its
+    keys before that. `digest` hashes the files' bytes and, with `parse`,
+    parses those same bytes. Each file's bytes are dropped once they are
+    hashed and parsed, so a part that was hashed unparsed reads its files
+    again when it is first used.
+    """
+
+    def __init__(self, paths, parse, build, ids=None):
+        self._paths, self._parse, self._build = paths, parse, build
+        self._ids = None if ids is None else dict.fromkeys(ids)
+        self._value = self._digest = None
+
+    def _read(self, hashing: bool, parse: bool) -> None:
+        h, parsed = hashlib.sha256(), []
+        for path in self._paths:
+            raw = formats.load(path, lambda f: f.read())
+            if hashing:
+                h.update(f"{path.name}\0{len(raw)}\0".encode())
+                h.update(raw)
+            if parse:
+                parsed.append(self._parse(path, raw))
+        if parse:
+            self._value = self._build(parsed)
+        if hashing:
+            self._digest = h.hexdigest()
+
+    def value(self):
+        if self._value is None:
+            self._read(hashing=False, parse=True)
+        return self._value
+
+    def release(self) -> None:
+        """Drop the parsed part; a later use parses it again."""
+        self._value = None
+
+    def digest(self, parse: bool = False) -> str:
+        if self._digest is None:
+            self._read(hashing=True, parse=parse and self._value is None)
+        return self._digest
+
+    def _keys(self):
+        return self.value() if self._ids is None else self._ids
+
+    def __getitem__(self, uid):
+        return self.value()[uid]
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return len(self._keys())
+
+    def __contains__(self, uid) -> bool:
+        return uid in self._keys()
+
+
 def load_corpus(manifest_path) -> Corpus:
-    """Load and cross-validate a corpus from its manifest."""
+    """A corpus from its manifest. Its labels and splits are read and
+    checked here; its features, posteriorgrams and alignments when first
+    used (see _Part): the features alone, the others against them."""
     roles = read_manifest(manifest_path)
     feat_dir = Path(roles["features"])
     post_dir = Path(roles["posteriors"])
-    features = {p.stem: read_feature_file(p, p.stem)
-                for p in sorted(feat_dir.glob("*.feat"))}
-    if not features:
+    feature_paths = sorted(feat_dir.glob("*.feat"))
+    if not feature_paths:
         raise DataError(f"empty corpus: no feature files under {feat_dir}")
-
-    posteriors = {}
-    phone_table = None
-    for p in sorted(post_dir.glob("*.post")):
-        pg = posteriors[p.stem] = read_posteriorgram_file(p, p.stem)
-        if phone_table is None:
-            phone_table = pg.phone_table
-    if phone_table is None:
+    post_paths = sorted(post_dir.glob("*.post"))
+    if not post_paths:
         raise DataError(f"no posteriorgram files under {post_dir}")
 
-    alignments = read_alignment_file(roles["alignments"], phone_table)
-    labels = read_labels_file(roles["labels"])
-    splits = read_splits_file(roles["splits"])
-    corpus = Corpus(features, alignments, posteriors, labels, splits, phone_table)
-    corpus.validate()
+    def features_of(parsed):
+        items = {fs.utterance_id: fs for fs in parsed}
+        _check_features(items)
+        return items
+
+    def posteriors_of(parsed):
+        items = {pg.utterance_id: pg for pg in parsed}
+        _check_posteriors(items, features, parsed[0].phone_table)
+        return items
+
+    def alignments_of(parsed):
+        _check_alignments(parsed[0], features, corpus.num_phones)
+        return parsed[0]
+
+    features = _Part(feature_paths,
+                     lambda p, raw: read_feature_file(p, p.stem, raw),
+                     features_of, [p.stem for p in feature_paths])
+    posteriors = _Part(post_paths,
+                       lambda p, raw: read_posteriorgram_file(p, p.stem, raw),
+                       posteriors_of, [p.stem for p in post_paths])
+    alignments = _Part([roles["alignments"]], lambda p, raw: read_alignment_file(
+        p, corpus.phone_table, raw), alignments_of)
+    labels = _Part([roles["labels"]], lambda p, raw: read_labels_file(p, raw),
+                   lambda parsed: parsed[0])
+    splits = _Part([roles["splits"]], lambda p, raw: read_splits_file(p, raw),
+                   lambda parsed: parsed[0])
+    for part in (labels, splits):
+        part.digest(parse=True)
+    corpus = Corpus(features, alignments, posteriors, labels.value(),
+                    splits.value(), None)
+    object.__setattr__(corpus, "sources", dict(zip(
+        MANIFEST_ROLES, (features, alignments, posteriors, labels, splits))))
+    for uid in posteriors:
+        if uid not in features:
+            raise DataError(f"posteriorgram for unknown utterance {uid}")
+    _check_labels(corpus.labels, features)
+    corpus.splits.check_covers(features)
     return corpus
 
 

@@ -2,15 +2,16 @@
 
 Stages run in dependency order and cache their artifacts on disk keyed by
 a content digest of their inputs and config section, so re-running a
-config retrains only what changed. All stages are deterministic given the
-config and seed. The marginal models (GMM, i-vector, NF, DNF) read only
-the corpus, so those that miss the cache train at once, in spawned worker
-processes, as many as this process has CPUs. This process takes each
-model as it arrives, cache hits first: it writes the model's file and
-stamp and at once runs what follows from it (inference, SVR, fusion)
-while the others still train. Every process runs one BLAS thread (see
-the package docstring), so where a model trains changes none of its
-bytes. The report keeps a fixed row order. The stage functions below
+config recomputes only what changed, and a run whose stages all hit
+parses no frame and trains nothing. All stages are deterministic given
+the config and seed. The marginal models (GMM, i-vector, NF, DNF) read
+only the corpus, so those that miss the cache train at once, in spawned
+worker processes, as many as this process has CPUs, while this process
+scores GOP. It then takes each model as it arrives, cache hits first: it
+writes the model's file and stamp and at once runs what follows from it
+(inference, SVR, fusion) while the others still train. Every process
+runs one BLAS thread (see the package docstring), so where a model
+trains changes none of its bytes. The report keeps a fixed row order. The stage functions below
 `run_pipeline` are also what the CLI subcommands call, so a step-by-step
 CLI chain with the stage seeds reproduces the models of a run. Each
 trainer returns (model, trace). `check_section` checks a config section's
@@ -247,11 +248,14 @@ class StageCache:
         self.force = force
         root.mkdir(parents=True, exist_ok=True)
 
+    def stamped(self, name: str) -> bool:
+        """Whether stage `name` may hit: it has a stamp and no --force."""
+        return not self.force and (self.root / f"{name}.digest").exists()
+
     def hit(self, name: str, key: str, artifacts) -> bool:
         """Whether stage `name` is stamped with `key` and has its artifacts."""
-        stamp = self.root / f"{name}.digest"
-        return (not self.force and stamp.exists()
-                and stamp.read_text() == key
+        return (self.stamped(name)
+                and (self.root / f"{name}.digest").read_text() == key
                 and all((self.root / a).exists() for a in artifacts))
 
     def run(self, name: str, key: str, artifacts, compute, load):
@@ -285,12 +289,12 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     report_dir.mkdir(parents=True, exist_ok=True)
     cache = StageCache(model_dir, force)
 
-    corpus, corpus_key = _corpus_stage(cfg, work, force)
     systems = cfg.get("systems", DEFAULT_SYSTEMS)
-    if "ivector" in systems:  # before any training
-        iv = _merged(cfg, "ivector")
-        ivector.check_dim(iv["dim"], iv["ubm_components"],
-                          next(iter(corpus.features.values())).dim)
+    names = [name for name in MARGINALS if name in systems]
+    # the features are parsed as they are hashed when a model stage misses
+    # for certain; else only if one misses after all
+    corpus, corpus_key = _corpus_stage(
+        cfg, work, force, parse=not all(map(cache.stamped, names)))
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
@@ -320,14 +324,11 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     else:
         warnings.warn("skipping inter-rater PCC: rater counts differ")
 
-    # GOP is needed by every fusion mode, so it always runs
-    gop_scores = score_gop(corpus, _merged(cfg, "gop"), all_ids)
-    row("gop", eval_pcc(gop_scores))
-
     svr_cfg = _merged(cfg, "svr")
+    gop_cfg = _merged(cfg, "gop")
     # cached stage -> its stamp; an SVR's joins when its model arrives
     stamps = {name: _stamp(name, _merged(cfg, name), corpus_key, seed)
-              for name in MARGINALS if name in systems}
+              for name in names}
     fused = {}  # system -> (lambda, fused eval table) of its score fusion
 
     def model_file(name):  # NAME.MAGIC; an svr_* stage's model is an SVR
@@ -366,22 +367,46 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
             row(f"gop+{name}_score_fusion",
                 assess.pcc(fused_eval.column("fused"), eval_labels), lam)
         if "feature" in fusion_cfg["modes"]:
-            order = train_ids + dev_ids + eval_ids
-            fused_X = assess.feature_fuse(
-                np.array([emb[u] for u in order]),
-                np.array([gop_scores[u] for u in order]))
-            by_uid = dict(zip(order, fused_X))
-            ff_model = train_svr(corpus, by_uid, svr_cfg)
-            row(f"gop+{name}_feature_fusion",
-                eval_pcc(predict(ff_model, by_uid, eval_ids)))
+            # its eval predictions are cached, not its SVR: they are all
+            # that the report uses, and far smaller
+            path = model_dir / f"ff_{name}.pred"
+
+            def feature_fusion():
+                order = train_ids + dev_ids + eval_ids
+                fused_X = assess.feature_fuse(
+                    np.array([emb[u] for u in order]),
+                    np.array([gop_scores[u] for u in order]))
+                by_uid = dict(zip(order, fused_X))
+                return save_scores(path, predict(
+                    train_svr(corpus, by_uid, svr_cfg), by_uid, eval_ids))
+
+            row(f"gop+{name}_feature_fusion", eval_pcc(cache.run(
+                f"ff_{name}", _stamp("ff", svr_cfg, stamps[name], gop_key),
+                [path.name], feature_fusion,
+                lambda: load_scores(path, eval_ids))))
 
     # ---- marginal models: the cache misses train at once; each model is
     # saved, stamped and followed downstream as it arrives, cache hits first
     misses = [name for name in stamps
               if not cache.hit(name, stamps[name], [model_file(name).name])]
+    if "ivector" in misses:  # before any training
+        iv = _merged(cfg, "ivector")
+        ivector.check_dim(iv["dim"], iv["ubm_components"],
+                          next(iter(corpus.features.values())).dim)
     hits = [(name, None) for name in stamps if name not in misses]
     failures = {}
+    gop_file = model_dir / "gop.score"
     with _training(misses, corpus, cfg) as arrivals:
+        # GOP, which every fusion mode needs, reads the posteriorgrams and
+        # alignments while the models train
+        gop_key = _stamp("gop", gop_cfg, corpus_key, corpus.digest(
+            "posteriors", "alignments", parse=not cache.stamped("gop")))
+        gop_scores = cache.run(
+            "gop", gop_key, [gop_file.name],
+            lambda: save_scores(gop_file, score_gop(corpus, gop_cfg, all_ids)),
+            lambda: load_scores(gop_file, all_ids))
+        corpus.release("posteriors", "alignments")  # no other stage reads them
+        row("gop", eval_pcc(gop_scores))
         for name, train in itertools.chain(hits, arrivals):
             _release_heap()
             try:
@@ -656,7 +681,7 @@ def infer(model, features: dict):
 
 def _finite(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite embedding value {text!r}")
     return value
 
@@ -689,15 +714,35 @@ INFERENCE_FILES = {"gmm": ("gmm.loglik", None), "nf": ("nf.loglik", "nf.emb"),
                    "dnf": (None, "dnf.emb"), "ivector": (None, "ivector.emb")}
 
 
+def save_scores(path: Path, scores: dict) -> dict:
+    """Write `scores` (uid -> value) as an embeddings TSV of one value per
+    row, as the `.loglik` files, GOP and the feature-fusion predictions are
+    cached; returns them."""
+    path.write_text(embeddings_tsv({uid: (v,) for uid, v in scores.items()}),
+                    encoding="utf-8")
+    return scores
+
+
+def load_scores(path: Path, ids, columns=2) -> dict:
+    """What save_scores wrote, or with `columns` None the embeddings that
+    embeddings_tsv wrote, for the utterances `ids`; a file cut short or
+    without one row for each of `ids` is a DataError that names it."""
+    rows = read_embeddings(path, columns, whole=True)
+    if rows.keys() != set(ids):
+        raise formats.DataError(
+            f"{path}: {len(rows)} rows for {len(ids)} utterances")
+    return rows if columns is None else {uid: float(v[0])
+                                         for uid, v in rows.items()}
+
+
 def save_inference(model_dir: Path, name: str, values) -> tuple:
     """Write infer()'s (log-likelihoods, embeddings) `values` of marginal
-    model `name` to its INFERENCE_FILES, a log-likelihood as a row of one
-    value; returns what it wrote, None for the rest."""
+    model `name` to its INFERENCE_FILES; returns what it wrote, None for
+    the rest."""
     loglik_file, emb_file = INFERENCE_FILES[name]
     loglik, emb = values
     if loglik_file:
-        (model_dir / loglik_file).write_text(embeddings_tsv(
-            {uid: (v,) for uid, v in loglik.items()}), encoding="utf-8")
+        save_scores(model_dir / loglik_file, loglik)
     if emb_file:
         (model_dir / emb_file).write_text(embeddings_tsv(emb),
                                           encoding="utf-8")
@@ -706,21 +751,10 @@ def save_inference(model_dir: Path, name: str, values) -> tuple:
 
 def load_inference(model_dir: Path, name: str, ids) -> tuple:
     """What save_inference wrote of marginal model `name`, for the
-    utterances `ids`; a file cut short or without one row for each of `ids`
-    is a DataError that names it."""
-    out = []
-    for file, columns in zip(INFERENCE_FILES[name], (2, None)):
-        if file is None:
-            out.append(None)
-            continue
-        path = model_dir / file
-        rows = read_embeddings(path, columns, whole=True)
-        if rows.keys() != set(ids):
-            raise formats.DataError(
-                f"{path}: {len(rows)} rows for {len(ids)} utterances")
-        out.append(rows if columns is None
-                   else {uid: float(v[0]) for uid, v in rows.items()})
-    return tuple(out)
+    utterances `ids`, as load_scores reads it."""
+    return tuple(None if file is None else load_scores(model_dir / file, ids,
+                                                       columns)
+                 for file, columns in zip(INFERENCE_FILES[name], (2, None)))
 
 
 def _codecs() -> dict:
@@ -772,21 +806,25 @@ def _synth_config(cfg):
                           for k, v in synth_kwargs.items()}), synth_kwargs
 
 
-def _corpus_stage(cfg, work: Path, force: bool):
+def _corpus_stage(cfg, work: Path, force: bool, parse: bool):
+    """(corpus, key). A synth corpus, written under the work dir, is keyed
+    on its settings; a manifest corpus on the bytes of its feature files,
+    labels and splits, and with `parse` its features are parsed from the
+    bytes hashed."""
     corpus_cfg = cfg["corpus"]
     if "synth" in corpus_cfg:
         synth, synth_kwargs = _synth_config(cfg)
         corpus_dir = work / "corpus"
         key = _stamp("synth", synth_kwargs)
-        return StageCache(corpus_dir, force).run(
+        StageCache(corpus_dir, force).run(
             "synth", key, ["manifest.tsv", "oracle.tsv"],
-            lambda: write_synth_corpus(synth, corpus_dir),
-            lambda: load_corpus(corpus_dir / "manifest.tsv")), key
-    corpus_obj = load_corpus(work / corpus_cfg["manifest"])  # if relative
-    return corpus_obj, _corpus_digest(corpus_obj)
+            lambda: write_synth_corpus(synth, corpus_dir), lambda: None)
+        return load_corpus(corpus_dir / "manifest.tsv"), key
+    corpus = load_corpus(work / corpus_cfg["manifest"])  # if relative
+    return corpus, corpus.digest("features", "labels", "splits", parse=parse)
 
 
-def write_synth_corpus(synth: SynthConfig, out_dir) -> Corpus:
+def write_synth_corpus(synth: SynthConfig, out_dir) -> None:
     """Synthesize a corpus into `out_dir`, with `oracle.tsv` holding each
     utterance's true proficiency; the feature and posteriorgram files of
     any corpus there before are removed."""
@@ -797,16 +835,3 @@ def write_synth_corpus(synth: SynthConfig, out_dir) -> Corpus:
     save_corpus(corpus, out_dir)
     (out_dir / "oracle.tsv").write_text(formats.tsv(
         [("utterance_id", "rho")] + sorted(oracle.items())), encoding="utf-8")
-    return corpus
-
-
-def _corpus_digest(corpus: Corpus) -> str:
-    """Digest of what the cached stages read: frames, labels and splits."""
-    features = [(uid, fs.frames.shape, fs.frames.tobytes())
-                for uid, fs in sorted(corpus.features.items())]
-    labels = {uid: (lab.rater_scores, lab.mean_score)
-              for uid, lab in corpus.labels.items()}
-    splits = (corpus.splits.train_ids, corpus.splits.dev_ids,
-              corpus.splits.eval_ids)
-    return _digest("manifest", *(part for f in features for part in f),
-                   labels, splits)

@@ -198,6 +198,50 @@ def test_select_lambda_errors():
         select_lambda(t2, grid_step=0.0)
 
 
+def _score_fuse_grid(table, grid_step, normalization):
+    """select_lambda's (lambda, curve) from one score_fuse table per grid
+    weight: the oracle of its whole-column form."""
+    labels = table.labels()
+    stats = fusion_stats(table) if normalization == "zscore" else None
+    grid = np.minimum(np.arange(0.0, 1.0 + grid_step / 2, grid_step), 1.0)
+    curve, best_lam, best_val = [], None, -np.inf
+    for lam in grid:
+        cfg = FusionConfig(float(lam), normalization)
+        fused = score_fuse(table, cfg, stats).column("fused")
+        try:
+            val = pcc(fused, labels)
+        except DataError:
+            val = float("nan")
+        curve.append((float(lam), val))
+        if val > best_val + 1e-12:
+            best_lam, best_val = float(lam), val
+    return best_lam, curve
+
+
+@pytest.mark.parametrize("normalization", ["zscore", "none"])
+def test_select_lambda_matches_the_score_fuse_curve(normalization):
+    """Every PCC of the curve, nan included, and the weight chosen equal
+    those of score_fuse's fused columns bit for bit, on random tables with
+    and without tied scores."""
+    rng = np.random.default_rng(3)
+    tables = [_table([0.0, 1.0], [1.0, 0.0], [1.0, 2.0])]  # nan at 0.5
+    for n in (2, 3, 5, 25, 100):
+        for k in range(12):
+            labels = rng.integers(1, 6, n).astype(float)
+            labels[:2] = (1.0, 5.0)
+            gops = rng.normal(-2.0, rng.uniform(0.01, 3.0), n)
+            preds = labels + rng.normal(0.0, rng.uniform(0.1, 3.0), n)
+            if k % 3 == 0:  # tied scores
+                gops, preds = np.round(gops), np.round(preds)
+            tables.append(_table(gops, preds, labels))
+    for table in tables:
+        for step in (0.02, 0.1, 0.3):
+            lam, curve = select_lambda(table, step, normalization)
+            want_lam, want_curve = _score_fuse_grid(table, step, normalization)
+            assert lam == want_lam
+            assert np.array(curve).tobytes() == np.array(want_curve).tobytes()
+
+
 def test_feature_fuse_layout():
     rng = np.random.default_rng(6)
     emb = rng.standard_normal((10, 3))

@@ -326,6 +326,61 @@ def _corpus_with(m, d, name, old, new):
     return str(root / "manifest.tsv")
 
 
+def _refuse_to_parse(monkeypatch, *parts) -> None:
+    """Make the parser of each corpus part of `parts`, "features" or
+    "posteriors", raise."""
+    def refused(path, *args):
+        raise AssertionError(f"parsed {path}")
+
+    for part in parts:
+        reader = {"features": "read_feature_file",
+                  "posteriors": "read_posteriorgram_file"}[part]
+        monkeypatch.setattr(f"proscore.corpus.{reader}", refused)
+
+
+def _eval_scores(m, d):
+    """A score table of the eval split of the corpus of manifest `m[1]`."""
+    c = load_corpus(m[1])
+    return _text_file(d / "s.tsv", formats.tsv(
+        [("utterance_id", "gop", "predicted", "label_mean")]
+        + [(uid, float(i), float(i % 3), c.labels[uid].mean_score)
+           for i, uid in enumerate(c.splits.eval_ids)]))
+
+
+def _saved(d, name, model):
+    save_model(d / name, model)
+    return str(d / name)
+
+
+@pytest.mark.parametrize("argv, unparsed", [
+    pytest.param(lambda m, d: [
+        "train-svr", *m, "--embeddings", _embeddings(m, d),
+        "--out", str(d / "x.psvr")], ("features", "posteriors"),
+        id="train-svr"),
+    pytest.param(lambda m, d: [
+        "evaluate", *m, "--scores", _eval_scores(m, d), "--out", str(d / "r")],
+        ("features", "posteriors"), id="evaluate"),
+    pytest.param(lambda m, d: [
+        "train-gmm", *m, "--components", "2", "--iters", "2",
+        "--out", str(d / "g.pgmm")], ("posteriors",), id="train-gmm"),
+    pytest.param(lambda m, d: [
+        "train-ivector", *m, "--dim", "2", "--iters", "1",
+        "--ubm", _saved(d, "u.pgmm", gmm.GmmModel(
+            np.full(2, 0.5), np.zeros((2, 6)), np.ones((2, 6)))),
+        "--out", str(d / "i.pivm")], ("posteriors",), id="train-ivector"),
+    pytest.param(lambda m, d: [
+        "embed", *m, "--model", _saved(d, "f.pnf1", flow.build_flow(6, 2, 4)),
+        "--out", str(d / "e.tsv")], ("posteriors",), id="embed"),
+])
+def test_a_subcommand_parses_only_the_corpus_files_it_uses(
+        corpus_dir, tmp_path, monkeypatch, argv, unparsed):
+    """train-svr and evaluate read no feature or posteriorgram file, and the
+    commands that read frames read no posteriorgram."""
+    argv = argv(["--manifest", str(corpus_dir[1])], tmp_path)
+    _refuse_to_parse(monkeypatch, *unparsed)
+    assert main(argv) == 0
+
+
 # argv(m, d) of m = ["--manifest", MANIFEST] and the tmp dir d, and the path
 # under d that the message starts with (None where it names no file)
 @pytest.mark.parametrize("argv, where", [

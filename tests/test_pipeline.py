@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proscore import corpus, dnf, flow, formats, gmm, ivector, pipeline
+from proscore import (corpus, dnf, flow, formats, gmm, ivector, pipeline,
+                      regress)
 from proscore.cli import main
 from proscore.corpus import load_corpus, save_corpus, synth_corpus
 from proscore.pipeline import (ConfigError, default_config, load_config,
@@ -376,8 +378,9 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
         assert split.alignments == split.posteriors == {}
     assert not any(isinstance(a, corpus.Corpus)
                    for args, _ in sent for a in args)
-    # 7 models, 5 inference files and the stamps of 11 stages
-    assert len(out[1][0]) == 23
+    # 7 models, 5 inference files, GOP, 3 feature-fusion predictions and
+    # the stamps of 15 stages
+    assert len(out[1][0]) == 31
     assert out[1] == out[2]
     assert b"gop+ivector_score_fusion" in out[1][1]
 
@@ -394,9 +397,10 @@ def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
 
 def test_an_upstream_change_retrains_only_its_downstream_stages(
         tmp_path, monkeypatch):
-    """A changed svr section rewrites the SVRs and their stamps alone, and a
-    changed i-vector section the i-vector extractor, its inference and its
-    SVR alone; the other files keep their bytes and mtimes."""
+    """A changed svr section rewrites the SVRs, the feature-fusion
+    predictions and their stamps alone, and a changed i-vector section the
+    i-vector extractor, its inference, its SVR and its feature fusion
+    alone; the other files keep their bytes and mtimes."""
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
     cfg = dict(_TINY_RUN, work_dir=str(tmp_path))
     run_pipeline(cfg)
@@ -410,12 +414,14 @@ def test_an_upstream_change_retrains_only_its_downstream_stages(
 
     svr = {"C": 2.0}
     assert rewritten(svr=svr) == [
-        f"svr_{name}.{ext}" for name in ("dnf", "ivector", "nf")
-        for ext in ("digest", "psvr")]
+        f"{stage}_{name}.{ext}" for stage, exts in (("ff", ("digest", "pred")),
+                                                    ("svr", ("digest", "psvr")))
+        for name in ("dnf", "ivector", "nf") for ext in exts]
     ivector = dict(_TINY_RUN["ivector"], ubm_iters=4)
     assert rewritten(svr=svr, ivector=ivector) == [
-        "infer_ivector.digest", "ivector.digest", "ivector.emb",
-        "ivector.pivm", "svr_ivector.digest", "svr_ivector.psvr"]
+        "ff_ivector.digest", "ff_ivector.pred", "infer_ivector.digest",
+        "ivector.digest", "ivector.emb", "ivector.pivm", "svr_ivector.digest",
+        "svr_ivector.psvr"]
 
 
 def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
@@ -513,6 +519,146 @@ def test_corrupt_inference_file_exits_2(tmp_path, capsys, cut):
     assert main(["run", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {emb}"), err
+
+
+# every cached stage of a _TINY_RUN, but the synth corpus's
+_TINY_STAGES = sorted([*pipeline.MARGINALS, "gop",
+                       *(f"infer_{name}" for name in pipeline.MARGINALS),
+                       *(f"{stage}_{name}" for stage in ("svr", "ff")
+                         for name in pipeline.EMBEDDED)])
+
+
+def _computed_stages(monkeypatch) -> list:
+    """The name of each stage that StageCache.run computes from now."""
+    run, computed = pipeline.StageCache.run, []
+
+    def spied(self, name, key, artifacts, compute, load):
+        def counted():
+            computed.append(name)
+            return compute()
+        return run(self, name, key, artifacts, counted, load)
+
+    monkeypatch.setattr(pipeline.StageCache, "run", spied)
+    return computed
+
+
+def _refuse(monkeypatch, *targets) -> None:
+    """Make each (module, function name) of `targets` raise."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a cached stage's input was parsed or trained on")
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, refused)
+
+
+# what a fully cached rerun must not call: the parsers of the feature,
+# posteriorgram and alignment files, the trainers and the inference pass
+_WORK = ((corpus, "read_feature_file"), (corpus, "read_posteriorgram_file"),
+         (corpus, "read_alignment_file"), (regress, "svr_train"),
+         (pipeline, "train_marginal"), (pipeline, "infer"))
+
+
+@pytest.mark.parametrize("source", ["synth", "manifest"])
+def test_fully_cached_rerun_parses_and_trains_nothing(tmp_path, monkeypatch,
+                                                      source):
+    """A rerun whose stages all hit parses no feature, posteriorgram or
+    alignment file, trains nothing and writes no file but the report, with
+    the same bytes. --force recomputes every stage."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    cfg = dict(_TINY_RUN, work_dir=str(tmp_path / "work"))
+    if source == "manifest":
+        cfg["corpus"] = {"manifest": str(save_corpus(
+            synth_corpus(TINY_SYNTH)[0], tmp_path / "corpus"))}
+    first = run_pipeline(cfg)
+    files = _files(tmp_path)
+    with monkeypatch.context() as m:
+        _refuse(m, *_WORK)
+        rerun = run_pipeline(cfg)
+    after = _files(tmp_path)
+    report = first.report_path.relative_to(tmp_path)
+    assert after.pop(report)[0] == files[report][0]
+    assert after == {p: f for p, f in files.items() if p != report}
+    assert rerun.report_rows == first.report_rows
+    computed = _computed_stages(monkeypatch)
+    run_pipeline(cfg, force=True)
+    assert sorted(computed) == sorted(
+        _TINY_STAGES + ["synth"] * (source == "synth"))
+    assert {p: b for p, (b, _) in _files(tmp_path).items()} == \
+        {p: b for p, (b, _) in files.items()}
+
+
+def test_fully_cached_preset_rerun_parses_and_trains_nothing(pipeline_runs,
+                                                             monkeypatch):
+    work = pipeline_runs["dirs"][1]
+    files = _files(work / "models"), _files(work / "corpus")
+    _refuse(monkeypatch, *_WORK)
+    rerun = run_pipeline(default_config(str(work)))
+    assert (_files(work / "models"), _files(work / "corpus")) == files
+    assert rerun.report_path.read_bytes() == \
+        pipeline_runs["results"][1].report_path.read_bytes()
+
+
+def test_each_stage_key_covers_the_files_it_reads(tmp_path, monkeypatch):
+    """A posteriorgram rewritten under the same manifest reruns GOP and the
+    feature fusions, and only them; a rewritten feature file retrains the
+    models, and every stage runs again. Each rerun writes what a run in a
+    fresh work dir writes."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    tiny = synth_corpus(TINY_SYNTH)[0]
+    root = tmp_path / "corpus"
+    manifest = save_corpus(tiny, root)
+    computed = _computed_stages(monkeypatch)
+    fresh = itertools.count()
+
+    def run():
+        """The models of a rerun in work dir "a", checked against a fresh
+        run's in another, and the stages that the rerun computed."""
+        out = []
+        for work in ("a", f"fresh{next(fresh)}"):
+            computed.clear()
+            result = run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path / work),
+                                       corpus={"manifest": str(manifest)}))
+            out.append(({p.name: b for p, (b, _) in
+                         _files(tmp_path / work / "models").items()},
+                        result.report_path.read_bytes(), sorted(computed)))
+        assert out[0][:2] == out[1][:2]
+        return out[0][0], out[0][2]
+
+    before, _ = run()
+    uid = tiny.splits.eval_ids[0]
+    pg = tiny.posteriors[uid]
+    corpus.write_posteriorgram_file(root / "posteriors" / f"{uid}.post",
+                                    replace(pg, post=np.roll(pg.post, 1, 1)))
+    after, stages = run()
+    assert stages == ["ff_dnf", "ff_ivector", "ff_nf", "gop"]
+    assert after["gop.score"] != before["gop.score"]
+    assert [p for p in after if after[p] != before[p]
+            and not p.startswith(("gop.", "ff_"))] == []
+    uid = tiny.splits.train_ids[0]  # one that the models train on
+    fs = tiny.features[uid]
+    corpus.write_feature_file(root / "features" / f"{uid}.feat",
+                              replace(fs, frames=fs.frames + 0.5))
+    rewritten, stages = run()
+    assert stages == _TINY_STAGES
+    assert rewritten["gmm.pgmm"] != after["gmm.pgmm"]
+
+
+@pytest.mark.parametrize("name", ["gop.score", "ff_ivector.pred"])
+def test_cut_gop_or_feature_fusion_file(tmp_path, capsys, name):
+    """GOP or feature-fusion predictions cut short under a valid stamp are
+    a data error that names the file; without its stamp the file is
+    computed again."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(_TINY_RUN, systems=["gop", "ivector"])))
+    assert main(["run", str(config)]) == 0
+    path = tmp_path / "models" / name
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+    (tmp_path / "models" / f"{path.stem}.digest").unlink()
+    assert main(["run", str(config)]) == 0
+    assert path.read_bytes() == raw
 
 
 def test_pool_run_makes_its_work_dir(tmp_path, monkeypatch):
@@ -708,8 +854,9 @@ def test_arrival_order_changes_no_output(tmp_path, monkeypatch):
                         "svr_dnf.psvr", "ivector.pivm", "svr_ivector.psvr"]
     assert order[2] == ["ivector.pivm", "svr_ivector.psvr", "dnf.pdnf",
                         "svr_dnf.psvr", "nf.pnf1", "svr_nf.psvr", "gmm.pgmm"]
-    # 7 models, 5 inference files and the stamps of 11 stages
-    assert len(out[1][0]) == 23
+    # 7 models, 5 inference files, GOP, 3 feature-fusion predictions and
+    # the stamps of 15 stages
+    assert len(out[1][0]) == 31
     assert out[1] == out[2]
     assert out[1][3] == out[1][4] == ["ivector", "nf", "dnf"]
     assert [r.system for r in out[1][2]][:7] == [
