@@ -41,10 +41,8 @@ class ScoreTable:
         if len(set(ids)) != len(ids):
             raise DataError("duplicate utterance ids in score table")
         for r in self.rows:
-            vals = [r.gop, r.predicted]
-            if r.fused is not None:
-                vals.append(r.fused)
-            if not np.all(np.isfinite(vals)):
+            if not (math.isfinite(r.gop) and math.isfinite(r.predicted)
+                    and (r.fused is None or math.isfinite(r.fused))):
                 raise DataError(f"{r.utterance_id}: non-finite score")
             if math.isinf(r.label_mean):  # nan marks an unlabeled utterance
                 raise DataError(f"{r.utterance_id}: infinite label_mean")

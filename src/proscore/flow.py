@@ -57,6 +57,12 @@ class AdamConfig:
             raise ValueError("batch_size and epochs must be >= 1")
 
 
+def _one_minus_square(h):
+    """1 - h**2 written over h, the tanh derivative of activations h."""
+    np.square(h, out=h)
+    return np.subtract(1.0, h, out=h)
+
+
 class CouplingNet:
     """Two-hidden-layer tanh perceptron used for scale/shift prediction."""
 
@@ -76,23 +82,37 @@ class CouplingNet:
         return cls(w1, np.zeros(width), w2, np.zeros(width), w3, np.zeros(d_out))
 
     def forward(self, x):
-        h1 = np.tanh(x @ self.w1.T + self.b1)
-        h2 = np.tanh(h1 @ self.w2.T + self.b2)
-        out = h2 @ self.w3.T + self.b3
+        # each product takes its bias and tanh in place: the same ufuncs
+        # in the same order as tanh(x @ w1.T + b1), without temporaries
+        h1 = x @ self.w1.T
+        h1 += self.b1
+        np.tanh(h1, out=h1)
+        h2 = h1 @ self.w2.T
+        h2 += self.b2
+        np.tanh(h2, out=h2)
+        out = h2 @ self.w3.T
+        out += self.b3
         return out, (x, h1, h2)
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, grads, input_grad=True):
+        """Writes the parameter gradients into `grads` (arrays shaped as
+        params()) and returns dLoss/dx, or None without `input_grad`.
+
+        The cache is consumed: its hidden activations h become 1 - h**2.
+        """
         x, h1, h2 = cache
-        dw3 = dout.T @ h2
-        db3 = dout.sum(axis=0)
-        dh2 = (dout @ self.w3) * (1.0 - h2 ** 2)
-        dw2 = dh2.T @ h1
-        db2 = dh2.sum(axis=0)
-        dh1 = (dh2 @ self.w2) * (1.0 - h1 ** 2)
-        dw1 = dh1.T @ x
-        db1 = dh1.sum(axis=0)
-        dx = dh1 @ self.w1
-        return dx, [dw1, db1, dw2, db2, dw3, db3]
+        gw1, gb1, gw2, gb2, gw3, gb3 = grads
+        np.matmul(dout.T, h2, out=gw3)
+        dout.sum(axis=0, out=gb3)
+        dh2 = dout @ self.w3
+        dh2 *= _one_minus_square(h2)
+        np.matmul(dh2.T, h1, out=gw2)
+        dh2.sum(axis=0, out=gb2)
+        dh1 = dh2 @ self.w2
+        dh1 *= _one_minus_square(h1)
+        np.matmul(dh1.T, x, out=gw1)
+        dh1.sum(axis=0, out=gb1)
+        return dh1 @ self.w1 if input_grad else None
 
     def params(self):
         return [getattr(self, name) for name in self.PARAMS]
@@ -128,7 +148,7 @@ class CouplingLayer:
 
     def _scale_shift(self, a):
         raw, sc_cache = self.scale_net.forward(a)
-        th = np.tanh(raw)
+        th = np.tanh(raw, out=raw)
         s = float(self.cap) * th
         t, sh_cache = self.shift_net.forward(a)
         return s, t, th, sc_cache, sh_cache
@@ -144,33 +164,54 @@ class CouplingLayer:
     def inverse_cached(self, y):
         a = y[:, self.cond]
         s, t, th, sc_cache, sh_cache = self._scale_shift(a)
-        exp_neg = np.exp(-s)
-        xb = (y[:, self.trans] - t) * exp_neg
+        sum_s = s.sum(axis=1)
+        exp_neg = np.exp(np.negative(s, out=s), out=s)
+        # xb = (y_B - t) * exp(-s), formed in t's memory
+        xb = np.subtract(y[:, self.trans], t, out=t)
+        xb *= exp_neg
         x = np.empty_like(y)
         x[:, self.cond] = a
         x[:, self.trans] = xb
         cache = (th, sc_cache, sh_cache, exp_neg, xb)
-        return x, s.sum(axis=1), cache
+        return x, sum_s, cache
 
-    def backward_inverse(self, cache, gx, weight):
+    def params(self):
+        return self.scale_net.params() + self.shift_net.params() + [self.cap]
+
+    def backward_inverse(self, cache, gx, weight, grads=None, input_grad=True):
         """Backprop through inverse_cached.
 
         `gx` is dLoss/d(inverse output); `weight` is the direct dLoss/ds_ij
         coefficient coming from the +sum(s) term of the NLL. Returns
-        dLoss/d(inverse input) and the parameter gradients.
+        dLoss/d(inverse input), or None without `input_grad`, and the
+        parameter gradients in params() order: written into `grads` when
+        it is given, else into new arrays. Both the cache and `gx` are
+        consumed: the returned input gradient is `gx` itself.
         """
+        if grads is None:
+            grads = [np.empty_like(p) for p in self.params()]
         th, sc_cache, sh_cache, exp_neg, xb = cache
+        half = len(CouplingNet.PARAMS)
         gxb = gx[:, self.trans]
-        gs = -gxb * xb + weight
-        gt = -gxb * exp_neg
-        graw = gs * float(self.cap) * (1.0 - th ** 2)
-        gcap = np.asarray((gs * th).sum())
-        ga_s, g_scale = self.scale_net.backward(sc_cache, graw)
-        ga_t, g_shift = self.shift_net.backward(sh_cache, gt)
-        gy = np.empty_like(gx)
-        gy[:, self.trans] = gxb * exp_neg
-        gy[:, self.cond] = gx[:, self.cond] + ga_s + ga_t
-        return gy, g_scale + g_shift + [gcap]
+        gs = np.negative(gxb)
+        gs *= xb
+        gs += weight
+        gt = np.negative(gxb)
+        gt *= exp_neg
+        grads[-1][...] = (gs * th).sum()
+        # graw = gs * cap * (1 - th**2), formed in gs's memory
+        graw = gs
+        graw *= float(self.cap)
+        graw *= _one_minus_square(th)
+        ga_s = self.scale_net.backward(sc_cache, graw, grads[:half], input_grad)
+        ga_t = self.shift_net.backward(sh_cache, gt, grads[half:-1], input_grad)
+        if not input_grad:
+            return None, grads
+        gxb *= exp_neg
+        gxa = gx[:, self.cond]
+        gxa += ga_s
+        gxa += ga_t
+        return gx, grads
 
     @property
     def width(self) -> int:
@@ -201,6 +242,8 @@ class FlowModel:
             out, sum_s, cache = layer.inverse_cached(out)
             if caches is not None:
                 caches.append((layer, cache))
+            # without a list, no layer's cache outlives its own layer
+            del cache
             logdet -= sum_s
         return out, logdet
 
@@ -210,7 +253,7 @@ class FlowModel:
             for net in (layer.scale_net, layer.shift_net):
                 for name in CouplingNet.PARAMS:
                     yield net, name
-            yield layer, "cap"
+            yield layer, "cap"  # CouplingLayer.params() order
 
     def params(self):
         return [getattr(owner, name) for owner, name in self._slots()]
@@ -290,24 +333,35 @@ def mean_nll(m: FlowModel, batch: np.ndarray, prior_means=None) -> float:
     return _inverse_nll(m, batch, prior_means, None)[0]
 
 
-def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None):
+def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None,
+                  grads=None):
     """Mean NLL of the batch, gradients for all flow params, and residuals.
 
     `prior_means` optionally gives a per-row Gaussian prior mean (used by
     the discriminative variant); the returned residuals z - mu let the
-    caller form gradients for those means.
+    caller form gradients for those means. The gradients are written into
+    `grads`, arrays in m.params() order, when it is given, else into new
+    arrays.
     """
     caches = []
     loss, resid = _inverse_nll(m, batch, prior_means, caches)
+    if grads is None:
+        grads = [np.empty_like(p) for p in m.params()]
     n = batch.shape[0]
     g = resid / n
     weight = 1.0 / n
-    all_grads = []
-    # reversed(caches) visits m.layers in order, as m.params() lists them
-    for layer, cache in reversed(caches):
-        g, grads = layer.backward_inverse(cache, g, weight)
-        all_grads.extend(grads)
-    return loss, all_grads, resid
+    start = 0
+    # popping the caches visits m.layers in order, as m.params() lists
+    # them, and frees each layer's cache once its gradients are out; the
+    # gradient of the data-side layer's input is not needed
+    while caches:
+        layer, cache = caches.pop()
+        count = len(layer.params())
+        g, _ = layer.backward_inverse(cache, g, weight,
+                                      grads[start:start + count],
+                                      input_grad=bool(caches))
+        start += count
+    return loss, grads, resid
 
 
 class Adam:
@@ -318,19 +372,24 @@ class Adam:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
+        # scratch that every step reuses
+        self._mhat = np.empty_like(params)
+        self._vhat = np.empty_like(params)
+        self._sq = np.empty_like(params)
 
     def step(self, params, grads):
         """params -= lr * mhat / (sqrt(vhat) + eps), in place, one operation
         at a time in that order, so it rounds as the expression would."""
         self.t += 1
+        mhat, vhat, sq = self._mhat, self._vhat, self._sq
         self.m *= ADAM_BETA1
-        self.m += (1 - ADAM_BETA1) * grads
-        sq = np.square(grads)
+        self.m += np.multiply(1 - ADAM_BETA1, grads, out=sq)
+        np.square(grads, out=sq)
         sq *= 1 - ADAM_BETA2
         self.v *= ADAM_BETA2
         self.v += sq
-        mhat = self.m / (1 - ADAM_BETA1 ** self.t)
-        vhat = self.v / (1 - ADAM_BETA2 ** self.t)
+        np.divide(self.m, 1 - ADAM_BETA1 ** self.t, out=mhat)
+        np.divide(self.v, 1 - ADAM_BETA2 ** self.t, out=vhat)
         np.sqrt(vhat, out=vhat)
         vhat += ADAM_EPS
         mhat *= self.cfg.learning_rate
@@ -338,14 +397,13 @@ class Adam:
         params -= mhat
 
 
-def _flat_views(arrays):
-    """One float64 buffer holding `arrays` end to end, and a view per array."""
-    flat = np.concatenate([np.ravel(a) for a in arrays])
+def _views(flat, arrays):
+    """A view of `flat` per array, shaped as it, the arrays end to end."""
     views, start = [], 0
     for a in arrays:
         views.append(flat[start:start + a.size].reshape(np.shape(a)))
         start += a.size
-    return flat, views
+    return views
 
 
 def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
@@ -357,7 +415,8 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
     trace: per epoch the mean of its minibatch losses, but last the mean NLL
     of all `frames` under the trained model, its one full-data pass. The
     trained arrays live in one flat buffer for the optimizer, and the
-    model's parameters become views of it.
+    model's parameters become views of it; each step writes its gradients
+    into a second flat buffer laid out alike, which the optimizer reads.
     """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[0]
@@ -365,8 +424,11 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
         raise DataError(f"need at least batch_size={cfg.batch_size} frames, got {n}")
     params = m.params()
     trained = params if class_means is None else params + [class_means]
-    flat, views = _flat_views(trained)
+    flat = np.concatenate([np.ravel(a) for a in trained])
+    views = _views(flat, trained)
     m.bind(views[:len(params)])
+    grad_flat = np.empty_like(flat)
+    grads = _views(grad_flat, trained)
     means = None if class_means is None else views[-1]
     opt = Adam(flat, cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -382,15 +444,15 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
                 idx = perm[start:start + cfg.batch_size]
                 batch = frames[idx]
                 mu = None if means is None else means[frame_class[idx]]
-                loss, grads, resid = nll_and_grads(m, batch, mu)
+                loss, _, resid = nll_and_grads(m, batch, mu,
+                                               grads[:len(params)])
                 if not np.isfinite(loss):
                     raise TrainingDivergence(epoch)
                 losses.append(loss)
                 if means is not None:
-                    gmu = np.zeros_like(means)
-                    np.add.at(gmu, frame_class[idx], -resid / len(idx))
-                    grads = grads + [gmu]
-                opt.step(flat, np.concatenate([np.ravel(g) for g in grads]))
+                    grads[-1].fill(0.0)
+                    np.add.at(grads[-1], frame_class[idx], -resid / len(idx))
+                opt.step(flat, grad_flat)
             trace.append(float(np.mean(losses)))
         trace[-1] = mean_nll(m, frames,
                              None if means is None else means[frame_class])

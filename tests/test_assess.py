@@ -58,6 +58,10 @@ def test_score_table_rejects_duplicates_and_nonfinite():
         _table([np.inf], [1.0], [2.0])
     with pytest.raises(DataError, match="non-finite"):
         _table([1.0], [np.nan], [2.0])
+    with pytest.raises(DataError, match="u0: non-finite score"):
+        ScoreTable((ScoreRow("u0", 1.0, 2.0, 3.0, fused=-np.inf),))
+    # a finite fused score and numpy scalars pass
+    ScoreTable((ScoreRow("u0", np.float64(1.0), 2.0, 3.0, fused=0.5),))
     with pytest.raises(DataError, match="infinite label_mean"):
         _table([1.0], [2.0], [-np.inf])
 

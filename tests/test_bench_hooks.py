@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import TINY_SYNTH
+
+from proscore.corpus import save_corpus, synth_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +50,34 @@ def test_spans_record_each_cached_stage_as_missed_then_hit(tmp_path):
              "ivector", "svr_ivector", "synth")
     assert stages == [[(name, hit) for name in names]
                       for hit in (False, True)]
+
+
+@pytest.mark.parametrize("command, train_span", [("train-flow", "flow.train"),
+                                                 ("train-dnf", "dnf.train")])
+def test_spans_record_each_flow_training_step(tmp_path, command, train_span):
+    """The tracer wraps nll_and_grads, train_core, Adam.step and the two
+    coupling passes by call form: one minibatch, Adam step and backward
+    pass per layer for each step, and one inverse pass per layer for each
+    step and for the final full-data NLL."""
+    corpus, _ = synth_corpus(TINY_SYNTH)
+    manifest = save_corpus(corpus, tmp_path / "corpus")
+    layers, batch_size = 2, 32
+    spans = _traced(tmp_path / "spans.json", command,
+                    "--manifest", str(manifest), "--out", str(tmp_path / "m"),
+                    "--epochs", "1", "--layers", str(layers), "--width", "8",
+                    "--batch-size", str(batch_size))
+    count = {name: sum(s["name"] == name for s in spans)
+             for name in ("flow.minibatch", "flow.coupling_inverse",
+                          "flow.coupling_backward", "flow.adam")}
+    steps = len(corpus.frames_for(corpus.splits.train_ids)) // batch_size
+    assert steps > 1
+    assert count == {"flow.minibatch": steps,
+                     "flow.coupling_inverse": layers * (steps + 1),
+                     "flow.coupling_backward": layers * steps,
+                     "flow.adam": steps}
+    by_id = {s["id"]: s for s in spans}
+    for s in spans:
+        if s["name"] == "flow.coupling_backward":
+            assert by_id[s["parent"]]["name"] == "flow.minibatch"
+        elif s["name"] in ("flow.minibatch", "flow.adam"):
+            assert by_id[s["parent"]]["name"] == train_span

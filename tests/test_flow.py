@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -226,6 +227,107 @@ def test_adam_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# expression-form oracle: flow.py computes these passes in reused memory,
+# and must equal them, written as plain expressions, bit for bit
+
+
+def _ref_net_forward(net, x):
+    h1 = np.tanh(x @ net.w1.T + net.b1)
+    h2 = np.tanh(h1 @ net.w2.T + net.b2)
+    out = h2 @ net.w3.T + net.b3
+    return out, (x, h1, h2)
+
+
+def _ref_net_backward(net, cache, dout):
+    x, h1, h2 = cache
+    dw3 = dout.T @ h2
+    db3 = dout.sum(axis=0)
+    dh2 = (dout @ net.w3) * (1.0 - h2 ** 2)
+    dw2 = dh2.T @ h1
+    db2 = dh2.sum(axis=0)
+    dh1 = (dh2 @ net.w2) * (1.0 - h1 ** 2)
+    dw1 = dh1.T @ x
+    db1 = dh1.sum(axis=0)
+    dx = dh1 @ net.w1
+    return dx, [dw1, db1, dw2, db2, dw3, db3]
+
+
+def _ref_inverse_cached(layer, y):
+    a = y[:, layer.cond]
+    raw, sc_cache = _ref_net_forward(layer.scale_net, a)
+    th = np.tanh(raw)
+    s = float(layer.cap) * th
+    t, sh_cache = _ref_net_forward(layer.shift_net, a)
+    exp_neg = np.exp(-s)
+    xb = (y[:, layer.trans] - t) * exp_neg
+    x = np.empty_like(y)
+    x[:, layer.cond] = a
+    x[:, layer.trans] = xb
+    return x, s.sum(axis=1), (th, sc_cache, sh_cache, exp_neg, xb)
+
+
+def _ref_backward_inverse(layer, cache, gx, weight):
+    th, sc_cache, sh_cache, exp_neg, xb = cache
+    gxb = gx[:, layer.trans]
+    gs = -gxb * xb + weight
+    gt = -gxb * exp_neg
+    graw = gs * float(layer.cap) * (1.0 - th ** 2)
+    gcap = np.asarray((gs * th).sum())
+    ga_s, g_scale = _ref_net_backward(layer.scale_net, sc_cache, graw)
+    ga_t, g_shift = _ref_net_backward(layer.shift_net, sh_cache, gt)
+    gy = np.empty_like(gx)
+    gy[:, layer.trans] = gxb * exp_neg
+    gy[:, layer.cond] = gx[:, layer.cond] + ga_s + ga_t
+    return gy, g_scale + g_shift + [gcap]
+
+
+def _ref_nll_and_grads(m, batch, prior_means=None):
+    """(loss, gradients in m.params() order, residuals) of the batch."""
+    out, logdet, caches = batch, np.zeros(batch.shape[0]), []
+    for layer in reversed(m.layers):
+        out, sum_s, cache = _ref_inverse_cached(layer, out)
+        caches.append((layer, cache))
+        logdet -= sum_s
+    resid = out if prior_means is None else out - prior_means
+    log_p = -0.5 * (resid ** 2).sum(axis=1) - 0.5 * m.dim * LOG_2PI + logdet
+    n = batch.shape[0]
+    g, grads = resid / n, []
+    for layer, cache in reversed(caches):
+        g, layer_grads = _ref_backward_inverse(layer, cache, g, 1.0 / n)
+        grads.extend(layer_grads)
+    return -float(log_p.mean()), grads, resid
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("with_means", [False, True])
+@pytest.mark.parametrize("rows, dim, width", [(40, 5, 8), (256, 16, 48)])
+def test_nll_and_grads_match_the_expression_oracle(rows, dim, width,
+                                                   with_means, num_layers):
+    """Loss, residuals and every gradient, NF and DNF (prior means), with
+    new gradient arrays and with a caller's buffer."""
+    rng = np.random.default_rng(rows + num_layers)
+    m = _randomized_flow(dim, num_layers, width, seed=num_layers)
+    batch = rng.standard_normal((rows, dim)) * 1.5 + 0.5
+    mu = rng.standard_normal((rows, dim)) if with_means else None
+    ref_loss, ref_grads, ref_resid = _ref_nll_and_grads(m, batch, mu)
+    buffer = [np.full_like(p, np.nan) for p in m.params()]
+    for out in (None, buffer):
+        loss, grads, resid = nll_and_grads(m, batch, mu, out)
+        assert loss == ref_loss
+        _assert_same_bits(resid, ref_resid)
+        assert len(grads) == len(ref_grads) == len(m.params())
+        for g, r in zip(grads, ref_grads):
+            _assert_same_bits(g, r)
+    assert grads is buffer
+
+
+# ---------------------------------------------------------------------------
 # bit-exactness oracles: the training loop's shortcuts change no bit
 
 
@@ -282,9 +384,10 @@ class _ListAdam:
 
 
 def _list_adam_train(m, frames, cfg, class_means=None, frame_class=None):
-    """The minibatch loop of train_core, stepping each array on its own.
-    Returns its trace: each epoch's mean minibatch loss, the last replaced
-    by the full-batch loss of the trained model."""
+    """The minibatch loop of train_core, with the expression-form passes,
+    new gradient arrays and each array stepped on its own. Returns its
+    trace: each epoch's mean minibatch loss, the last replaced by the
+    full-batch loss of the trained model."""
     params = m.params() + ([] if class_means is None else [class_means])
     opt = _ListAdam(params, cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -296,7 +399,7 @@ def _list_adam_train(m, frames, cfg, class_means=None, frame_class=None):
         for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             mu = None if class_means is None else class_means[frame_class[idx]]
-            loss, grads, resid = nll_and_grads(m, frames[idx], mu)
+            loss, grads, resid = _ref_nll_and_grads(m, frames[idx], mu)
             losses.append(loss)
             if class_means is not None:
                 gmu = np.zeros_like(class_means)
@@ -305,7 +408,7 @@ def _list_adam_train(m, frames, cfg, class_means=None, frame_class=None):
             opt.step(params, grads)
         trace.append(float(np.mean(losses)))
     mu = None if class_means is None else class_means[frame_class]
-    trace[-1] = nll_and_grads(m, frames, mu)[0]
+    trace[-1] = _ref_nll_and_grads(m, frames, mu)[0]
     return trace
 
 
@@ -331,6 +434,30 @@ def test_flat_adam_matches_per_array_adam(with_means):
     if with_means:
         assert not np.array_equal(trained_means, means)
         np.testing.assert_array_equal(trained_means, ref_means)
+
+
+def test_mean_nll_memory_is_bounded():
+    """mean_nll of N = 20,000 x 16 frames through 6 layers of width 48.
+    While a layer inverts, its two nets hold their hidden activations h1
+    and h2 (4 N x 48 arrays, 30.72 MB), the layer's input and output are
+    alive (2 N x 16 arrays, 5.12 MB; the frames themselves are allocated
+    before tracing starts), and so are three N x 8 arrays: tanh of the raw
+    scales, exp(-s) and the transformed half (3.84 MB), with logdet and
+    sum(s) (0.32 MB): 39.99 MB, plus up to 2 MB for the parameters and
+    small temporaries. A second layer's cache held while the next layer
+    computes would add at least 30.72 MB more."""
+    n, dim, width = 20_000, 16, 48
+    rng = np.random.default_rng(31)
+    frames = rng.standard_normal((n, dim))
+    m = _randomized_flow(dim, 6, width, seed=31)
+    tracemalloc.start()
+    try:
+        mean_nll(m, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = n * 8
+    assert peak <= (4 * width + 2 * dim + 3 * (dim // 2) + 2) * row + 2e6
 
 
 @pytest.mark.parametrize("epochs", [1, 4])
