@@ -205,24 +205,21 @@ class SplitManifest:
 @dataclass(frozen=True)
 class Corpus:
     """Each of features, alignments, posteriors and labels maps an
-    utterance id to its item. A corpus that `load_corpus` read parses its
-    features, posteriorgrams and alignments on first use; its phone table
-    is then that of its posteriorgrams."""
+    utterance id to its item; the phone table is that of the
+    posteriorgrams. A corpus that `load_corpus` read parses its features,
+    posteriorgrams and alignments on first use."""
 
     features: Mapping
     alignments: Mapping
     posteriors: Mapping
     labels: Mapping
     splits: SplitManifest
-    _phone_table: tuple | None
     # manifest role -> _Part of a corpus that load_corpus read
     sources: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
     @property
     def phone_table(self) -> tuple:
-        if self._phone_table is not None:
-            return self._phone_table
         return next(iter(self.posteriors.values())).phone_table
 
     @property
@@ -248,13 +245,12 @@ class Corpus:
         for role in roles:
             self.sources[role].release()
 
-    def digest(self, *roles, parse: bool = False) -> str:
+    def digest(self, *roles) -> str:
         """sha256 of the bytes of the files of `roles` (MANIFEST_ROLES) of a
-        corpus that load_corpus read. Each file is read once: with `parse`,
-        a part not parsed yet is parsed from those same bytes."""
+        corpus that load_corpus read, as they are now on disk."""
         h = hashlib.sha256()
         for role in roles:
-            h.update(self.sources[role].digest(parse).encode())
+            h.update(self.sources[role].digest().encode())
         return h.hexdigest()
 
 
@@ -308,9 +304,9 @@ def write_feature_file(path, fs: FeatureSequence) -> None:
     formats.save(path, _write_frames, fs.frames)
 
 
-def read_feature_file(path, utterance_id: str, data=None) -> FeatureSequence:
+def read_feature_file(path, utterance_id: str) -> FeatureSequence:
     return formats.load(
-        path, lambda f: FeatureSequence(utterance_id, _read_frames(f)), data)
+        path, lambda f: FeatureSequence(utterance_id, _read_frames(f)))
 
 
 def _write_posteriorgram(f, pg: PosteriorGram) -> None:
@@ -332,10 +328,8 @@ def write_posteriorgram_file(path, pg: PosteriorGram) -> None:
     formats.save(path, _write_posteriorgram, pg)
 
 
-def read_posteriorgram_file(path, utterance_id: str,
-                            data=None) -> PosteriorGram:
-    return formats.load(path, lambda f: _read_posteriorgram(f, utterance_id),
-                        data)
+def read_posteriorgram_file(path, utterance_id: str) -> PosteriorGram:
+    return formats.load(path, lambda f: _read_posteriorgram(f, utterance_id))
 
 
 def write_alignment_file(path, alignments, phone_table) -> None:
@@ -345,10 +339,10 @@ def write_alignment_file(path, alignments, phone_table) -> None:
         for p, s, e in alignments[uid].segments), encoding="utf-8")
 
 
-def read_alignment_file(path, phone_table, data=None) -> dict:
+def read_alignment_file(path, phone_table) -> dict:
     index = {name: i for i, name in enumerate(phone_table)}
     rows: dict[str, list] = {}
-    for where, fields in formats.read_tsv(path, 4, data=data):
+    for where, fields in formats.read_tsv(path, 4):
         uid, phone, start, end = fields
         if phone not in index:
             raise DataError(f"{where}: unknown phone {phone!r}")
@@ -364,9 +358,9 @@ def write_labels_file(path, labels) -> None:
         for uid in sorted(labels)), encoding="utf-8")
 
 
-def read_labels_file(path, data=None) -> dict:
+def read_labels_file(path) -> dict:
     labels = {}
-    rows = formats.read_tsv(path, 2, keyed=True, data=data)
+    rows = formats.read_tsv(path, 2, keyed=True)
     for where, (uid, scores) in rows:
         scores = formats.parse(where, int, *scores.split(","))
         labels[uid] = RatedUtterance(uid, scores)
@@ -380,9 +374,9 @@ def write_splits_file(path, splits: SplitManifest) -> None:
         encoding="utf-8")
 
 
-def read_splits_file(path, data=None) -> SplitManifest:
+def read_splits_file(path) -> SplitManifest:
     groups = {name: [] for name in SPLITS}
-    for where, (uid, name) in formats.read_tsv(path, 2, data=data):
+    for where, (uid, name) in formats.read_tsv(path, 2):
         if name not in groups:
             raise DataError(f"{where}: unknown split {name!r}")
         groups[name].append(uid)
@@ -440,48 +434,36 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 class _Part(Mapping):
     """One part of a corpus that load_corpus read, from its files `paths`:
     its features, posteriorgrams or alignments (uid -> item), its labels
-    or its splits. `parse(path, raw)` parses the bytes of one file, and
-    `build` makes and checks the part from the list of what they gave.
+    or its splits. `read(path)` parses one file, and `build` makes and
+    checks the part from the list of what they gave.
 
     The part is parsed when it is first used; `ids`, if given, are its
-    keys before that. `digest` hashes the files' bytes and, with `parse`,
-    parses those same bytes. Each file's bytes are dropped once they are
-    hashed and parsed, so a part that was hashed unparsed reads its files
-    again when it is first used.
+    keys before that. `digest` reads and hashes the files' bytes apart
+    from any parse, as they are when it is called.
     """
 
-    def __init__(self, paths, parse, build, ids=None):
-        self._paths, self._parse, self._build = paths, parse, build
+    def __init__(self, paths, read, build, ids=None):
+        self._paths, self._read, self._build = paths, read, build
         self._ids = None if ids is None else dict.fromkeys(ids)
-        self._value = self._digest = None
-
-    def _read(self, hashing: bool, parse: bool) -> None:
-        h, parsed = hashlib.sha256(), []
-        for path in self._paths:
-            raw = formats.load(path, lambda f: f.read())
-            if hashing:
-                h.update(f"{path.name}\0{len(raw)}\0".encode())
-                h.update(raw)
-            if parse:
-                parsed.append(self._parse(path, raw))
-        if parse:
-            self._value = self._build(parsed)
-        if hashing:
-            self._digest = h.hexdigest()
+        self._value = None
 
     def value(self):
         if self._value is None:
-            self._read(hashing=False, parse=True)
+            self._value = self._build([self._read(path)
+                                       for path in self._paths])
         return self._value
 
     def release(self) -> None:
         """Drop the parsed part; a later use parses it again."""
         self._value = None
 
-    def digest(self, parse: bool = False) -> str:
-        if self._digest is None:
-            self._read(hashing=True, parse=parse and self._value is None)
-        return self._digest
+    def digest(self) -> str:
+        h = hashlib.sha256()
+        for path in self._paths:
+            raw = formats.load(path, lambda f: f.read())
+            h.update(f"{path.name}\0{len(raw)}\0".encode())
+            h.update(raw)
+        return h.hexdigest()
 
     def _keys(self):
         return self.value() if self._ids is None else self._ids
@@ -527,22 +509,16 @@ def load_corpus(manifest_path) -> Corpus:
         _check_alignments(parsed[0], features, corpus.num_phones)
         return parsed[0]
 
-    features = _Part(feature_paths,
-                     lambda p, raw: read_feature_file(p, p.stem, raw),
+    features = _Part(feature_paths, lambda p: read_feature_file(p, p.stem),
                      features_of, [p.stem for p in feature_paths])
-    posteriors = _Part(post_paths,
-                       lambda p, raw: read_posteriorgram_file(p, p.stem, raw),
+    posteriors = _Part(post_paths, lambda p: read_posteriorgram_file(p, p.stem),
                        posteriors_of, [p.stem for p in post_paths])
-    alignments = _Part([roles["alignments"]], lambda p, raw: read_alignment_file(
-        p, corpus.phone_table, raw), alignments_of)
-    labels = _Part([roles["labels"]], lambda p, raw: read_labels_file(p, raw),
-                   lambda parsed: parsed[0])
-    splits = _Part([roles["splits"]], lambda p, raw: read_splits_file(p, raw),
-                   lambda parsed: parsed[0])
-    for part in (labels, splits):
-        part.digest(parse=True)
+    alignments = _Part([roles["alignments"]], lambda p: read_alignment_file(
+        p, corpus.phone_table), alignments_of)
+    labels = _Part([roles["labels"]], read_labels_file, lambda parsed: parsed[0])
+    splits = _Part([roles["splits"]], read_splits_file, lambda parsed: parsed[0])
     corpus = Corpus(features, alignments, posteriors, labels.value(),
-                    splits.value(), None)
+                    splits.value())
     object.__setattr__(corpus, "sources", dict(zip(
         MANIFEST_ROLES, (features, alignments, posteriors, labels, splits))))
     for uid in posteriors:
@@ -657,7 +633,7 @@ def synth_corpus(cfg: SynthConfig):
             speaker_of[uid] = s
 
     splits = _make_splits(cfg, rng, speaker_of)
-    corpus = Corpus(features, alignments, posteriors, labels, splits, phone_table)
+    corpus = Corpus(features, alignments, posteriors, labels, splits)
     corpus.validate()
     return corpus, oracle
 

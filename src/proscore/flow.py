@@ -94,7 +94,7 @@ class CouplingNet:
         out += self.b3
         return out, (x, h1, h2)
 
-    def backward(self, cache, dout, grads, input_grad=True):
+    def backward(self, cache, dout, grads, input_grad):
         """Writes the parameter gradients into `grads` (arrays shaped as
         params()) and returns dLoss/dx, or None without `input_grad`.
 
@@ -178,18 +178,16 @@ class CouplingLayer:
     def params(self):
         return self.scale_net.params() + self.shift_net.params() + [self.cap]
 
-    def backward_inverse(self, cache, gx, weight, grads=None, input_grad=True):
+    def backward_inverse(self, cache, gx, weight, grads, input_grad):
         """Backprop through inverse_cached.
 
         `gx` is dLoss/d(inverse output); `weight` is the direct dLoss/ds_ij
         coefficient coming from the +sum(s) term of the NLL. Returns
         dLoss/d(inverse input), or None without `input_grad`, and the
-        parameter gradients in params() order: written into `grads` when
-        it is given, else into new arrays. Both the cache and `gx` are
-        consumed: the returned input gradient is `gx` itself.
+        parameter gradients in params() order, written into `grads`. Both
+        the cache and `gx` are consumed: the returned input gradient is
+        `gx` itself.
         """
-        if grads is None:
-            grads = [np.empty_like(p) for p in self.params()]
         th, sc_cache, sh_cache, exp_neg, xb = cache
         half = len(CouplingNet.PARAMS)
         gxb = gx[:, self.trans]

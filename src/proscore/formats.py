@@ -44,13 +44,12 @@ def save(path, write, model) -> None:
         write(f, model)
 
 
-def load(path, read, data: bytes | None = None):
-    """Read one input file with `read(f)`, from `data`, its bytes, if they
-    were read already; trailing bytes are an error. An OSError, bytes that
-    are not UTF-8 or a DataError raised while reading is a DataError whose
-    message starts with the path."""
+def load(path, read):
+    """Read one input file with `read(f)`; trailing bytes are an error. An
+    OSError, bytes that are not UTF-8 or a DataError raised while reading
+    is a DataError whose message starts with the path."""
     try:
-        with open(path, "rb") if data is None else io.BytesIO(data) as f:
+        with open(path, "rb") as f:
             model = read(f)
             if f.read(1):
                 raise DataError("trailing bytes after payload")
@@ -167,7 +166,7 @@ def read_string(f: BinaryIO) -> str:
 # text tables
 
 
-def read_tsv(path, columns=None, keyed=False, whole=False, data=None):
+def read_tsv(path, columns=None, keyed=False, whole=False):
     """Yield ("PATH:LINE", fields) for each non-blank line of a TSV file.
 
     Every line must have `columns` fields, or as many as the first line
@@ -175,10 +174,9 @@ def read_tsv(path, columns=None, keyed=False, whole=False, data=None):
     `keyed`, a first field that an earlier line holds, and, when `whole`,
     a last line with no newline (a file that `tsv` wrote, cut short).
     Lines end as in a file read in text mode, so a CRLF file reads as an
-    LF one. `data`, the file's bytes if they were read already, is read
-    as `load` reads it.
+    LF one.
     """
-    text = load(path, lambda f: f.read().decode("utf-8"), data)
+    text = load(path, lambda f: f.read().decode("utf-8"))
     if whole and not text.endswith("\n"):
         raise DataError(f"{path}: cut short: no newline at the end")
     first = {}  # key -> the line that holds it

@@ -136,13 +136,24 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def _check_keys(where: str, section: dict, known) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}unknown settings {unknown}")
+
+
 def validate_config(cfg: dict) -> None:
+    _check_keys("", cfg, default_config())
     if "seed" not in cfg:
         raise ConfigError("missing required field: seed")
     check_seed(cfg["seed"])
     corpus_cfg = cfg.get("corpus")
     if not isinstance(corpus_cfg, dict):
         raise ConfigError("missing required field: corpus")
+    _check_keys("corpus: ", corpus_cfg, ("synth", "manifest"))
+    if len(corpus_cfg) != 1:
+        raise ConfigError("corpus must define exactly one of 'synth' and"
+                          " 'manifest'")
     paths = {key: cfg[key] for key in ("work_dir", "model_dir", "report_dir")
              if key in cfg}
     if "manifest" in corpus_cfg:
@@ -152,8 +163,6 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"{name}: expected a path, got {value!r}")
     if "synth" in corpus_cfg:
         check_section("corpus.synth", corpus_cfg["synth"])
-    elif "manifest" not in corpus_cfg:
-        raise ConfigError("corpus must define either 'synth' or 'manifest'")
     for key, preset in default_config().items():
         if isinstance(preset, dict) and key != "corpus":
             check_section(key, cfg.get(key, {}))
@@ -190,9 +199,7 @@ def check_section(key: str, section) -> None:
               else default_config()[key])
     if not isinstance(section, dict):
         raise ConfigError(f"{key}: expected an object, got {section!r}")
-    unknown = sorted(set(section) - set(preset))
-    if unknown:
-        raise ConfigError(f"{key}: unknown settings {unknown}")
+    _check_keys(f"{key}: ", section, preset)
     for name, value in section.items():
         want = preset[name]
         if key == "svr" and name == "gamma" and value != "scale":
@@ -223,21 +230,15 @@ def _merged(cfg: dict, key: str) -> dict:
     return base
 
 
-def _digest(*parts) -> str:
+def _stamp(kind: str, section, *inputs) -> str:
+    """A cached stage's stamp: the sha256 of the JSON of `kind`, `section`,
+    `inputs` and every format version (a file nests others, and its inputs
+    were read in theirs), so a new version retrains."""
     h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bytes):
-            h.update(part)
-        else:
-            h.update(json.dumps(part, sort_keys=True, default=str).encode())
+    for part in (kind, section, *inputs, formats.VERSIONS):
+        h.update(json.dumps(part, sort_keys=True, default=str).encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def _stamp(kind: str, section, *inputs) -> str:
-    """A cached stage's stamp; every format version is in it (a file nests
-    others, and its inputs were read in theirs), so a new one retrains."""
-    return _digest(kind, section, *inputs, formats.VERSIONS)
 
 
 class StageCache:
@@ -248,14 +249,11 @@ class StageCache:
         self.force = force
         root.mkdir(parents=True, exist_ok=True)
 
-    def stamped(self, name: str) -> bool:
-        """Whether stage `name` may hit: it has a stamp and no --force."""
-        return not self.force and (self.root / f"{name}.digest").exists()
-
     def hit(self, name: str, key: str, artifacts) -> bool:
-        """Whether stage `name` is stamped with `key` and has its artifacts."""
-        return (self.stamped(name)
-                and (self.root / f"{name}.digest").read_text() == key
+        """Whether stage `name` is stamped with `key` and has its artifacts,
+        and there is no --force."""
+        stamp = self.root / f"{name}.digest"
+        return (not self.force and stamp.exists() and stamp.read_text() == key
                 and all((self.root / a).exists() for a in artifacts))
 
     def run(self, name: str, key: str, artifacts, compute, load):
@@ -291,10 +289,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 
     systems = cfg.get("systems", DEFAULT_SYSTEMS)
     names = [name for name in MARGINALS if name in systems]
-    # the features are parsed as they are hashed when a model stage misses
-    # for certain; else only if one misses after all
-    corpus, corpus_key = _corpus_stage(
-        cfg, work, force, parse=not all(map(cache.stamped, names)))
+    corpus, corpus_key = _corpus_stage(cfg, work, force)
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
@@ -399,8 +394,8 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     with _training(misses, corpus, cfg) as arrivals:
         # GOP, which every fusion mode needs, reads the posteriorgrams and
         # alignments while the models train
-        gop_key = _stamp("gop", gop_cfg, corpus_key, corpus.digest(
-            "posteriors", "alignments", parse=not cache.stamped("gop")))
+        gop_key = _stamp("gop", gop_cfg, corpus_key,
+                         corpus.digest("posteriors", "alignments"))
         gop_scores = cache.run(
             "gop", gop_key, [gop_file.name],
             lambda: save_scores(gop_file, score_gop(corpus, gop_cfg, all_ids)),
@@ -806,11 +801,10 @@ def _synth_config(cfg):
                           for k, v in synth_kwargs.items()}), synth_kwargs
 
 
-def _corpus_stage(cfg, work: Path, force: bool, parse: bool):
+def _corpus_stage(cfg, work: Path, force: bool):
     """(corpus, key). A synth corpus, written under the work dir, is keyed
     on its settings; a manifest corpus on the bytes of its feature files,
-    labels and splits, and with `parse` its features are parsed from the
-    bytes hashed."""
+    labels and splits, hashed before any stage parses them."""
     corpus_cfg = cfg["corpus"]
     if "synth" in corpus_cfg:
         synth, synth_kwargs = _synth_config(cfg)
@@ -821,7 +815,7 @@ def _corpus_stage(cfg, work: Path, force: bool, parse: bool):
             lambda: write_synth_corpus(synth, corpus_dir), lambda: None)
         return load_corpus(corpus_dir / "manifest.tsv"), key
     corpus = load_corpus(work / corpus_cfg["manifest"])  # if relative
-    return corpus, corpus.digest("features", "labels", "splits", parse=parse)
+    return corpus, corpus.digest("features", "labels", "splits")
 
 
 def write_synth_corpus(synth: SynthConfig, out_dir) -> None:

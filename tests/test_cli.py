@@ -697,13 +697,23 @@ def test_malformed_text_line_exits_2(corpus_dir, tmp_path, capsys, name,
 
 
 @pytest.mark.parametrize("section", [
-    {"gmm": {"componets": 8}}, {"svr": {"foo": 2}}, {"nf": {"cap": 3.0}}])
+    {"gmm": {"componets": 8}}, {"svr": {"foo": 2}}, {"nf": {"cap": 3.0}},
+    {"sytems": ["gop"]}, {"corpus": {"synth": {}, "manfest": "x"}}])
 def test_unknown_section_key_exits_1(tmp_path, capsys, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "corpus": {"synth": {}}, **section}))
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "unknown settings" in err
+
+
+@pytest.mark.parametrize("corpus", [{"synth": {}, "manifest": "m.tsv"}, {}])
+def test_corpus_with_both_sources_or_neither_exits_1(tmp_path, capsys, corpus):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "corpus": corpus}))
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'synth'" in err and "'manifest'" in err
 
 
 @pytest.mark.parametrize("section", [

@@ -199,8 +199,7 @@ def test_validate_catches_cross_references(tiny_corpus):
     corpus, _ = tiny_corpus
     uid = sorted(corpus.features)[0]
     bad = Corpus(dict(corpus.features), dict(corpus.alignments),
-                 dict(corpus.posteriors), dict(corpus.labels),
-                 corpus.splits, corpus.phone_table)
+                 dict(corpus.posteriors), dict(corpus.labels), corpus.splits)
     bad.alignments["ghost"] = corpus.alignments[uid]
     with pytest.raises(DataError, match="unknown utterance"):
         bad.validate()

@@ -7,6 +7,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -641,6 +642,70 @@ def test_each_stage_key_covers_the_files_it_reads(tmp_path, monkeypatch):
     rewritten, stages = run()
     assert stages == _TINY_STAGES
     assert rewritten["gmm.pgmm"] != after["gmm.pgmm"]
+
+
+def test_a_feature_file_rewritten_mid_run(tmp_path, monkeypatch):
+    """A corpus key is hashed before any stage parses its files, so a
+    feature file rewritten while a run parses it makes the next run compute
+    a new key and recompute every stage keyed on the corpus, writing what a
+    run in a fresh work dir on the rewritten corpus writes."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    tiny = synth_corpus(TINY_SYNTH)[0]
+    manifest = save_corpus(tiny, tmp_path / "corpus")
+    uid = sorted(tiny.features)[0]  # the first feature file parsed
+    assert uid in tiny.splits.train_ids
+    read, calls = corpus.read_feature_file, []
+
+    def rewriting(path, *args, **kwargs):
+        if not calls:
+            fs = tiny.features[uid]
+            corpus.write_feature_file(path, replace(fs, frames=fs.frames + 0.5))
+        calls.append(Path(path).stem)
+        return read(path, *args, **kwargs)
+
+    def run(work):
+        return run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path / work),
+                                 corpus={"manifest": str(manifest)}))
+
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "read_feature_file", rewriting)
+        run("a")
+    assert calls[0] == uid
+    computed = _computed_stages(monkeypatch)
+    rerun = run("a")
+    assert sorted(computed) == _TINY_STAGES
+    fresh = run("b")
+    assert (tmp_path / "a" / "models" / "gmm.pgmm").read_bytes() == \
+        (tmp_path / "b" / "models" / "gmm.pgmm").read_bytes()
+    assert rerun.report_path.read_bytes() == fresh.report_path.read_bytes()
+
+
+def test_a_run_reads_each_corpus_file_at_most_twice(tmp_path, monkeypatch):
+    """A cold run reads every file of a manifest corpus at most twice: to
+    hash it and to parse it. A warm rerun reads each feature, posteriorgram
+    and alignment file once, to hash it, and parses none."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    root = tmp_path / "corpus"
+    manifest = save_corpus(synth_corpus(TINY_SYNTH)[0], root)
+    cfg = dict(_TINY_RUN, work_dir=str(tmp_path / "work"),
+               corpus={"manifest": str(manifest)})
+    load, reads = formats.load, Counter()
+
+    def counted(path, *args, **kwargs):
+        reads[Path(path)] += 1
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "load", counted)
+    files = [p for p in root.rglob("*") if p.is_file()]
+    run_pipeline(cfg)
+    assert {reads[p] for p in files} <= {1, 2}
+    reads.clear()
+    with monkeypatch.context() as m:
+        _refuse(m, *_WORK[:3])
+        run_pipeline(cfg)
+    frames = [p for p in files if p.suffix in (".feat", ".post")
+              or p.name == "alignments.tsv"]
+    assert {p: reads[p] for p in frames} == dict.fromkeys(frames, 1)
 
 
 @pytest.mark.parametrize("name", ["gop.score", "ff_ivector.pred"])

@@ -1,0 +1,70 @@
+"""Source checks on the package: no unused import and no dead private name."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "proscore"
+MODULES = sorted(SRC.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in MODULES}
+
+
+def _loaded_names(tree) -> list:
+    """Every name that `tree` reads: each Name node, and each attribute."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("name", [p.name for p in MODULES
+                                  if p.name != "__init__.py"])
+def test_every_import_is_used(name):
+    tree = TREES[name]
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = set(_loaded_names(tree))
+    assert {n: line for n, line in imported.items() if n not in used} == {}
+
+
+def _private_definitions(tree) -> dict:
+    """name -> defining node of each module-level name with one leading
+    underscore."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for target in targets:
+            if target.startswith("_") and not target.startswith("__"):
+                defined[target] = node
+    return defined
+
+
+def test_every_private_module_name_is_referenced():
+    """Each is read somewhere in the package outside its own definition."""
+    used = Counter()
+    for tree in TREES.values():
+        used.update(_loaded_names(tree))
+    dead = [f"{name}:{node.lineno}: {target}" for name, tree in TREES.items()
+            for target, node in _private_definitions(tree).items()
+            if used[target] == _loaded_names(node).count(target)]
+    assert dead == []
