@@ -505,8 +505,11 @@ def load_corpus(manifest_path) -> Corpus:
         _check_posteriors(items, features, parsed[0].phone_table)
         return items
 
+    def phone_table():  # not the corpus's: a closure over it is a cycle
+        return next(iter(posteriors.values())).phone_table
+
     def alignments_of(parsed):
-        _check_alignments(parsed[0], features, corpus.num_phones)
+        _check_alignments(parsed[0], features, len(phone_table()))
         return parsed[0]
 
     features = _Part(feature_paths, lambda p: read_feature_file(p, p.stem),
@@ -514,7 +517,7 @@ def load_corpus(manifest_path) -> Corpus:
     posteriors = _Part(post_paths, lambda p: read_posteriorgram_file(p, p.stem),
                        posteriors_of, [p.stem for p in post_paths])
     alignments = _Part([roles["alignments"]], lambda p: read_alignment_file(
-        p, corpus.phone_table), alignments_of)
+        p, phone_table()), alignments_of)
     labels = _Part([roles["labels"]], read_labels_file, lambda parsed: parsed[0])
     splits = _Part([roles["splits"]], read_splits_file, lambda parsed: parsed[0])
     corpus = Corpus(features, alignments, posteriors, labels.value(),

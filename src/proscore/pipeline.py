@@ -28,9 +28,7 @@ import itertools
 import json
 import math
 import os
-import pickle
 import shutil
-import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -281,7 +279,6 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     validate_config(cfg)
     seed = int(cfg["seed"])
     work = Path(cfg.get("work_dir", "."))
-    work.mkdir(parents=True, exist_ok=True)  # _training's split file goes here
     model_dir = work / cfg.get("model_dir", "models")
     report_dir = work / cfg.get("report_dir", "reports")
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +286,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 
     systems = cfg.get("systems", DEFAULT_SYSTEMS)
     names = [name for name in MARGINALS if name in systems]
-    corpus, corpus_key = _corpus_stage(cfg, work, force)
+    corpus, corpus_key, manifest = _corpus_stage(cfg, work, force)
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
@@ -391,7 +388,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     hits = [(name, None) for name in stamps if name not in misses]
     failures = {}
     gop_file = model_dir / "gop.score"
-    with _training(misses, corpus, cfg) as arrivals:
+    with _training(misses, corpus, manifest, cfg) as arrivals:
         # GOP, which every fusion mode needs, reads the posteriorgrams and
         # alignments while the models train
         gop_key = _stamp("gop", gop_cfg, corpus_key,
@@ -457,7 +454,7 @@ def train_marginal(name: str, corpus: Corpus, section: dict, run_seed: int):
 
 
 @contextmanager
-def _training(names, corpus: Corpus, cfg: dict):
+def _training(names, corpus: Corpus, manifest: Path, cfg: dict):
     """Yield marginal models `names` of `cfg` as they arrive: (name, train)
     pairs, train() returning train_marginal's (model, trace) or raising its
     error.
@@ -465,11 +462,9 @@ def _training(names, corpus: Corpus, cfg: dict):
     With two or more of `names` and of CPUs, all of `names` start training
     here, in spawned workers sent them in the order of `names`, and arrive
     as they finish; else they arrive in that order and train() trains in
-    this process. The workers load the train split from one temporary file
-    under the work dir, so a worker that dies fails with BrokenProcessPool.
-    The file is written after a first worker starts, so the nested run of
-    an unguarded script writes nothing. No worker and no file outlives the
-    block, on an error neither.
+    this process. A worker loads `corpus` itself, from its `manifest`, so a
+    task carries only small arguments and a worker that dies fails with
+    BrokenProcessPool. No worker outlives the block, on an error neither.
     """
     workers = min(_cpu_count(), len(names))
     if workers < 2:
@@ -477,34 +472,19 @@ def _training(names, corpus: Corpus, cfg: dict):
                                         _merged(cfg, name), cfg["seed"]))
                for name in names)
         return
-    train = set(corpus.splits.train_ids)
-    split = dataclasses.replace(
-        corpus, alignments={}, posteriors={},
-        features={u: fs for u, fs in corpus.features.items() if u in train},
-        labels={u: lab for u, lab in corpus.labels.items() if u in train})
-    with _pool(workers) as pool:
-        pool.submit(int)  # a worker starts before the file is written
-        with tempfile.TemporaryDirectory(dir=cfg.get("work_dir", ".")) as tmp:
-            path = os.path.join(tmp, "split.pickle")
-            with open(path, "wb") as f:
-                pickle.dump(split, f)
-            try:
-                futures = {name: pool.submit(_train_file, name, path,
-                                             _merged(cfg, name), cfg["seed"])
-                           for name in names}
-                yield ((name, future.result)
-                       for name, future in _arrivals(futures))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-            pool.shutdown()  # before tmp is removed
+    pool = _pool(workers)
+    try:
+        futures = {name: pool.submit(_train_file, name, str(manifest),
+                                     _merged(cfg, name), cfg["seed"])
+                   for name in names}
+        yield ((name, future.result) for name, future in _arrivals(futures))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _train_file(name: str, path: str, section: dict, run_seed: int):
-    """train_marginal on the corpus pickled at `path`: a pool task."""
-    with open(path, "rb") as f:
-        corpus = pickle.load(f)
-    return train_marginal(name, corpus, section, run_seed)
+def _train_file(name: str, manifest: str, section: dict, run_seed: int):
+    """train_marginal on the corpus of `manifest`: a pool task."""
+    return train_marginal(name, load_corpus(manifest), section, run_seed)
 
 
 def _arrivals(futures: dict):
@@ -536,16 +516,31 @@ def _cpu_count() -> int:
 
 
 def _pool(workers: int):
-    """A process pool of `workers` spawned workers. A task is sent only its
-    arguments, so no spawn writes more than a pipe holds and the workers
-    start at once. Spawned, not forked: a fork copies this process with the
-    locks its threads (the pool's own among them) may hold, while a spawned
+    """A process pool of `workers` spawned workers, which die with this
+    process. Spawned, not forked: a fork copies this process with the locks
+    its threads (the pool's own among them) may hold, while a spawned
     worker starts afresh and imports proscore, which pins its BLAS threads.
     The pool modules are imported here, not by every CLI process."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("spawn"))
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_die_with, initargs=(os.getpid(),))
+
+
+def _die_with(parent: int) -> None:
+    """A pool worker's initializer: the kernel SIGKILLs this worker when the
+    thread that started it exits (PR_SET_PDEATHSIG), and it exits now if
+    its parent, process `parent`, is gone already; without prctl, nothing."""
+    import ctypes
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):  # not Linux
+        return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _check_ids(ids, have, what: str) -> None:
@@ -802,20 +797,21 @@ def _synth_config(cfg):
 
 
 def _corpus_stage(cfg, work: Path, force: bool):
-    """(corpus, key). A synth corpus, written under the work dir, is keyed
-    on its settings; a manifest corpus on the bytes of its feature files,
-    labels and splits, hashed before any stage parses them."""
+    """(corpus, key, manifest). A synth corpus, written under the work dir,
+    is keyed on its settings; a manifest corpus on the bytes of its feature
+    files, labels and splits, hashed before any stage parses them."""
     corpus_cfg = cfg["corpus"]
-    if "synth" in corpus_cfg:
-        synth, synth_kwargs = _synth_config(cfg)
-        corpus_dir = work / "corpus"
-        key = _stamp("synth", synth_kwargs)
-        StageCache(corpus_dir, force).run(
-            "synth", key, ["manifest.tsv", "oracle.tsv"],
-            lambda: write_synth_corpus(synth, corpus_dir), lambda: None)
-        return load_corpus(corpus_dir / "manifest.tsv"), key
-    corpus = load_corpus(work / corpus_cfg["manifest"])  # if relative
-    return corpus, corpus.digest("features", "labels", "splits")
+    if "manifest" in corpus_cfg:
+        manifest = work / corpus_cfg["manifest"]  # if relative
+        corpus = load_corpus(manifest)
+        return corpus, corpus.digest("features", "labels", "splits"), manifest
+    synth, synth_kwargs = _synth_config(cfg)
+    manifest = work / "corpus" / "manifest.tsv"
+    key = _stamp("synth", synth_kwargs)
+    StageCache(manifest.parent, force).run(
+        "synth", key, [manifest.name, "oracle.tsv"],
+        lambda: write_synth_corpus(synth, manifest.parent), lambda: None)
+    return load_corpus(manifest), key, manifest
 
 
 def write_synth_corpus(synth: SynthConfig, out_dir) -> None:

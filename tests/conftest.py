@@ -74,22 +74,21 @@ def numeric_jacobian(func, x, h=1e-5):
 
 
 def project_box_hyperplane(t, s, C):
-    """Exact Euclidean projection onto {0 <= t <= C, s @ t = 0}.
+    """Exact Euclidean projection onto {0 <= t <= C, s @ t = 0}; s has
+    +/-1 entries of both signs and C > 0.
 
-    Solved by bisection on the Lagrange multiplier of the equality
-    constraint; s has +/-1 entries.
+    The projection is clip(t - nu * s, 0, C) at the multiplier nu of the
+    equality constraint where g(nu) = s @ clip(t - nu * s, 0, C) is zero.
+    g falls with nu and is linear between its breakpoints t_i / s_i and
+    (t_i - C) / s_i, positive at the first and negative at the last. So it
+    is evaluated at every breakpoint at once, and its zero interpolated
+    between the last breakpoint where g > 0 and the next.
     """
-    def constraint(nu):
-        return float(s @ np.clip(t - nu * s, 0.0, C))
-
-    lo, hi = -1e6, 1e6
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(t - 0.5 * (lo + hi) * s, 0.0, C)
+    nus = np.unique(np.concatenate([t * s, (t - C) * s]))  # 1 / s_i = s_i
+    g = np.clip(t - nus[:, None] * s, 0.0, C) @ s
+    k = int(np.searchsorted(-g, 0.0))  # the first breakpoint where g <= 0
+    nu = nus[k - 1] + g[k - 1] * (nus[k] - nus[k - 1]) / (g[k - 1] - g[k])
+    return np.clip(t - nu * s, 0.0, C)
 
 
 def svr_dual_oracle(K, y, C, epsilon, iters=5000):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,24 @@ def test_crlf_text_files_load_as_lf(tiny_corpus, tmp_path):
     crlf = load_corpus(manifest)
     assert (crlf.alignments, crlf.labels, crlf.splits) == (
         lf.alignments, lf.labels, lf.splits)
+
+
+@pytest.mark.parametrize("parse_alignments", [False, True])
+def test_a_loaded_corpus_is_freed_on_del(tiny_corpus, tmp_path,
+                                         parse_alignments):
+    """A loaded corpus is no reference cycle: with the cycle collector off,
+    dropping the last reference frees it, before and after its alignments
+    are parsed."""
+    loaded = load_corpus(save_corpus(tiny_corpus[0], tmp_path))
+    if parse_alignments:
+        assert len(loaded.alignments) == len(tiny_corpus[0].alignments)
+    ref = weakref.ref(loaded)
+    gc.disable()
+    try:
+        del loaded
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_load_empty_corpus_errors(tmp_path):

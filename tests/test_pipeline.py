@@ -2,11 +2,12 @@ import itertools
 import json
 import multiprocessing
 import os
-import pickle
 import runpy
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -293,6 +294,9 @@ def test_format_bump_retrains_every_stage(tmp_path, monkeypatch, capsys):
              tmp_path / "models" / "ivector.pivm",
              tmp_path / "corpus" / "features" / "spk000_utt00.feat"]
     before = [f.read_bytes() for f in files]
+    # the bump is in this process alone, where the stamps are made: a
+    # spawned worker would read the rewritten corpus in the old version
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
     for name in ("PNF1", "PGMM", "PRF1"):
         monkeypatch.setitem(formats.VERSIONS, name, formats.VERSIONS[name] + 1)
     assert main(["run", str(config)]) == 0, capsys.readouterr().err
@@ -321,12 +325,9 @@ def _files(d: Path) -> dict:
 
 
 def _counted_pools(monkeypatch) -> tuple:
-    """The worker count of each pool that pipeline._pool makes from now,
-    the arguments of each training task submitted to it, each with the
-    corpus that the file it names held at submit time, and for each task
-    with no arguments, which only starts a worker, the number of training
-    tasks sent before it."""
-    make, pools, sent, starts = pipeline._pool, [], [], []
+    """The worker count of each pool that pipeline._pool makes from now and
+    the arguments of each task submitted to it."""
+    make, pools, sent = pipeline._pool, [], []
 
     def counted(workers):
         pools.append(workers)
@@ -334,22 +335,18 @@ def _counted_pools(monkeypatch) -> tuple:
         submit = pool.submit
 
         def spied(fn, *args):
-            if not args:
-                starts.append(len(sent))
-                return submit(fn)
-            with open(args[1], "rb") as f:
-                sent.append((args, pickle.load(f)))
+            sent.append(args)
             return submit(fn, *args)
 
         pool.submit = spied
         return pool
 
     monkeypatch.setattr(pipeline, "_pool", counted)
-    return pools, sent, starts
+    return pools, sent
 
 
 def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
-    pools, sent, starts = _counted_pools(monkeypatch)
+    pools, sent = _counted_pools(monkeypatch)
     out = {}
     for workers in (1, 2):
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
@@ -358,27 +355,19 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
         models = {p: b for p, (b, _) in _files(work / "models").items()}
         out[workers] = models, result.report_path.read_bytes()
     assert pools == [2]
-    assert starts == [0]  # a worker starts before any task is sent
     assert multiprocessing.active_children() == []
-    # each task is (name, split file, section, seed) and carries no corpus;
-    # the one file, in a temporary directory of the work dir that is gone
-    # after the run, holds the train split's features and labels only
-    full = result.corpus
-    train = set(full.splits.train_ids)
-    assert sorted(args[0] for args, _ in sent) == sorted(pipeline.MARGINALS)
-    assert len({args[1] for args, _ in sent}) == 1
-    for (name, path, section, seed), split in sent:
+    # each task is (name, manifest, section, seed) and carries no corpus;
+    # the manifest is the run's, and its corpus has the run's train frames
+    manifest = tmp_path / "w2" / "corpus" / "manifest.tsv"
+    assert sorted(args[0] for args in sent) == sorted(pipeline.MARGINALS)
+    for name, path, section, seed in sent:
+        assert path == str(manifest)
         assert section == pipeline._merged(_TINY_RUN, name) and seed == 7
-        assert Path(path).parent.parent == tmp_path / "w2"
-        assert not Path(path).parent.exists()
-        assert set(split.features) == set(split.labels) == train
-        for uid in train:
-            np.testing.assert_array_equal(split.features[uid].frames,
-                                          full.features[uid].frames)
-            assert split.labels[uid] == full.labels[uid]
-        assert split.alignments == split.posteriors == {}
-    assert not any(isinstance(a, corpus.Corpus)
-                   for args, _ in sent for a in args)
+    assert not any(isinstance(a, corpus.Corpus) for args in sent for a in args)
+    full, loaded = result.corpus, load_corpus(manifest)
+    for uid in full.splits.train_ids:
+        np.testing.assert_array_equal(loaded.features[uid].frames,
+                                      full.features[uid].frames)
     # 7 models, 5 inference files, GOP, 3 feature-fusion predictions and
     # the stamps of 15 stages
     assert len(out[1][0]) == 31
@@ -389,11 +378,11 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
 def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
     """A pool is sent its tasks in the order this process would train
     them: MARGINALS order."""
-    pools, sent, _ = _counted_pools(monkeypatch)
+    pools, sent = _counted_pools(monkeypatch)
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
     assert len(pools) == 1
-    assert [args[0] for args, _ in sent] == ["gmm", "nf", "dnf", "ivector"]
+    assert [args[0] for args in sent] == ["gmm", "nf", "dnf", "ivector"]
 
 
 def test_an_upstream_change_retrains_only_its_downstream_stages(
@@ -726,17 +715,20 @@ def test_cut_gop_or_feature_fusion_file(tmp_path, capsys, name):
     assert path.read_bytes() == raw
 
 
-def test_pool_run_makes_its_work_dir(tmp_path, monkeypatch):
-    """The split file goes under the work dir even when no other output
-    does: here the corpus, models and reports lie outside it."""
+def test_pool_run_writes_only_models_and_reports(tmp_path, monkeypatch):
+    """A run on a manifest corpus in two workers writes no file outside
+    model_dir and report_dir: none in the work dir, none by the corpus."""
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     manifest = save_corpus(synth_corpus(TINY_SYNTH)[0], tmp_path / "corpus")
+    before = _files(tmp_path / "corpus")
     work = tmp_path / "work"
     run_pipeline(dict(_TINY_RUN, corpus={"manifest": str(manifest)},
                       work_dir=str(work), model_dir=str(tmp_path / "models"),
                       report_dir=str(tmp_path / "reports"),
                       systems=["gop", "gmm", "nf"]))
-    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus", "models", "reports"]
+    assert _files(tmp_path / "corpus") == before
     assert (tmp_path / "models" / "nf.digest").exists()
 
 
@@ -799,11 +791,10 @@ def test_svr_bytes_do_not_depend_on_the_blas_threads(tmp_path):
 def test_unguarded_script_fails_instead_of_hanging(tmp_path):
     """A script that runs the pipeline with no __main__ guard runs it again
     in each spawned worker as it imports the script, and starting a pool
-    there fails. The run then fails with BrokenProcessPool and leaves no
-    split file, however far the preset's train split outgrows a pipe. The
-    workers' own runs use another work dir and fail as they start their
-    first worker, before they write a split file of their own: else the
-    pool could kill one between that write and its cleanup."""
+    there fails. The run then fails with BrokenProcessPool, on the preset
+    corpus too, whose train split far outgrows a pipe: a task carries only
+    small arguments. The workers' own runs, under another work dir, reach
+    their pool before they fail."""
     preset, _ = synth_corpus(corpus.SynthConfig())
     manifest = save_corpus(preset, tmp_path / "corpus")
     work = tmp_path / "work"
@@ -812,18 +803,18 @@ def test_unguarded_script_fails_instead_of_hanging(tmp_path):
            "systems": ["gop", "gmm", "nf"],
            "gmm": {"components": 2, "iters": 3}, "nf": _TINY_FLOW}
     script = tmp_path / "unguarded.py"
-    dumps = tmp_path / "nested_dumps.txt"
+    pools = tmp_path / "nested_pools.txt"
     script.write_text("from proscore import pipeline\n"
                       "pipeline._cpu_count = lambda: 2\n"
                       f"cfg = {cfg!r}\n"
                       "if __name__ != '__main__':\n"
                       f"    cfg['work_dir'] = {str(tmp_path / 'nested')!r}\n"
-                      "    dump = pipeline.pickle.dump\n"
-                      "    def recorded(obj, f, *args, **kwargs):\n"
-                      f"        with open({str(dumps)!r}, 'a') as r:\n"
-                      "            r.write(f.name + '\\n')\n"
-                      "        return dump(obj, f, *args, **kwargs)\n"
-                      "    pipeline.pickle.dump = recorded\n"
+                      "    pool = pipeline._pool\n"
+                      "    def recorded(workers):\n"
+                      f"        with open({str(pools)!r}, 'a') as r:\n"
+                      "            r.write(f'{workers}\\n')\n"
+                      "        return pool(workers)\n"
+                      "    pipeline._pool = recorded\n"
                       "pipeline.run_pipeline(cfg)\n")
     try:
         proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
@@ -834,7 +825,65 @@ def test_unguarded_script_fails_instead_of_hanging(tmp_path):
     assert proc.returncode != 0
     assert "BrokenProcessPool" in proc.stderr
     assert list(work.rglob("*.pickle")) == []
-    assert not dumps.exists()  # no nested run wrote a split file
+    assert set(pools.read_text().split()) == {"2"}  # a nested run's pool
+
+
+def _session(sid: int) -> list:
+    """(pid, parent pid) of each live process of session `sid`, as /proc
+    lists them; a zombie is not live."""
+    procs = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # it exited after the listing
+            continue
+        state, ppid, _group, session = stat.rsplit(")", 1)[1].split()[:4]
+        if int(session) == sid and state != "Z":
+            procs.append((int(entry), int(ppid)))
+    return procs
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="workers die with their parent through prctl")
+def test_killed_run_leaves_no_process_and_no_file(tmp_path):
+    """SIGKILL of a `proscore run` (what timeout(1), a job scheduler or the
+    OOM killer sends) while a worker still trains kills its workers too,
+    and then multiprocessing's resource tracker exits. A rerun in the same
+    work dir exits 0 and finds no file of the killed run there."""
+    config = tmp_path / "cfg.json"
+    cfg = dict(_TINY_RUN, systems=["gop", "gmm", "nf"])
+    config.write_text(json.dumps(dict(cfg, nf=dict(_TINY_FLOW,
+                                                   epochs=100000))))
+    run = ("from proscore import cli, pipeline\n"
+           "pipeline._cpu_count = lambda: 2\n"
+           f"raise SystemExit(cli.main(['run', {str(config)!r}]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", run], env=_env({}),
+                            start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        # the GMM's stamp is written once its worker has trained it, while
+        # the other worker trains the NF
+        deadline = time.monotonic() + 60
+        while not (tmp_path / "models" / "gmm.digest").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert len([p for p, parent in _session(proc.pid)
+                    if parent == proc.pid]) >= 2
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while _session(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the session is gone, as it should be
+            pass
+        proc.wait()
+    config.write_text(json.dumps(cfg))
+    assert main(["run", str(config)]) == 0
+    assert list(tmp_path.glob("tmp*")) == []
 
 
 def test_one_utterance_dev_split_fails_before_training(tmp_path, capsys):
