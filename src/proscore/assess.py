@@ -109,6 +109,24 @@ def fusion_stats(dev_table: ScoreTable) -> dict:
     return out
 
 
+def _fusion_columns(table: ScoreTable, normalization: str,
+                    norm_stats: dict | None) -> tuple:
+    """The gop and predicted columns of `table`; with zscore normalization,
+    shifted/scaled by the dev-split statistics in `norm_stats`."""
+    g, p = table.column("gop"), table.column("predicted")
+    if normalization == "zscore":
+        if norm_stats is None:
+            raise ValueError("zscore fusion needs dev-split normalization stats")
+        g = (g - norm_stats["gop"][0]) / norm_stats["gop"][1]
+        p = (p - norm_stats["predicted"][0]) / norm_stats["predicted"][1]
+    return g, p
+
+
+def _fused(lam: float, columns: tuple) -> np.ndarray:
+    g, p = columns
+    return lam * g + (1.0 - lam) * p
+
+
 def score_fuse(table: ScoreTable, cfg: FusionConfig,
                norm_stats: dict | None = None) -> ScoreTable:
     """fused = lambda * gop + (1 - lambda) * predicted, after normalization.
@@ -116,20 +134,10 @@ def score_fuse(table: ScoreTable, cfg: FusionConfig,
     With zscore normalization both components are shifted/scaled by the
     dev-split statistics in `norm_stats`; "none" keeps the raw values.
     """
-    if cfg.normalization == "zscore":
-        if norm_stats is None:
-            raise ValueError("zscore fusion needs dev-split normalization stats")
-        gm, gs = norm_stats["gop"]
-        pm, ps = norm_stats["predicted"]
-    else:
-        gm = pm = 0.0
-        gs = ps = 1.0
-    rows = []
-    for r in table.rows:
-        g = (r.gop - gm) / gs
-        p = (r.predicted - pm) / ps
-        rows.append(replace(r, fused=cfg.lambda_ * g + (1.0 - cfg.lambda_) * p))
-    return ScoreTable(tuple(rows))
+    fused = _fused(cfg.lambda_, _fusion_columns(table, cfg.normalization,
+                                                norm_stats))
+    return ScoreTable(tuple(replace(r, fused=f)
+                            for r, f in zip(table.rows, fused.tolist())))
 
 
 # PCC lies in [-1, 1], so an absolute bound separates rounding from gains.
@@ -153,19 +161,15 @@ def select_lambda(dev_table: ScoreTable, grid_step: float = 0.02,
     if float(labels.std()) == 0.0:
         raise DataError("degenerate dev labels: constant")
     FusionConfig(0.0, normalization)  # a known normalization
-    # each fused column as score_fuse computes it, in its order of operations
-    g, p = dev_table.column("gop"), dev_table.column("predicted")
-    if normalization == "zscore":
-        stats = fusion_stats(dev_table)
-        g = (g - stats["gop"][0]) / stats["gop"][1]
-        p = (p - stats["predicted"][0]) / stats["predicted"][1]
+    stats = fusion_stats(dev_table) if normalization == "zscore" else None
+    columns = _fusion_columns(dev_table, normalization, stats)
     grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     grid = np.minimum(grid, 1.0)
     curve = []
     best_lam, best_val = None, -np.inf
     for lam in grid:
         lam = float(lam)
-        fused = lam * g + (1.0 - lam) * p
+        fused = _fused(lam, columns)
         if not np.isfinite(fused).all():  # as the ScoreTable of score_fuse
             uid = dev_table.rows[np.argmin(np.isfinite(fused))].utterance_id
             raise DataError(f"{uid}: non-finite score")

@@ -214,9 +214,8 @@ class Corpus:
     posteriors: Mapping
     labels: Mapping
     splits: SplitManifest
-    # manifest role -> _Part of a corpus that load_corpus read
-    sources: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
+    # manifest role -> the paths of its files, of a corpus that load_corpus read
+    files: Mapping = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def phone_table(self) -> tuple:
@@ -240,24 +239,34 @@ class Corpus:
         return np.vstack([self.features[uid].frames for uid in utterance_ids])
 
     def release(self, *roles) -> None:
-        """Drop the parsed parts of `roles` of a corpus that load_corpus
-        read, to free their memory; a later use parses them again."""
+        """Drop the parsed features, posteriorgrams or alignments of a corpus
+        that load_corpus read, to free their memory; a later use parses them
+        again."""
         for role in roles:
-            self.sources[role].release()
+            getattr(self, role).release()
 
     def digest(self, *roles) -> str:
         """sha256 of the bytes of the files of `roles` (MANIFEST_ROLES) of a
-        corpus that load_corpus read, as they are now on disk."""
+        corpus that load_corpus read, as they are now on disk: per role, the
+        sha256 of each file's name, size and bytes."""
         h = hashlib.sha256()
         for role in roles:
-            h.update(self.sources[role].digest().encode())
+            part = hashlib.sha256()
+            for path in self.files[role]:
+                raw = formats.load(path, lambda f: f.read())
+                part.update(f"{path.name}\0{len(raw)}\0".encode())
+                part.update(raw)
+            h.update(part.hexdigest().encode())
         return h.hexdigest()
 
 
 def _check_features(features) -> None:
-    dims = {fs.dim for fs in features.values()}
-    if len(dims) != 1:
-        raise DataError(f"inconsistent feature dims across corpus: {sorted(dims)}")
+    first, *rest = sorted(features)
+    dim = features[first].dim
+    for uid in rest:
+        if features[uid].dim != dim:
+            raise DataError(f"inconsistent feature dims across corpus: {uid}"
+                            f" has {features[uid].dim}, {first} has {dim}")
 
 
 def _check_alignments(alignments, features, num_phones: int) -> None:
@@ -432,38 +441,23 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 
 
 class _Part(Mapping):
-    """One part of a corpus that load_corpus read, from its files `paths`:
-    its features, posteriorgrams or alignments (uid -> item), its labels
-    or its splits. `read(path)` parses one file, and `build` makes and
-    checks the part from the list of what they gave.
+    """The features, posteriorgrams or alignments (uid -> item) of a corpus
+    that load_corpus read. `parse()` reads, makes and checks them when they
+    are first used; `ids`, if given, are their keys before that."""
 
-    The part is parsed when it is first used; `ids`, if given, are its
-    keys before that. `digest` reads and hashes the files' bytes apart
-    from any parse, as they are when it is called.
-    """
-
-    def __init__(self, paths, read, build, ids=None):
-        self._paths, self._read, self._build = paths, read, build
+    def __init__(self, parse, ids=None):
+        self._parse = parse
         self._ids = None if ids is None else dict.fromkeys(ids)
         self._value = None
 
     def value(self):
         if self._value is None:
-            self._value = self._build([self._read(path)
-                                       for path in self._paths])
+            self._value = self._parse()
         return self._value
 
     def release(self) -> None:
         """Drop the parsed part; a later use parses it again."""
         self._value = None
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for path in self._paths:
-            raw = formats.load(path, lambda f: f.read())
-            h.update(f"{path.name}\0{len(raw)}\0".encode())
-            h.update(raw)
-        return h.hexdigest()
 
     def _keys(self):
         return self.value() if self._ids is None else self._ids
@@ -495,35 +489,31 @@ def load_corpus(manifest_path) -> Corpus:
     if not post_paths:
         raise DataError(f"no posteriorgram files under {post_dir}")
 
-    def features_of(parsed):
-        items = {fs.utterance_id: fs for fs in parsed}
+    def parse_features():
+        items = {p.stem: read_feature_file(p, p.stem) for p in feature_paths}
         _check_features(items)
         return items
 
-    def posteriors_of(parsed):
-        items = {pg.utterance_id: pg for pg in parsed}
-        _check_posteriors(items, features, parsed[0].phone_table)
+    def parse_posteriors():
+        items = {p.stem: read_posteriorgram_file(p, p.stem) for p in post_paths}
+        _check_posteriors(items, features, next(iter(items.values())).phone_table)
         return items
 
-    def phone_table():  # not the corpus's: a closure over it is a cycle
-        return next(iter(posteriors.values())).phone_table
+    def parse_alignments():
+        # the phone table is the posteriorgrams', not the corpus's: a
+        # closure over the corpus is a cycle
+        table = next(iter(posteriors.values())).phone_table
+        items = read_alignment_file(roles["alignments"], table)
+        _check_alignments(items, features, len(table))
+        return items
 
-    def alignments_of(parsed):
-        _check_alignments(parsed[0], features, len(phone_table()))
-        return parsed[0]
-
-    features = _Part(feature_paths, lambda p: read_feature_file(p, p.stem),
-                     features_of, [p.stem for p in feature_paths])
-    posteriors = _Part(post_paths, lambda p: read_posteriorgram_file(p, p.stem),
-                       posteriors_of, [p.stem for p in post_paths])
-    alignments = _Part([roles["alignments"]], lambda p: read_alignment_file(
-        p, phone_table()), alignments_of)
-    labels = _Part([roles["labels"]], read_labels_file, lambda parsed: parsed[0])
-    splits = _Part([roles["splits"]], read_splits_file, lambda parsed: parsed[0])
-    corpus = Corpus(features, alignments, posteriors, labels.value(),
-                    splits.value())
-    object.__setattr__(corpus, "sources", dict(zip(
-        MANIFEST_ROLES, (features, alignments, posteriors, labels, splits))))
+    features = _Part(parse_features, [p.stem for p in feature_paths])
+    posteriors = _Part(parse_posteriors, [p.stem for p in post_paths])
+    files = {role: [path] for role, path in roles.items()}
+    files.update(features=feature_paths, posteriors=post_paths)
+    corpus = Corpus(features, _Part(parse_alignments), posteriors,
+                    read_labels_file(roles["labels"]),
+                    read_splits_file(roles["splits"]), files)
     for uid in posteriors:
         if uid not in features:
             raise DataError(f"posteriorgram for unknown utterance {uid}")

@@ -797,21 +797,17 @@ def _synth_config(cfg):
 
 
 def _corpus_stage(cfg, work: Path, force: bool):
-    """(corpus, key, manifest). A synth corpus, written under the work dir,
-    is keyed on its settings; a manifest corpus on the bytes of its feature
-    files, labels and splits, hashed before any stage parses them."""
-    corpus_cfg = cfg["corpus"]
-    if "manifest" in corpus_cfg:
-        manifest = work / corpus_cfg["manifest"]  # if relative
-        corpus = load_corpus(manifest)
-        return corpus, corpus.digest("features", "labels", "splits"), manifest
-    synth, synth_kwargs = _synth_config(cfg)
-    manifest = work / "corpus" / "manifest.tsv"
-    key = _stamp("synth", synth_kwargs)
-    StageCache(manifest.parent, force).run(
-        "synth", key, [manifest.name, "oracle.tsv"],
-        lambda: write_synth_corpus(synth, manifest.parent), lambda: None)
-    return load_corpus(manifest), key, manifest
+    """(corpus, key, manifest). A synth corpus is written to the work dir's
+    corpus/ when its settings change; either kind is keyed on the bytes of its
+    feature files, labels and splits, hashed before any stage parses them."""
+    manifest = work / cfg["corpus"].get("manifest", "corpus/manifest.tsv")
+    if "synth" in cfg["corpus"]:
+        synth, synth_kwargs = _synth_config(cfg)
+        StageCache(manifest.parent, force).run(
+            "synth", _stamp("synth", synth_kwargs), [manifest.name, "oracle.tsv"],
+            lambda: write_synth_corpus(synth, manifest.parent), lambda: None)
+    corpus = load_corpus(manifest)
+    return corpus, corpus.digest("features", "labels", "splits"), manifest
 
 
 def write_synth_corpus(synth: SynthConfig, out_dir) -> None:

@@ -12,7 +12,9 @@ import proscore
 from proscore import (assess, dnf, flow, formats, gmm, ivector, pipeline,
                       regress)
 from proscore.cli import build_parser, main
-from proscore.corpus import SynthConfig, load_corpus, save_corpus, synth_corpus
+from proscore.corpus import (PhoneAlignment, SynthConfig, load_corpus,
+                             save_corpus, synth_corpus, write_alignment_file,
+                             write_feature_file, write_posteriorgram_file)
 from proscore.formats import DataError
 from proscore.pipeline import default_config, save_model, validate_config
 
@@ -466,6 +468,74 @@ def test_data_errors_exit_2(corpus_dir, tmp_path, capsys, argv, where):
     assert out == ""
     assert err.startswith("data error: " if where is None
                           else f"data error: {tmp_path / where}: ")
+
+
+def _wider_features(root, c, uid):
+    fs = c.features[uid]
+    write_feature_file(root / "features" / f"{uid}.feat", replace(
+        fs, frames=np.hstack([fs.frames, fs.frames[:, :1]])))
+
+
+def _short_posteriorgram(root, c, uid):
+    pg = c.posteriors[uid]
+    write_posteriorgram_file(root / "posteriors" / f"{uid}.post",
+                             replace(pg, post=pg.post[:-1]))
+
+
+def _renamed_phones(root, c, uid):
+    pg = c.posteriors[uid]
+    write_posteriorgram_file(root / "posteriors" / f"{uid}.post", replace(
+        pg, phone_table=tuple(name.upper() for name in pg.phone_table)))
+
+
+def _segment_past_the_end(root, c, uid):
+    *rest, (p, s, _) = c.alignments[uid].segments
+    end = c.features[uid].num_frames + 1
+    write_alignment_file(root / "alignments.tsv", dict(c.alignments, **{
+        uid: PhoneAlignment(uid, [*rest, (p, s, end)])}), c.phone_table)
+
+
+def _appended(name, row):
+    def append(root, c, uid):
+        with open(root / name, "a") as f:
+            f.write(row.format(uid=uid) + "\n")
+    return append
+
+
+# damage(root, corpus, uid) of a copy of the tiny corpus at root, and the
+# message of the fault, formatted with the uid, its frame count T, the
+# first uid and the alignments file's path and line count
+@pytest.mark.parametrize("damage, message", [
+    (_wider_features,
+     "inconsistent feature dims across corpus: {uid} has 7, {first} has 6"),
+    (_short_posteriorgram,
+     "{uid}: posteriorgram has {T_short} frames, features have {T}"),
+    (_renamed_phones, "{uid}: posteriorgram phone table mismatch"),
+    (_segment_past_the_end, "{uid}: segment end {T_long} exceeds T={T}"),
+    (_appended("alignments.tsv", "ghost\tph00\t0\t1"),
+     "alignment for unknown utterance ghost"),
+    (_appended("alignments.tsv", "{uid}\tzz\t0\t1"),
+     "{alignments}:{lines}: unknown phone 'zz'"),
+    (_appended("labels.tsv", "ghost\t3,3"), "label for unknown utterance ghost"),
+], ids=["feature-dim", "posteriorgram-frames", "phone-table",
+        "segment-end", "alignment-ghost", "alignment-phone", "label-ghost"])
+def test_cross_file_faults_of_a_loaded_corpus_exit_2(
+        corpus_dir, tmp_path, capsys, damage, message):
+    """Each check of one corpus file against another, run as score --gop
+    parses the corpus, is a data error that names what is wrong."""
+    c, manifest = corpus_dir
+    root = tmp_path / "corpus"
+    shutil.copytree(Path(manifest).parent, root)
+    first, uid = sorted(c.features)[:2]
+    damage(root, c, uid)
+    T = c.features[uid].num_frames
+    message = message.format(
+        uid=uid, first=first, T=T, T_short=T - 1, T_long=T + 1,
+        alignments=root / "alignments.tsv",
+        lines=len((root / "alignments.tsv").read_text().splitlines()))
+    assert main(["score", "--manifest", str(root / "manifest.tsv"),
+                 "--gop"]) == 2
+    assert capsys.readouterr() == ("", f"data error: {message}\n")
 
 
 def _dir(path):

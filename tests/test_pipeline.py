@@ -669,6 +669,27 @@ def test_a_feature_file_rewritten_mid_run(tmp_path, monkeypatch):
     assert rerun.report_path.read_bytes() == fresh.report_path.read_bytes()
 
 
+def test_a_rewritten_synth_corpus_retrains(tmp_path, monkeypatch):
+    """A run's synthetic corpus rewritten on disk, as `proscore synth --out`
+    rewrites it, is keyed on its new bytes: the rerun recomputes every
+    stage keyed on the corpus and writes the models and report of a fresh
+    run on the rewritten corpus."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    cfg = dict(_TINY_RUN, work_dir=str(tmp_path / "a"))
+    run_pipeline(cfg)
+    root = tmp_path / "a" / "corpus"
+    pipeline.write_synth_corpus(replace(TINY_SYNTH, seed=12), root)
+    computed = _computed_stages(monkeypatch)
+    rerun = run_pipeline(cfg)
+    assert sorted(computed) == _TINY_STAGES
+    fresh = run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path / "b"),
+                              corpus={"manifest": str(root / "manifest.tsv")}))
+    models = [{p: b for p, (b, _) in _files(tmp_path / work / "models").items()}
+              for work in ("a", "b")]
+    assert models[0] == models[1]
+    assert rerun.report_path.read_bytes() == fresh.report_path.read_bytes()
+
+
 def test_a_run_reads_each_corpus_file_at_most_twice(tmp_path, monkeypatch):
     """A cold run reads every file of a manifest corpus at most twice: to
     hash it and to parse it. A warm rerun reads each feature, posteriorgram

@@ -1,13 +1,18 @@
-"""Source checks on the package: no unused import and no dead private name."""
+"""Source checks on the package: no unused import, no dead private name,
+and a README that states the code's tables as the code holds them."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from proscore import formats, pipeline
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "proscore"
 MODULES = sorted(SRC.glob("*.py"))
+README = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in MODULES}
 
@@ -68,3 +73,24 @@ def test_every_private_module_name_is_referenced():
             for target, node in _private_definitions(tree).items()
             if used[target] == _loaded_names(node).count(target)]
     assert dead == []
+
+
+def test_readme_format_table_is_the_version_table():
+    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| (\d+) \|$", README, re.M)
+    assert {magic: int(version) for magic, version in rows} == formats.VERSIONS
+
+
+def test_readme_seed_offsets_are_the_pipelines():
+    subcommand = {"train-gmm": "gmm", "train-flow": "nf", "train-dnf": "dnf",
+                  "train-ivector": "ivector"}
+    offsets = re.findall(r"`\+(\d+)` for\s+`(train-[a-z]+)`", README)
+    assert {subcommand[name]: int(offset) for offset, name in offsets} == \
+        pipeline.SEED_OFFSETS
+
+
+def test_readme_lists_the_inference_files():
+    listed = re.search(r"it writes what the report uses, (.*?),\s+under"
+                       r"\s+`models/`", README, re.S)
+    assert sorted(re.findall(r"`([\w.]+)`", listed[1])) == sorted(
+        file for files in pipeline.INFERENCE_FILES.values()
+        for file in files if file)
