@@ -475,10 +475,12 @@ class _Part(Mapping):
         return uid in self._keys()
 
 
-def load_corpus(manifest_path) -> Corpus:
+def load_corpus(manifest_path, split: str | None = None) -> Corpus:
     """A corpus from its manifest. Its labels and splits are read and
     checked here; its features, posteriorgrams and alignments when first
-    used (see _Part): the features alone, the others against them."""
+    used (see _Part): the features alone, the others against them. With
+    `split`, one of SPLITS, its features are that split's alone, and no
+    other feature file is parsed."""
     roles = read_manifest(manifest_path)
     feat_dir = Path(roles["features"])
     post_dir = Path(roles["posteriors"])
@@ -488,9 +490,20 @@ def load_corpus(manifest_path) -> Corpus:
     post_paths = sorted(post_dir.glob("*.post"))
     if not post_paths:
         raise DataError(f"no posteriorgram files under {post_dir}")
+    paths = {p.stem: p for p in feature_paths}
+    labels = read_labels_file(roles["labels"])
+    splits = read_splits_file(roles["splits"])
+    for p in post_paths:
+        if p.stem not in paths:
+            raise DataError(f"posteriorgram for unknown utterance {p.stem}")
+    _check_labels(labels, paths)
+    splits.check_covers(paths)
+    if split is not None:
+        wanted = set(splits.ids(split))
+        paths = {uid: p for uid, p in paths.items() if uid in wanted}
 
     def parse_features():
-        items = {p.stem: read_feature_file(p, p.stem) for p in feature_paths}
+        items = {uid: read_feature_file(p, uid) for uid, p in paths.items()}
         _check_features(items)
         return items
 
@@ -507,19 +520,12 @@ def load_corpus(manifest_path) -> Corpus:
         _check_alignments(items, features, len(table))
         return items
 
-    features = _Part(parse_features, [p.stem for p in feature_paths])
+    features = _Part(parse_features, paths)
     posteriors = _Part(parse_posteriors, [p.stem for p in post_paths])
     files = {role: [path] for role, path in roles.items()}
     files.update(features=feature_paths, posteriors=post_paths)
-    corpus = Corpus(features, _Part(parse_alignments), posteriors,
-                    read_labels_file(roles["labels"]),
-                    read_splits_file(roles["splits"]), files)
-    for uid in posteriors:
-        if uid not in features:
-            raise DataError(f"posteriorgram for unknown utterance {uid}")
-    _check_labels(corpus.labels, features)
-    corpus.splits.check_covers(features)
-    return corpus
+    return Corpus(features, _Part(parse_alignments), posteriors, labels,
+                  splits, files)
 
 
 # ---------------------------------------------------------------------------

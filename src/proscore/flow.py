@@ -146,24 +146,30 @@ class CouplingLayer:
                    CouplingNet.create(d_in, d_out, width, rng),
                    INIT_CAP)
 
-    def _scale_shift(self, a):
+    def _scale_shift(self, a, keep=True):
+        """s, t, tanh of the raw scales and the nets' caches, None without
+        `keep`: then the scale net's are freed before the shift net runs."""
         raw, sc_cache = self.scale_net.forward(a)
         th = np.tanh(raw, out=raw)
         s = float(self.cap) * th
+        if not keep:
+            sc_cache = None
         t, sh_cache = self.shift_net.forward(a)
-        return s, t, th, sc_cache, sh_cache
+        return s, t, th, sc_cache, (sh_cache if keep else None)
 
     def forward(self, x):
         a = x[:, self.cond]
-        s, t, *_ = self._scale_shift(a)
+        s, t, *_ = self._scale_shift(a, keep=False)
         y = np.empty_like(x)
         y[:, self.cond] = a
         y[:, self.trans] = x[:, self.trans] * np.exp(s) + t
         return y, s.sum(axis=1)
 
-    def inverse_cached(self, y):
+    def inverse_cached(self, y, keep=True):
+        """f^-1 of `y`, sum(s) per row and the backward cache, which is
+        None without `keep`."""
         a = y[:, self.cond]
-        s, t, th, sc_cache, sh_cache = self._scale_shift(a)
+        s, t, th, sc_cache, sh_cache = self._scale_shift(a, keep)
         sum_s = s.sum(axis=1)
         exp_neg = np.exp(np.negative(s, out=s), out=s)
         # xb = (y_B - t) * exp(-s), formed in t's memory
@@ -172,7 +178,7 @@ class CouplingLayer:
         x = np.empty_like(y)
         x[:, self.cond] = a
         x[:, self.trans] = xb
-        cache = (th, sc_cache, sh_cache, exp_neg, xb)
+        cache = (th, sc_cache, sh_cache, exp_neg, xb) if keep else None
         return x, sum_s, cache
 
     def params(self):
@@ -233,15 +239,14 @@ class FlowModel:
 
     def inverse(self, batch, caches=None):
         """f^-1 of the batch and ln|det df^-1/do| per row. Each layer's
-        backward cache is appended to `caches` unless it is None."""
+        backward cache is appended to `caches` unless it is None; then no
+        layer keeps one."""
         out = batch
         logdet = np.zeros(batch.shape[0])
         for layer in reversed(self.layers):
-            out, sum_s, cache = layer.inverse_cached(out)
+            out, sum_s, cache = layer.inverse_cached(out, caches is not None)
             if caches is not None:
                 caches.append((layer, cache))
-            # without a list, no layer's cache outlives its own layer
-            del cache
             logdet -= sum_s
         return out, logdet
 

@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, dnf, flow, formats, gmm, gop, ivector, regress
-from .corpus import Corpus, SynthConfig, load_corpus, save_corpus, synth_corpus
+from .corpus import (Corpus, SynthConfig, load_corpus, read_feature_file,
+                     save_corpus, synth_corpus)
 
 
 class ConfigError(ValueError):
@@ -381,10 +382,6 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     # saved, stamped and followed downstream as it arrives, cache hits first
     misses = [name for name in stamps
               if not cache.hit(name, stamps[name], [model_file(name).name])]
-    if "ivector" in misses:  # before any training
-        iv = _merged(cfg, "ivector")
-        ivector.check_dim(iv["dim"], iv["ubm_components"],
-                          next(iter(corpus.features.values())).dim)
     hits = [(name, None) for name in stamps if name not in misses]
     failures = {}
     gop_file = model_dir / "gop.score"
@@ -465,8 +462,17 @@ def _training(names, corpus: Corpus, manifest: Path, cfg: dict):
     this process. A worker loads `corpus` itself, from its `manifest`, so a
     task carries only small arguments and a worker that dies fails with
     BrokenProcessPool. No worker outlives the block, on an error neither.
+    An i-vector extractor's dim is checked before any model trains: with a
+    pool, against one feature file, as this process parses the others only
+    once the workers run.
     """
     workers = min(_cpu_count(), len(names))
+    if "ivector" in names:
+        iv = _merged(cfg, "ivector")
+        first = corpus.files["features"][0]
+        fs = (corpus.features[first.stem] if workers < 2
+              else read_feature_file(first, first.stem))
+        ivector.check_dim(iv["dim"], iv["ubm_components"], fs.dim)
     if workers < 2:
         yield ((name, functools.partial(train_marginal, name, corpus,
                                         _merged(cfg, name), cfg["seed"]))
@@ -483,8 +489,10 @@ def _training(names, corpus: Corpus, manifest: Path, cfg: dict):
 
 
 def _train_file(name: str, manifest: str, section: dict, run_seed: int):
-    """train_marginal on the corpus of `manifest`: a pool task."""
-    return train_marginal(name, load_corpus(manifest), section, run_seed)
+    """train_marginal on the corpus of `manifest`, of whose features the
+    train split's alone are parsed, as they are all it reads: a pool task."""
+    return train_marginal(name, load_corpus(manifest, "train"), section,
+                          run_seed)
 
 
 def _arrivals(futures: dict):
@@ -681,15 +689,24 @@ def read_embeddings(path, columns=None, whole=False) -> dict:
 
     Every row holds at least one value, and as many as the first row, or
     `columns` - 1 values. With `whole`, the file is one that this program
-    wrote, so a last line with no newline means that it was cut short.
+    wrote, so a last line with no newline means that it was cut short. The
+    values become one array in one call; only if one of them is not a
+    finite number are they parsed again, line by line, to name its line.
     """
-    emb = {}
-    for where, (uid, *vec) in formats.read_tsv(path, columns, keyed=True,
-                                               whole=whole):
+    rows = []
+    for row in formats.read_tsv(path, columns, keyed=True, whole=whole):
+        where, (uid, *vec) = row
         if not vec:
             raise formats.DataError(f"{where}: {uid} has no values")
-        emb[uid] = np.array(formats.parse(where, _finite, *vec))
-    return emb
+        rows.append(row)
+    try:
+        values = np.array([fields[1:] for _, fields in rows], dtype=np.float64)
+    except ValueError:
+        values = np.array(np.nan)
+    if not np.isfinite(values).all():
+        for where, (_, *vec) in rows:
+            formats.parse(where, _finite, *vec)
+    return dict(zip((fields[0] for _, fields in rows), values))
 
 
 def embeddings_tsv(emb: dict) -> str:

@@ -436,28 +436,56 @@ def test_flat_adam_matches_per_array_adam(with_means):
         np.testing.assert_array_equal(trained_means, ref_means)
 
 
-def test_mean_nll_memory_is_bounded():
-    """mean_nll of N = 20,000 x 16 frames through 6 layers of width 48.
-    While a layer inverts, its two nets hold their hidden activations h1
-    and h2 (4 N x 48 arrays, 30.72 MB), the layer's input and output are
-    alive (2 N x 16 arrays, 5.12 MB; the frames themselves are allocated
-    before tracing starts), and so are three N x 8 arrays: tanh of the raw
-    scales, exp(-s) and the transformed half (3.84 MB), with logdet and
-    sum(s) (0.32 MB): 39.99 MB, plus up to 2 MB for the parameters and
-    small temporaries. A second layer's cache held while the next layer
-    computes would add at least 30.72 MB more."""
-    n, dim, width = 20_000, 16, 48
-    rng = np.random.default_rng(31)
-    frames = rng.standard_normal((n, dim))
-    m = _randomized_flow(dim, 6, width, seed=31)
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args), in bytes."""
     tracemalloc.start()
     try:
-        mean_nll(m, frames)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row = n * 8
-    assert peak <= (4 * width + 2 * dim + 3 * (dim // 2) + 2) * row + 2e6
+
+
+# the frames, layers and width of the memory bounds below
+_N, _DIM, _WIDTH = 20_000, 16, 48
+
+
+def _pass_bound() -> float:
+    """The bound of a pass that keeps no backward cache over _N x _DIM
+    frames, in bytes: (2 * width + 2 * dim + 3 * (dim // 2) + 2) columns
+    of N doubles, 24.64 MB, plus up to 2 MB for the parameters and small
+    temporaries: 26.64 MB (see the tests that use it)."""
+    return (2 * _WIDTH + 2 * _DIM + 3 * (_DIM // 2) + 2) * _N * 8 + 2e6
+
+
+def test_mean_nll_memory_is_bounded():
+    """mean_nll of N = 20,000 x 16 frames through 6 layers of width 48.
+    It keeps no cache, so at most one coupling net holds its hidden
+    activations at a time: while a net forms h2 from h1, or its output
+    from h2, those two are alive (2 N x 48 arrays, 15.36 MB), and the scale
+    net's are freed before the shift net runs. The layer's input and
+    output are alive (2 N x 16 arrays, 5.12 MB; the frames themselves are
+    allocated before tracing starts), and so are three N x 8 arrays: tanh
+    of the raw scales, exp(-s) and the transformed half (3.84 MB), with
+    logdet and sum(s) (0.32 MB): 24.64 MB, plus up to 2 MB. Holding the
+    scale net's h1 and h2 while the shift net runs, as a backward cache
+    does, would add 15.36 MB more."""
+    frames = np.random.default_rng(31).standard_normal((_N, _DIM))
+    m = _randomized_flow(_DIM, 6, _WIDTH, seed=31)
+    assert _traced_peak(mean_nll, m, frames) <= _pass_bound()
+
+
+def test_forward_memory_is_bounded():
+    """FlowModel.forward of the frames of test_mean_nll_memory_is_bounded
+    keeps no cache either. While a layer's shift net runs, its h1 and h2
+    (2 N x 48), the layer's input (N x 16), tanh of the raw scales, s and
+    the net's output t (3 N x 8), and logdet and the last layer's log|det|
+    (2 N) are alive; after the nets, the output (N x 16) and at most two
+    N x 8 temporaries of x_B * exp(s) + t take the hidden arrays' place.
+    Both fit the bound of the inverse pass."""
+    frames = np.random.default_rng(31).standard_normal((_N, _DIM))
+    m = _randomized_flow(_DIM, 6, _WIDTH, seed=31)
+    assert _traced_peak(m.forward, frames) <= _pass_bound()
 
 
 @pytest.mark.parametrize("epochs", [1, 4])

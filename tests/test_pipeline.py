@@ -385,6 +385,103 @@ def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
     assert [args[0] for args in sent] == ["gmm", "nf", "dnf", "ivector"]
 
 
+def _counted_feature_reads(monkeypatch) -> list:
+    """The utterance of each feature file that this process parses from
+    now, by the corpus's parser or the pipeline's."""
+    read, reads = corpus.read_feature_file, []
+
+    def counted(path, uid):
+        reads.append(uid)
+        return read(path, uid)
+
+    for module in (corpus, pipeline):
+        monkeypatch.setattr(module, "read_feature_file", counted)
+    return reads
+
+
+def _model_bytes(model, path: Path) -> bytes:
+    pipeline.save_model(path, model)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", pipeline.MARGINALS)
+def test_a_pool_task_parses_only_the_train_split(tmp_path, monkeypatch,
+                                                 name):
+    """A pool task parses the train split's feature files and no other,
+    and trains what train_marginal trains on the whole corpus."""
+    tiny = synth_corpus(TINY_SYNTH)[0]
+    manifest = save_corpus(tiny, tmp_path / "corpus")
+    section = pipeline._merged(_TINY_RUN, name)
+    reads = _counted_feature_reads(monkeypatch)
+    model, trace = pipeline._train_file(name, str(manifest), section, 7)
+    assert sorted(reads) == sorted(tiny.splits.train_ids)
+    whole, whole_trace = pipeline.train_marginal(name, load_corpus(manifest),
+                                                 section, 7)
+    assert trace == whole_trace
+    assert _model_bytes(model, tmp_path / "a") == \
+        _model_bytes(whole, tmp_path / "b")
+
+
+def _wider_train_file(tmp_path) -> tuple:
+    """A tiny manifest corpus in which one train-split feature file, not
+    the first of the corpus or of the split, has 7 dims, and its uid."""
+    tiny = synth_corpus(TINY_SYNTH)[0]
+    manifest = save_corpus(tiny, tmp_path / "corpus")
+    uid = tiny.splits.train_ids[1]
+    assert uid != min(tiny.features)
+    fs = tiny.features[uid]
+    corpus.write_feature_file(
+        manifest.parent / "features" / f"{uid}.feat",
+        replace(fs, frames=np.hstack([fs.frames, fs.frames[:, :1]])))
+    return manifest, uid
+
+
+def test_a_pool_task_checks_the_feature_dims_it_reads(tmp_path):
+    manifest, uid = _wider_train_file(tmp_path)
+    with pytest.raises(formats.DataError,
+                       match=f"inconsistent feature dims across corpus:"
+                             f" {uid} has 7, "):
+        pipeline._train_file("gmm", str(manifest),
+                             pipeline._merged(_TINY_RUN, "gmm"), 7)
+
+
+def test_a_train_file_of_another_dim_exits_2_in_a_pool_run(
+        tmp_path, monkeypatch, capsys):
+    pools, _ = _counted_pools(monkeypatch)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    manifest, uid = _wider_train_file(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(_TINY_RUN,
+                                      corpus={"manifest": str(manifest)})))
+    assert main(["run", str(config)]) == 2
+    assert pools == [2]
+    assert (f"data error: inconsistent feature dims across corpus: {uid}"
+            " has 7, ") in capsys.readouterr().err
+
+
+def test_the_parent_reads_one_feature_file_before_the_pool_starts(
+        tmp_path, monkeypatch):
+    """The i-vector dim check of a pool run reads one feature file, and the
+    pool starts before this process parses the others; it still parses
+    each of them, once."""
+    pools, _ = _counted_pools(monkeypatch)
+    reads = _counted_feature_reads(monkeypatch)
+    counted = pipeline._pool
+    before = []
+
+    def spied(workers):
+        before.append(len(reads))
+        return counted(workers)
+
+    monkeypatch.setattr(pipeline, "_pool", spied)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    result = run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
+    assert pools == [2] and before == [1]
+    first = min(result.corpus.features)
+    assert Counter(reads) == Counter({**dict.fromkeys(result.corpus.features,
+                                                      1), first: 2})
+
+
 def test_an_upstream_change_retrains_only_its_downstream_stages(
         tmp_path, monkeypatch):
     """A changed svr section rewrites the SVRs, the feature-fusion
@@ -509,6 +606,27 @@ def test_corrupt_inference_file_exits_2(tmp_path, capsys, cut):
     assert main(["run", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {emb}"), err
+
+
+def test_embeddings_round_trip_bit_for_bit(tmp_path):
+    """Random doubles of every exponent, subnormals, both zeros and the
+    extremes read back from embeddings_tsv with the same bits."""
+    rng = np.random.default_rng(41)
+    bits = rng.integers(0, 2 ** 64, size=4000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    tiny = np.finfo(np.float64).smallest_normal
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
+               np.nextafter(tiny, 0.0), np.finfo(np.float64).max,
+               np.finfo(np.float64).min, 1.0, np.nextafter(1.0, 2.0)]
+    values = np.concatenate([special, values[np.isfinite(values)]])
+    values = values[:len(values) // 8 * 8].reshape(-1, 8)
+    emb = {f"u{i:04d}": row for i, row in enumerate(values)}
+    path = tmp_path / "e.tsv"
+    path.write_text(pipeline.embeddings_tsv(emb), encoding="utf-8")
+    back = pipeline.read_embeddings(path, whole=True)
+    assert back.keys() == emb.keys()
+    assert all(back[u].view(np.uint64).tolist() == emb[u].view(np.uint64)
+               .tolist() for u in emb)
 
 
 # every cached stage of a _TINY_RUN, but the synth corpus's

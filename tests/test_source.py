@@ -2,7 +2,10 @@
 and a README that states the code's tables as the code holds them."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -94,3 +97,16 @@ def test_readme_lists_the_inference_files():
     assert sorted(re.findall(r"`([\w.]+)`", listed[1])) == sorted(
         file for files in pipeline.INFERENCE_FILES.values()
         for file in files if file)
+
+
+def test_cli_import_loads_no_pool_modules():
+    """Importing the CLI imports neither multiprocessing nor
+    concurrent.futures: only a run that trains in a pool does, so no other
+    subcommand's process pays for them."""
+    code = ("import sys, proscore.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
