@@ -37,8 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assess, dnf, flow, formats, gmm, gop, ivector, regress
-from .corpus import (Corpus, SynthConfig, load_corpus, read_feature_file,
-                     save_corpus, synth_corpus)
+from .corpus import Corpus, SynthConfig, load_corpus, save_corpus, synth_corpus
 
 
 class ConfigError(ValueError):
@@ -386,6 +385,10 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     failures = {}
     gop_file = model_dir / "gop.score"
     with _training(misses, corpus, manifest, cfg) as arrivals:
+        if "ivector" in misses:  # before any model is written
+            iv = _merged(cfg, "ivector")
+            ivector.check_dim(iv["dim"], iv["ubm_components"],
+                              next(iter(corpus.features.values())).dim)
         # GOP, which every fusion mode needs, reads the posteriorgrams and
         # alignments while the models train
         gop_key = _stamp("gop", gop_cfg, corpus_key,
@@ -461,18 +464,9 @@ def _training(names, corpus: Corpus, manifest: Path, cfg: dict):
     as they finish; else they arrive in that order and train() trains in
     this process. A worker loads `corpus` itself, from its `manifest`, so a
     task carries only small arguments and a worker that dies fails with
-    BrokenProcessPool. No worker outlives the block, on an error neither.
-    An i-vector extractor's dim is checked before any model trains: with a
-    pool, against one feature file, as this process parses the others only
-    once the workers run.
+    BrokenProcessPool. No worker outlives the block; if it raises, they die.
     """
     workers = min(_cpu_count(), len(names))
-    if "ivector" in names:
-        iv = _merged(cfg, "ivector")
-        first = corpus.files["features"][0]
-        fs = (corpus.features[first.stem] if workers < 2
-              else read_feature_file(first, first.stem))
-        ivector.check_dim(iv["dim"], iv["ubm_components"], fs.dim)
     if workers < 2:
         yield ((name, functools.partial(train_marginal, name, corpus,
                                         _merged(cfg, name), cfg["seed"]))
@@ -484,8 +478,18 @@ def _training(names, corpus: Corpus, manifest: Path, cfg: dict):
                                      _merged(cfg, name), cfg["seed"])
                    for name in names}
         yield ((name, future.result) for name, future in _arrivals(futures))
+    except BaseException:  # a fault of this process, or an interrupt
+        _kill_workers(pool)  # rather than wait for models that go unused
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _kill_workers(pool) -> None:
+    """SIGKILL `pool`'s workers through ProcessPoolExecutor's private
+    `_processes` (kill_workers() is Python 3.14's); without it, nothing."""
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        process.kill()
 
 
 def _train_file(name: str, manifest: str, section: dict, run_seed: int):
@@ -568,9 +572,17 @@ def score_gop(corpus: Corpus, section: dict, ids) -> dict:
             for uid in ids}
 
 
+def _train_ids(corpus: Corpus) -> tuple:
+    """The train split's utterance ids, which the marginal trainers fit."""
+    if not corpus.splits.train_ids:
+        raise formats.DataError("the train split is empty: no utterance to"
+                                " train on")
+    return corpus.splits.train_ids
+
+
 def train_gmm(corpus: Corpus, section: dict, seed: int):
     """Returns (model, EM trace) as `gmm.gmm_train` does."""
-    return gmm.gmm_train(corpus.frames_for(corpus.splits.train_ids),
+    return gmm.gmm_train(corpus.frames_for(_train_ids(corpus)),
                          int(section["components"]), int(section["iters"]),
                          seed)
 
@@ -580,7 +592,7 @@ def train_ivector(corpus: Corpus, ubm: gmm.GmmModel, section: dict,
     """T-matrix EM on the train split's statistics under a trained UBM;
     returns (model, evidence trace) as `ivector.tmatrix_train` does."""
     stats = ivector.ubm_stats(ubm, [corpus.features[uid]
-                                    for uid in corpus.splits.train_ids])
+                                    for uid in _train_ids(corpus)])
     return ivector.tmatrix_train(ubm, stats, int(section["dim"]),
                                  int(section["iters"]), seed)
 
@@ -594,7 +606,7 @@ def _adam(section: dict, seed: int) -> flow.AdamConfig:
 def train_flow(corpus: Corpus, section: dict, seed: int):
     """Returns (model, NLL trace): per epoch the mean of its minibatch
     losses, the last entry the full train-split NLL of the model."""
-    frames = corpus.frames_for(corpus.splits.train_ids)
+    frames = corpus.frames_for(_train_ids(corpus))
     base = flow.build_flow(frames.shape[1], int(section["layers"]),
                            int(section["width"]), seed=seed)
     return flow.flow_train(base, frames, _adam(section, seed))
@@ -605,7 +617,7 @@ def train_dnf(corpus: Corpus, section: dict, seed: int):
     are dropped and the rest renumbered densely. Returns (model, NLL
     trace) as `train_flow` does."""
     num_classes = int(section["classes"])
-    train_ids = corpus.splits.train_ids
+    train_ids = _train_ids(corpus)
     _check_ids(train_ids, corpus.labels, "label")
     utt_class = dnf.classes_from_mean_scores(
         [corpus.labels[uid].mean_score for uid in train_ids], num_classes)

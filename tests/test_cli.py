@@ -905,6 +905,56 @@ def test_manifest_run_ivector_dim_above_its_bound_exits_2_before_training(
     assert list((tmp_path / "models").iterdir()) == []
 
 
+def _without_train_split(manifest, d) -> Path:
+    """A copy of the corpus of `manifest` whose splits list every train
+    utterance as dev, and the copy's manifest."""
+    root = d / "corpus"
+    shutil.copytree(Path(manifest).parent, root)
+    splits = root / "splits.tsv"
+    splits.write_text(splits.read_text().replace("\ttrain\n", "\tdev\n"))
+    return root / "manifest.tsv"
+
+
+def _run_config(m, d) -> list:
+    """The argv of a `run` of GOP, a GMM and an NF on the corpus of
+    manifest `m[1]`."""
+    cfg = {"seed": 1, "corpus": {"manifest": m[1]},
+           "systems": ["gop", "gmm", "nf"],
+           "gmm": {"components": 2, "iters": 2},
+           "nf": {"layers": 2, "width": 8, "epochs": 1}}
+    return ["run", _text_file(d / "cfg.json", json.dumps(cfg))]
+
+
+@pytest.mark.parametrize("workers, argv", [
+    pytest.param(1, _run_config, id="run-1-worker"),
+    pytest.param(2, _run_config, id="run-2-workers"),
+    pytest.param(1, lambda m, d: [
+        "train-gmm", *m, "--components", "2", "--out", str(d / "m")],
+        id="train-gmm"),
+    pytest.param(1, lambda m, d: [
+        "train-flow", *m, "--epochs", "1", "--out", str(d / "m")],
+        id="train-flow"),
+    pytest.param(1, lambda m, d: [
+        "train-dnf", *m, "--epochs", "1", "--out", str(d / "m")],
+        id="train-dnf"),
+    pytest.param(1, lambda m, d: [
+        "train-ivector", *m, "--dim", "2", "--out", str(d / "m"),
+        "--ubm", _saved(d, "u.pgmm", gmm.GmmModel(
+            np.full(2, 0.5), np.zeros((2, 6)), np.ones((2, 6))))],
+        id="train-ivector"),
+])
+def test_an_empty_train_split_exits_2(corpus_dir, tmp_path, monkeypatch,
+                                      capsys, workers, argv):
+    """Each marginal trainer names an empty train split as a data error,
+    in a run's workers and in this process alike."""
+    manifest = _without_train_split(corpus_dir[1], tmp_path)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
+    assert main(argv(["--manifest", str(manifest)], tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "data error: the train split is empty: no utterance to train on\n")
+    assert not (tmp_path / "m").exists()
+
+
 # a stage flag's value that its config section may not hold
 _BAD_STAGE_FLAGS = [
     (["train-gmm", "--components", "0"], "gmm.components must be >= 1"),

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from proscore.corpus import (SPLITS, Corpus, FeatureSequence, PhoneAlignment,
+from proscore.corpus import (SPLITS, FeatureSequence, PhoneAlignment,
                              PhonePrior, PosteriorGram, RatedUtterance,
                              SplitManifest, SynthConfig, load_corpus,
                              save_corpus, synth_corpus, write_manifest)
@@ -214,13 +214,3 @@ def test_load_missing_manifest_role(tmp_path):
     manifest.write_text("features\tfeatures\n")
     with pytest.raises(DataError, match="missing roles"):
         load_corpus(manifest)
-
-
-def test_validate_catches_cross_references(tiny_corpus):
-    corpus, _ = tiny_corpus
-    uid = sorted(corpus.features)[0]
-    bad = Corpus(dict(corpus.features), dict(corpus.alignments),
-                 dict(corpus.posteriors), dict(corpus.labels), corpus.splits)
-    bad.alignments["ghost"] = corpus.alignments[uid]
-    with pytest.raises(DataError, match="unknown utterance"):
-        bad.validate()

@@ -387,15 +387,14 @@ def test_pool_tasks_go_in_marginals_order(tmp_path, monkeypatch):
 
 def _counted_feature_reads(monkeypatch) -> list:
     """The utterance of each feature file that this process parses from
-    now, by the corpus's parser or the pipeline's."""
-    read, reads = corpus.read_feature_file, []
+    now, whichever module calls the parser."""
+    read, reads = corpus._read_frames, []
 
-    def counted(path, uid):
-        reads.append(uid)
-        return read(path, uid)
+    def counted(f):
+        reads.append(Path(f.name).stem)
+        return read(f)
 
-    for module in (corpus, pipeline):
-        monkeypatch.setattr(module, "read_feature_file", counted)
+    monkeypatch.setattr(corpus, "_read_frames", counted)
     return reads
 
 
@@ -422,12 +421,12 @@ def test_a_pool_task_parses_only_the_train_split(tmp_path, monkeypatch,
         _model_bytes(whole, tmp_path / "b")
 
 
-def _wider_train_file(tmp_path) -> tuple:
-    """A tiny manifest corpus in which one train-split feature file, not
+def _wider_file(tmp_path, split="train") -> tuple:
+    """A tiny manifest corpus in which one feature file of `split`, not
     the first of the corpus or of the split, has 7 dims, and its uid."""
     tiny = synth_corpus(TINY_SYNTH)[0]
     manifest = save_corpus(tiny, tmp_path / "corpus")
-    uid = tiny.splits.train_ids[1]
+    uid = tiny.splits.ids(split)[1]
     assert uid != min(tiny.features)
     fs = tiny.features[uid]
     corpus.write_feature_file(
@@ -437,7 +436,7 @@ def _wider_train_file(tmp_path) -> tuple:
 
 
 def test_a_pool_task_checks_the_feature_dims_it_reads(tmp_path):
-    manifest, uid = _wider_train_file(tmp_path)
+    manifest, uid = _wider_file(tmp_path)
     with pytest.raises(formats.DataError,
                        match=f"inconsistent feature dims across corpus:"
                              f" {uid} has 7, "):
@@ -449,7 +448,7 @@ def test_a_train_file_of_another_dim_exits_2_in_a_pool_run(
         tmp_path, monkeypatch, capsys):
     pools, _ = _counted_pools(monkeypatch)
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
-    manifest, uid = _wider_train_file(tmp_path)
+    manifest, uid = _wider_file(tmp_path)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(dict(_TINY_RUN,
                                       corpus={"manifest": str(manifest)})))
@@ -459,11 +458,11 @@ def test_a_train_file_of_another_dim_exits_2_in_a_pool_run(
             " has 7, ") in capsys.readouterr().err
 
 
-def test_the_parent_reads_one_feature_file_before_the_pool_starts(
+def test_the_parent_parses_no_feature_file_before_the_pool_starts(
         tmp_path, monkeypatch):
-    """The i-vector dim check of a pool run reads one feature file, and the
-    pool starts before this process parses the others; it still parses
-    each of them, once."""
+    """The pool of a run starts before this process parses any feature
+    file, the i-vector dim check's included; it then parses each of them
+    once."""
     pools, _ = _counted_pools(monkeypatch)
     reads = _counted_feature_reads(monkeypatch)
     counted = pipeline._pool
@@ -476,10 +475,8 @@ def test_the_parent_reads_one_feature_file_before_the_pool_starts(
     monkeypatch.setattr(pipeline, "_pool", spied)
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     result = run_pipeline(dict(_TINY_RUN, work_dir=str(tmp_path)))
-    assert pools == [2] and before == [1]
-    first = min(result.corpus.features)
-    assert Counter(reads) == Counter({**dict.fromkeys(result.corpus.features,
-                                                      1), first: 2})
+    assert pools == [2] and before == [0]
+    assert sorted(reads) == sorted(result.corpus.features)
 
 
 def test_an_upstream_change_retrains_only_its_downstream_stages(
@@ -1023,6 +1020,50 @@ def test_killed_run_leaves_no_process_and_no_file(tmp_path):
     config.write_text(json.dumps(cfg))
     assert main(["run", str(config)]) == 0
     assert list(tmp_path.glob("tmp*")) == []
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the session's processes are listed from /proc")
+@pytest.mark.parametrize("fault", ["eval-feature-dim", "ivector-dim"])
+def test_a_fault_this_process_finds_stops_the_workers(tmp_path, fault):
+    """A data fault that the calling process finds while two workers train,
+    an eval feature file of another dim (which no worker reads) or an
+    i-vector dim above its bound, kills the workers at once: the run exits
+    2 long before the NF's 100000 epochs end, writes no model and leaves
+    no process behind."""
+    cfg = dict(_TINY_RUN, systems=["gop", "gmm", "nf"],
+               nf=dict(_TINY_FLOW, epochs=100000))
+    if fault == "eval-feature-dim":
+        manifest, uid = _wider_file(tmp_path, "eval")
+        message = f"inconsistent feature dims across corpus: {uid} has 7, "
+    else:
+        manifest = save_corpus(synth_corpus(TINY_SYNTH)[0], tmp_path / "corpus")
+        cfg.update(systems=cfg["systems"] + ["ivector"],
+                   ivector=dict(_TINY_RUN["ivector"], dim=13))
+        message = "i-vector dim R=13 must be <= K*D=12"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(cfg, corpus={"manifest": str(manifest)})))
+    run = ("from proscore import cli, pipeline\n"
+           "pipeline._cpu_count = lambda: 2\n"
+           f"raise SystemExit(cli.main(['run', {str(config)!r}]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", run], env=_env({}),
+                            start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 2
+        assert err.startswith(f"data error: {message}")
+        deadline = time.monotonic() + 5
+        while _session(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the session is gone, as it should be
+            pass
+        proc.wait()
+    assert list((tmp_path / "models").iterdir()) == []
 
 
 def test_one_utterance_dev_split_fails_before_training(tmp_path, capsys):

@@ -78,6 +78,22 @@ def test_every_private_module_name_is_referenced():
     assert dead == []
 
 
+def test_only_the_corpus_module_reads_corpus_files():
+    """No module but corpus.py imports or names a reader of corpus files,
+    so a corpus is read and checked on one path: load_corpus."""
+    readers = {"read_feature_file", "read_posteriorgram_file",
+               "read_alignment_file", "read_labels_file", "read_splits_file",
+               "read_manifest"}
+    named = {}
+    for name, tree in TREES.items():
+        names = set(_loaded_names(tree)) | {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if name != "corpus.py" and names & readers:
+            named[name] = sorted(names & readers)
+    assert named == {}
+
+
 def test_readme_format_table_is_the_version_table():
     rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| (\d+) \|$", README, re.M)
     assert {magic: int(version) for magic, version in rows} == formats.VERSIONS
