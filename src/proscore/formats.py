@@ -198,11 +198,11 @@ def read_tsv(path, columns=None, keyed=False, whole=False):
 
 def check_key(first: dict, key: str, where: str) -> None:
     """Note that line `where` ("PATH:LINE") holds `key`, in `first` (key ->
-    line); a DataError if an earlier line holds it."""
-    lineno = where.rpartition(":")[2]
-    if first.setdefault(key, lineno) != lineno:
+    the first line that holds it); a DataError if an earlier line holds it."""
+    earlier = first.setdefault(key, where)
+    if earlier != where:
         raise DataError(f"{where}: {key} is listed twice"
-                        f" (first on line {first[key]})")
+                        f" (first on line {earlier.rpartition(':')[2]})")
 
 
 def parse(where: str, convert, *values) -> list:

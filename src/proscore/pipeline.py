@@ -1,22 +1,23 @@
 """End-to-end experiment pipeline: synthesize, train, score, fuse, report.
 
-Stages run in dependency order and cache their artifacts on disk keyed by
-a content digest of their inputs and config section, so re-running a
+Stages run in dependency order and cache their artifacts on disk keyed
+by a content digest of their inputs and config section, so re-running a
 config recomputes only what changed, and a run whose stages all hit
 parses no frame and trains nothing. All stages are deterministic given
 the config and seed. The marginal models (GMM, i-vector, NF, DNF) read
 only the corpus, so those that miss the cache train at once, in spawned
 worker processes, as many as this process has CPUs, while this process
 scores GOP. It then takes each model as it arrives, cache hits first: it
-writes the model's file and stamp and at once runs what follows from it
-(inference, SVR, fusion) while the others still train. Every process
-runs one BLAS thread (see the package docstring), so where a model
-trains changes none of its bytes. The report keeps a fixed row order. The stage functions below
+writes the model, its tables and its stamp, and at once runs what follows
+from them (SVR, fusion) while the others still train; a stage that hits
+reads its tables and no model file. Every process runs one BLAS thread
+(see the package docstring), so where a model trains changes none of its
+bytes. The report keeps a fixed row order. The stage functions below
 `run_pipeline` are also what the CLI subcommands call, so a step-by-step
 CLI chain with the stage seeds reproduces the models of a run. Each
-trainer returns (model, trace). `check_section` checks a config section's
-settings, for `run` and for a subcommand's stage flags alike, before any
-file is read; the stage functions check none of them again.
+trainer returns (model, trace). `check_section` checks a config
+section's settings, for `run` and for a subcommand's stage flags alike,
+before any file is read; the stage functions check none of them again.
 """
 
 from __future__ import annotations
@@ -290,6 +291,7 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
     train_ids = list(corpus.splits.train_ids)
     dev_ids = list(corpus.splits.dev_ids)
     eval_ids = list(corpus.splits.eval_ids)
+    scored_ids = sorted(dev_ids + eval_ids)  # those that an SVR predicts
     all_ids = sorted(corpus.features)
     _check_ids(all_ids, corpus.labels, "label")  # before any stage trains
     label_means = {uid: corpus.labels[uid].mean_score for uid in corpus.labels}
@@ -318,42 +320,59 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
 
     svr_cfg = _merged(cfg, "svr")
     gop_cfg = _merged(cfg, "gop")
-    # cached stage -> its stamp; an SVR's joins when its model arrives
-    stamps = {name: _stamp(name, _merged(cfg, name), corpus_key, seed)
-              for name in names}
-    fused = {}  # system -> (lambda, fused eval table) of its score fusion
 
     def model_file(name):  # NAME.MAGIC; an svr_* stage's model is an SVR
         magic = _codecs()[name.split("_")[0]][1]
         return model_dir / f"{name}.{magic.lower()}"
 
-    def cached(name, train):
-        path = model_file(name)
-        return cache.run(name, stamps[name], [path.name],
-                         lambda: save_model(path, train()),
-                         lambda: load_model(path))
+    def artifacts(name):  # a marginal stage's files: its model and tables
+        return [model_file(name).name, *filter(None, INFERENCE_FILES[name])]
 
-    def downstream(name, model):
-        """The report rows and score fusion of marginal model `name`, from
-        one inference pass of it, cached as its INFERENCE_FILES."""
-        loglik, emb = cache.run(
-            f"infer_{name}", _stamp("infer", stamps[name]),
-            [file for file in INFERENCE_FILES[name] if file],
-            lambda: save_inference(model_dir, name,
-                                   infer(model, corpus.features)),
-            lambda: load_inference(model_dir, name, all_ids))
+    # a marginal stage's stamp covers its files' names: a work dir whose
+    # model was stamped before its tables were written is not served them
+    stamps = {name: _stamp(name, _merged(cfg, name), corpus_key, seed,
+                           artifacts(name))
+              for name in names}
+    fused = {}  # system -> (lambda, fused eval table) of its score fusion
+
+    def marginal(name, train):
+        """(log-likelihoods, embeddings) of marginal model `name`: on a
+        miss, train() gives the model, which is saved and run once over the
+        corpus, its tables written as its INFERENCE_FILES; on a hit, those
+        files are read, and not the model."""
+        files = [file and model_dir / file for file in INFERENCE_FILES[name]]
+
+        def compute():
+            tables = infer(save_model(model_file(name), train()[0]),
+                           corpus.features)
+            return tuple(path and save_table(path, table)
+                         for path, table in zip(files, tables))
+
+        return cache.run(
+            name, stamps[name], artifacts(name), compute,
+            lambda: tuple(path and load_table(path, all_ids, vectors)
+                          for path, vectors in zip(files, (False, True))))
+
+    def downstream(name, loglik, emb):
+        """The report rows and score fusion of marginal model `name`."""
         if loglik is not None:
             row(f"{name}_loglik", eval_pcc(loglik))
         if emb is None:
             return
-        stamps[f"svr_{name}"] = _stamp("svr", svr_cfg, stamps[name])
-        svr = cached(f"svr_{name}", lambda: train_svr(corpus, emb, svr_cfg))
-        pred = predict(svr, emb, all_ids)
+        # its SVR's stage keeps the SVR and its dev and eval predictions,
+        # all that the report and score fusion read
+        svr, path = model_file(f"svr_{name}"), model_dir / f"svr_{name}.pred"
+        pred = cache.run(
+            f"svr_{name}", _stamp("svr", svr_cfg, stamps[name]),
+            [svr.name, path.name],
+            lambda: save_table(path, predict(save_model(
+                svr, train_svr(corpus, emb, svr_cfg)), emb, scored_ids)),
+            lambda: load_table(path, scored_ids))
         row(f"{name}_svr", eval_pcc(pred))
         if "score" in fusion_cfg["modes"]:
             table = assess.ScoreTable(tuple(
                 assess.ScoreRow(u, gop_scores[u], pred[u], label_means[u])
-                for u in all_ids))
+                for u in scored_ids))
             lam, fused_eval = fused[name] = fuse(
                 table.subset(eval_ids), table.subset(dev_ids), fusion_cfg)
             row(f"gop+{name}_score_fusion",
@@ -369,18 +388,18 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                     np.array([emb[u] for u in order]),
                     np.array([gop_scores[u] for u in order]))
                 by_uid = dict(zip(order, fused_X))
-                return save_scores(path, predict(
+                return save_table(path, predict(
                     train_svr(corpus, by_uid, svr_cfg), by_uid, eval_ids))
 
             row(f"gop+{name}_feature_fusion", eval_pcc(cache.run(
                 f"ff_{name}", _stamp("ff", svr_cfg, stamps[name], gop_key),
                 [path.name], feature_fusion,
-                lambda: load_scores(path, eval_ids))))
+                lambda: load_table(path, eval_ids))))
 
-    # ---- marginal models: the cache misses train at once; each model is
-    # saved, stamped and followed downstream as it arrives, cache hits first
+    # ---- marginal models: the cache misses train at once; each stage is
+    # computed or read and followed downstream as it arrives, hits first
     misses = [name for name in stamps
-              if not cache.hit(name, stamps[name], [model_file(name).name])]
+              if not cache.hit(name, stamps[name], artifacts(name))]
     hits = [(name, None) for name in stamps if name not in misses]
     failures = {}
     gop_file = model_dir / "gop.score"
@@ -395,14 +414,14 @@ def run_pipeline(cfg: dict, force: bool = False) -> PipelineResult:
                          corpus.digest("posteriors", "alignments"))
         gop_scores = cache.run(
             "gop", gop_key, [gop_file.name],
-            lambda: save_scores(gop_file, score_gop(corpus, gop_cfg, all_ids)),
-            lambda: load_scores(gop_file, all_ids))
+            lambda: save_table(gop_file, score_gop(corpus, gop_cfg, all_ids)),
+            lambda: load_table(gop_file, all_ids))
         corpus.release("posteriors", "alignments")  # no other stage reads them
         row("gop", eval_pcc(gop_scores))
         for name, train in itertools.chain(hits, arrivals):
             _release_heap()
             try:
-                downstream(name, cached(name, lambda: train()[0]))
+                downstream(name, *marginal(name, train))
             except Exception as exc:  # the others are still saved
                 failures[name] = exc
     if failures:  # the same one whatever order the models arrived in
@@ -669,22 +688,25 @@ def fuse(table: assess.ScoreTable, dev_table: assess.ScoreTable,
 def infer(model, features: dict):
     """(mean frame log-likelihood, embedding) of each feature sequence in
     `features`, as two dicts by utterance id from one pass of the model. A
-    GMM gives no embeddings and an i-vector extractor no log-likelihoods, so
-    that dict is None; both are None for any other model (an SVR)."""
+    GMM gives no embeddings, and an i-vector extractor and a DNF (whose
+    classes share its backbone) no log-likelihoods, so that dict is None;
+    both are None for any other model (an SVR)."""
     if isinstance(model, gmm.GmmModel):
         return {uid: gmm.gmm_loglik(model, fs)[1]
                 for uid, fs in features.items()}, None
     if isinstance(model, ivector.IVectorModel):
         return None, dict(zip(features, ivector.ivector_infer(
             model, ivector.ubm_stats(model.ubm, features.values()))))
-    backbone = model.backbone if isinstance(model, dnf.DnfModel) else model
+    is_dnf = isinstance(model, dnf.DnfModel)
+    backbone = model.backbone if is_dnf else model
     if not isinstance(backbone, flow.FlowModel):
         return None, None
-    logliks, embeddings = {}, {}
+    logliks, embeddings = None if is_dnf else {}, {}
     for uid, fs in features.items():
         z, logdet = flow.flow_transform(
             backbone, "inverse", flow.utterance_frames(backbone, fs))
-        logliks[uid] = float(flow.log_density(z, logdet).mean())
+        if logliks is not None:
+            logliks[uid] = float(flow.log_density(z, logdet).mean())
         embeddings[uid] = z.mean(axis=0)
     return logliks, embeddings
 
@@ -722,58 +744,34 @@ def read_embeddings(path, columns=None, whole=False) -> dict:
 
 
 def embeddings_tsv(emb: dict) -> str:
-    """The embeddings TSV of `emb` (uid -> vector): one row per utterance,
-    in uid order, the layout of `proscore embed` and the inference files."""
-    return formats.tsv((uid, *emb[uid]) for uid in sorted(emb))
+    """The embeddings TSV of `emb` (uid -> vector or value): one row per
+    utterance, in uid order, the layout of `proscore embed` and of every
+    cached table."""
+    return formats.tsv((uid, *np.atleast_1d(emb[uid])) for uid in sorted(emb))
 
 
-# the files of each marginal model's inference stage: its (log-likelihoods,
-# embeddings) that a report row uses, None for those that none uses
+# the tables of each marginal model's stage: the (log-likelihoods,
+# embeddings) that infer() gives, None for those that it does not
 INFERENCE_FILES = {"gmm": ("gmm.loglik", None), "nf": ("nf.loglik", "nf.emb"),
                    "dnf": (None, "dnf.emb"), "ivector": (None, "ivector.emb")}
 
 
-def save_scores(path: Path, scores: dict) -> dict:
-    """Write `scores` (uid -> value) as an embeddings TSV of one value per
-    row, as the `.loglik` files, GOP and the feature-fusion predictions are
-    cached; returns them."""
-    path.write_text(embeddings_tsv({uid: (v,) for uid, v in scores.items()}),
-                    encoding="utf-8")
-    return scores
+def save_table(path: Path, table: dict) -> dict:
+    """Write `table` as its embeddings TSV, as every cached table is
+    stored; returns it."""
+    path.write_text(embeddings_tsv(table), encoding="utf-8")
+    return table
 
 
-def load_scores(path: Path, ids, columns=2) -> dict:
-    """What save_scores wrote, or with `columns` None the embeddings that
-    embeddings_tsv wrote, for the utterances `ids`; a file cut short or
-    without one row for each of `ids` is a DataError that names it."""
-    rows = read_embeddings(path, columns, whole=True)
+def load_table(path: Path, ids, vectors=False) -> dict:
+    """What save_table wrote of a table of values, or with `vectors` of
+    vectors, for the utterances `ids`; a file cut short or without one row
+    for each of `ids` is a DataError that names it."""
+    rows = read_embeddings(path, None if vectors else 2, whole=True)
     if rows.keys() != set(ids):
         raise formats.DataError(
             f"{path}: {len(rows)} rows for {len(ids)} utterances")
-    return rows if columns is None else {uid: float(v[0])
-                                         for uid, v in rows.items()}
-
-
-def save_inference(model_dir: Path, name: str, values) -> tuple:
-    """Write infer()'s (log-likelihoods, embeddings) `values` of marginal
-    model `name` to its INFERENCE_FILES; returns what it wrote, None for
-    the rest."""
-    loglik_file, emb_file = INFERENCE_FILES[name]
-    loglik, emb = values
-    if loglik_file:
-        save_scores(model_dir / loglik_file, loglik)
-    if emb_file:
-        (model_dir / emb_file).write_text(embeddings_tsv(emb),
-                                          encoding="utf-8")
-    return loglik if loglik_file else None, emb if emb_file else None
-
-
-def load_inference(model_dir: Path, name: str, ids) -> tuple:
-    """What save_inference wrote of marginal model `name`, for the
-    utterances `ids`, as load_scores reads it."""
-    return tuple(None if file is None else load_scores(model_dir / file, ids,
-                                                       columns)
-                 for file, columns in zip(INFERENCE_FILES[name], (2, None)))
+    return rows if vectors else {uid: float(v[0]) for uid, v in rows.items()}
 
 
 def _codecs() -> dict:

@@ -46,8 +46,7 @@ def test_spans_record_each_cached_stage_as_missed_then_hit(tmp_path):
                                       "run", str(config))
                      if s["name"] == "pipeline.stage")
               for run in ("first", "rerun")]
-    names = ("ff_ivector", "gmm", "gop", "infer_gmm", "infer_ivector",
-             "ivector", "svr_ivector", "synth")
+    names = ("ff_ivector", "gmm", "gop", "ivector", "svr_ivector", "synth")
     assert stages == [[(name, hit) for name in names]
                       for hit in (False, True)]
 

@@ -668,19 +668,24 @@ def test_model_of_another_dim_names_the_utterance(corpus_dir, tmp_path, capsys,
     ("embed", "gmm", "gmm models give no embeddings"),
     ("embed", "svr", "svr models give no embeddings"),
     ("score", "ivector", "ivector models give no frame log-likelihood"),
+    ("score", "dnf", "dnf models give no frame log-likelihood"),
     ("score", "svr", "svr models give no frame log-likelihood")])
 def test_model_without_the_value_exits_2(corpus_dir, tmp_path, capsys,
                                          command, system, message):
     """embed needs a model that gives embeddings, score --model one that
-    gives frame log-likelihoods."""
+    gives frame log-likelihoods: a DNF's classes share its backbone, whose
+    N(0, I) density is no class's likelihood."""
     _, manifest = corpus_dir
     ubm = gmm.GmmModel(np.ones(1), np.zeros((1, 6)), np.ones((1, 6)))
     path = tmp_path / f"model.{system}"
     if system == "svr":
         path = _svr_of_dim_2(tmp_path)
     else:
-        save_model(path, ubm if system == "gmm"
-                   else ivector.IVectorModel(ubm, np.ones((1, 6, 2))))
+        save_model(path, {
+            "gmm": ubm,
+            "ivector": ivector.IVectorModel(ubm, np.ones((1, 6, 2))),
+            "dnf": dnf.DnfModel(flow.build_flow(6, 2, 4), np.zeros((1, 6)))
+        }[system])
     out = tmp_path / "out.tsv"
     assert main([command, "--manifest", str(manifest), "--out", str(out),
                  "--model", str(path)]) == 2

@@ -262,16 +262,16 @@ def test_infer_equals_the_public_functions(tiny_models):
     tiny, models = tiny_models
     out = {name: pipeline.infer(m, tiny.features) for name, m in models.items()}
     assert out["gmm"][1] is None and out["ivector"][0] is None
+    assert out["dnf"][0] is None  # its classes share the backbone
     ivectors = ivector.ivector_infer(models["ivector"], ivector.ubm_stats(
         models["ivector"].ubm, tiny.features.values()))
     assert list(out["ivector"][1]) == list(tiny.features)
     for (uid, fs), iv in zip(tiny.features.items(), ivectors):
         assert out["gmm"][0][uid] == gmm.gmm_loglik(models["gmm"], fs)[1]
         np.testing.assert_array_equal(out["ivector"][1][uid], iv)
+        assert out["nf"][0][uid] == \
+            flow.flow_logprob(models["nf"], fs.frames).mean()
         for name, embed in (("nf", flow.flow_embed), ("dnf", dnf.dnf_embed)):
-            backbone = models["nf"] if name == "nf" else models["dnf"].backbone
-            assert out[name][0][uid] == \
-                flow.flow_logprob(backbone, fs.frames).mean()
             np.testing.assert_array_equal(out[name][1][uid],
                                           embed(models[name], fs))
 
@@ -368,9 +368,9 @@ def test_one_and_two_workers_write_the_same_files(tmp_path, monkeypatch):
     for uid in full.splits.train_ids:
         np.testing.assert_array_equal(loaded.features[uid].frames,
                                       full.features[uid].frames)
-    # 7 models, 5 inference files, GOP, 3 feature-fusion predictions and
-    # the stamps of 15 stages
-    assert len(out[1][0]) == 31
+    # 7 models, 5 inference files, GOP, 3 SVR and 3 feature-fusion
+    # prediction files and the stamps of 11 stages
+    assert len(out[1][0]) == 30
     assert out[1] == out[2]
     assert b"gop+ivector_score_fusion" in out[1][1]
 
@@ -481,9 +481,9 @@ def test_the_parent_parses_no_feature_file_before_the_pool_starts(
 
 def test_an_upstream_change_retrains_only_its_downstream_stages(
         tmp_path, monkeypatch):
-    """A changed svr section rewrites the SVRs, the feature-fusion
+    """A changed svr section rewrites the SVRs, the SVR and feature-fusion
     predictions and their stamps alone, and a changed i-vector section the
-    i-vector extractor, its inference, its SVR and its feature fusion
+    i-vector extractor and its embeddings, its SVR and its feature fusion
     alone; the other files keep their bytes and mtimes."""
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
     cfg = dict(_TINY_RUN, work_dir=str(tmp_path))
@@ -498,14 +498,15 @@ def test_an_upstream_change_retrains_only_its_downstream_stages(
 
     svr = {"C": 2.0}
     assert rewritten(svr=svr) == [
-        f"{stage}_{name}.{ext}" for stage, exts in (("ff", ("digest", "pred")),
-                                                    ("svr", ("digest", "psvr")))
+        f"{stage}_{name}.{ext}"
+        for stage, exts in (("ff", ("digest", "pred")),
+                            ("svr", ("digest", "pred", "psvr")))
         for name in ("dnf", "ivector", "nf") for ext in exts]
     ivector = dict(_TINY_RUN["ivector"], ubm_iters=4)
     assert rewritten(svr=svr, ivector=ivector) == [
-        "ff_ivector.digest", "ff_ivector.pred", "infer_ivector.digest",
-        "ivector.digest", "ivector.emb", "ivector.pivm", "svr_ivector.digest",
-        "svr_ivector.psvr"]
+        "ff_ivector.digest", "ff_ivector.pred", "ivector.digest",
+        "ivector.emb", "ivector.pivm", "svr_ivector.digest",
+        "svr_ivector.pred", "svr_ivector.psvr"]
 
 
 def test_cached_rerun_starts_no_pool(tmp_path, monkeypatch):
@@ -536,9 +537,10 @@ def _counted_infer(monkeypatch) -> list:
 
 
 def test_cached_rerun_reads_the_inference_files(tmp_path, monkeypatch):
-    """A fully cached rerun runs no inference pass and writes no file under
-    models/ or corpus/; its report is the first run's. --force runs one
-    pass per marginal model again."""
+    """A fully cached rerun opens no model file, runs no inference pass,
+    trains and runs no SVR and writes no file under models/ or corpus/;
+    its report is the first run's. --force runs one pass per marginal
+    model again."""
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(_TINY_RUN))
@@ -548,12 +550,19 @@ def test_cached_rerun_reads_the_inference_files(tmp_path, monkeypatch):
     assert sorted(p.name for p in files[0] if p.suffix in (".emb", ".loglik")) \
         == ["dnf.emb", "gmm.loglik", "ivector.emb", "nf.emb", "nf.loglik"]
 
-    def no_infer(model, features):
-        raise AssertionError("a fully cached rerun ran inference")
+    load, opened = formats.load, []
+
+    def counted(path, *args, **kwargs):
+        opened.append(Path(path).suffix)
+        return load(path, *args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(pipeline, "infer", no_infer)
+        _refuse(m, (pipeline, "infer"), (regress, "svr_train"),
+                (regress, "svr_predict_batch"))
+        m.setattr(formats, "load", counted)
         assert main(["run", str(config)]) == 0
+    assert opened and not set(opened) & {".pgmm", ".pivm", ".pnf1", ".pdnf",
+                                         ".psvr"}
     assert (_files(tmp_path / "models"), _files(tmp_path / "corpus")) == files
     assert (tmp_path / "reports" / "report.tsv").read_bytes() == report
     calls = _counted_infer(monkeypatch)
@@ -565,9 +574,9 @@ def test_cached_rerun_reads_the_inference_files(tmp_path, monkeypatch):
 
 
 def test_no_stale_inference_file_is_served(tmp_path, monkeypatch):
-    """An inference file without its stamp, as a run cut short leaves it,
-    and one stamped for another model are both computed again, and only
-    they."""
+    """An inference file without its stage's stamp, as a run cut short
+    leaves it, and one stamped for another model are both computed again
+    with their models, and only they."""
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
     cfg = dict(_TINY_RUN, work_dir=str(tmp_path / "a"))
     first = run_pipeline(cfg)
@@ -575,14 +584,41 @@ def test_no_stale_inference_file_is_served(tmp_path, monkeypatch):
     files = {p: b for p, (b, _) in _files(models).items()}
     nf = dict(_TINY_FLOW, epochs=2)
     run_pipeline(dict(cfg, work_dir=str(tmp_path / "b"), nf=nf))
-    for name in ("nf.emb", "nf.loglik", "infer_nf.digest"):  # another NF's
+    for name in ("nf.emb", "nf.loglik", "nf.digest"):  # another NF's
         shutil.copy(tmp_path / "b" / "models" / name, models / name)
     emb = models / "ivector.emb"  # cut short, and its stamp not yet written
     emb.write_bytes(emb.read_bytes()[:len(emb.read_bytes()) // 2])
-    (models / "infer_ivector.digest").unlink()
+    (models / "ivector.digest").unlink()
     calls = _counted_infer(monkeypatch)
     rerun = run_pipeline(cfg)
     assert sorted(calls) == ["ivector", "nf"]
+    assert {p: b for p, (b, _) in _files(models).items()} == files
+    assert rerun.report_rows == first.report_rows
+
+
+def test_a_model_stamped_without_its_tables_is_run_again(tmp_path,
+                                                         monkeypatch):
+    """A marginal stage's stamp covers the names of the files it writes.
+    So a work dir whose NF stamp is under the key that the stage had when
+    its inference pass was a stage of its own, which was written before
+    that pass ran, is trained and run again, though the tables beside it
+    are another NF's: a run cut short between the two leaves this."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+    cfg = dict(_TINY_RUN, work_dir=str(tmp_path / "a"))
+    first = run_pipeline(cfg)
+    models = tmp_path / "a" / "models"
+    files = {p: b for p, (b, _) in _files(models).items()}
+    run_pipeline(dict(cfg, work_dir=str(tmp_path / "b"),
+                      nf=dict(_TINY_FLOW, epochs=2)))
+    for name in ("nf.emb", "nf.loglik"):
+        shutil.copy(tmp_path / "b" / "models" / name, models / name)
+    corpus_key = load_corpus(tmp_path / "a" / "corpus" / "manifest.tsv") \
+        .digest("features", "labels", "splits")
+    (models / "nf.digest").write_text(pipeline._stamp(
+        "nf", pipeline._merged(cfg, "nf"), corpus_key, cfg["seed"]))
+    calls = _counted_infer(monkeypatch)
+    rerun = run_pipeline(cfg)
+    assert calls == ["nf"]
     assert {p: b for p, (b, _) in _files(models).items()} == files
     assert rerun.report_rows == first.report_rows
 
@@ -628,7 +664,6 @@ def test_embeddings_round_trip_bit_for_bit(tmp_path):
 
 # every cached stage of a _TINY_RUN, but the synth corpus's
 _TINY_STAGES = sorted([*pipeline.MARGINALS, "gop",
-                       *(f"infer_{name}" for name in pipeline.MARGINALS),
                        *(f"{stage}_{name}" for stage in ("svr", "ff")
                          for name in pipeline.EMBEDDED)])
 
@@ -1148,9 +1183,9 @@ def test_arrival_order_changes_no_output(tmp_path, monkeypatch):
                         "svr_dnf.psvr", "ivector.pivm", "svr_ivector.psvr"]
     assert order[2] == ["ivector.pivm", "svr_ivector.psvr", "dnf.pdnf",
                         "svr_dnf.psvr", "nf.pnf1", "svr_nf.psvr", "gmm.pgmm"]
-    # 7 models, 5 inference files, GOP, 3 feature-fusion predictions and
-    # the stamps of 15 stages
-    assert len(out[1][0]) == 31
+    # 7 models, 5 inference files, GOP, 3 SVR and 3 feature-fusion
+    # prediction files and the stamps of 11 stages
+    assert len(out[1][0]) == 30
     assert out[1] == out[2]
     assert out[1][3] == out[1][4] == ["ivector", "nf", "dnf"]
     assert [r.system for r in out[1][2]][:7] == [

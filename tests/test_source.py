@@ -94,6 +94,21 @@ def test_only_the_corpus_module_reads_corpus_files():
     assert named == {}
 
 
+def test_only_the_cli_reads_a_model_file():
+    """No module but cli.py calls pipeline.load_model or a model format's
+    reader, so `run` reads no model file: its stages hand on tables."""
+    readers = {"load_model", "load_gmm", "load_ivector_model", "load_flow",
+               "load_dnf", "load_svr"}
+    called = {}
+    for name, tree in TREES.items():
+        names = {node.func.attr if isinstance(node.func, ast.Attribute)
+                 else getattr(node.func, "id", None)
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        if name != "cli.py" and names & readers:
+            called[name] = sorted(names & readers)
+    assert called == {}
+
+
 def test_readme_format_table_is_the_version_table():
     rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| (\d+) \|$", README, re.M)
     assert {magic: int(version) for magic, version in rows} == formats.VERSIONS
