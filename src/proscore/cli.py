@@ -100,12 +100,12 @@ def cmd_train_svr(args) -> int:  # SMO is deterministic: --seed is unused
 
 def _inferred(model, features: dict, index: int, what: str) -> dict:
     """Item `index` of pipeline.infer, 0 the log-likelihoods or 1 the
-    embeddings, which the model must give."""
-    values = pipeline.infer(model, features)[index]
-    if values is None:
-        raise DataError(
-            f"{pipeline.model_system(model)} models give no {what}")
-    return values
+    embeddings, which the model's kind must give (its INFERENCE_FILES
+    entry names a table), checked before the pass."""
+    system = pipeline.model_system(model)
+    if not pipeline.INFERENCE_FILES.get(system, (None, None))[index]:
+        raise DataError(f"{system} models give no {what}")
+    return pipeline.infer(model, features)[index]
 
 
 def cmd_embed(args) -> int:

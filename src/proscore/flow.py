@@ -30,6 +30,8 @@ FLOW_MAGIC = "PNF1"
 LOG_2PI = float(np.log(2.0 * np.pi))
 INIT_CAP = 2.0  # initial bound on the coupling log-scales
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# a pass without a backward cache runs over blocks of at least this many rows
+_PASS_ROWS = 4096
 
 
 class TrainingDivergence(RuntimeError):
@@ -230,19 +232,28 @@ class FlowModel:
         self.dim = dim
 
     def forward(self, batch):
-        out = batch
-        logdet = np.zeros(batch.shape[0])
+        """f of the batch and ln|det df/dz| per row, over row blocks."""
+        return _blocked(self._forward_rows, batch)
+
+    def inverse(self, batch, caches=None):
+        """f^-1 of the batch and ln|det df^-1/do| per row. Each layer's
+        backward cache is appended to `caches` unless it is None; then no
+        layer keeps one, and the pass runs over row blocks."""
+        if caches is None:
+            return _blocked(self._inverse_rows, batch)
+        return self._inverse_rows(batch, caches)
+
+    def _forward_rows(self, rows):
+        out = rows
+        logdet = np.zeros(rows.shape[0])
         for layer in self.layers:
             out, ld = layer.forward(out)
             logdet += ld
         return out, logdet
 
-    def inverse(self, batch, caches=None):
-        """f^-1 of the batch and ln|det df^-1/do| per row. Each layer's
-        backward cache is appended to `caches` unless it is None; then no
-        layer keeps one."""
-        out = batch
-        logdet = np.zeros(batch.shape[0])
+    def _inverse_rows(self, rows, caches=None):
+        out = rows
+        logdet = np.zeros(rows.shape[0])
         for layer in reversed(self.layers):
             out, sum_s, cache = layer.inverse_cached(out, caches is not None)
             if caches is not None:
@@ -265,6 +276,33 @@ class FlowModel:
         """Make `arrays` (in params() order) the model's parameters."""
         for (owner, name), arr in zip(self._slots(), arrays, strict=True):
             setattr(owner, name, arr)
+
+
+def _row_blocks(n: int) -> list:
+    """The row slices of a pass without a backward cache over n rows:
+    n // _PASS_ROWS blocks of equal size but for one row, so that a batch
+    of fewer than 2 * _PASS_ROWS rows is one block, and every block of a
+    larger one has _PASS_ROWS rows and a share of the remainder. Every
+    BLAS product then has the thousands of rows for which its rows round
+    as in one whole-batch product (blocks of a few hundred rows change the
+    last bit of some), and the coupling nets hold hidden activations of
+    at most 2 * _PASS_ROWS - 1 rows, and of fewer than a last block that
+    took the whole remainder."""
+    count = max(n // _PASS_ROWS, 1)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _blocked(pass_rows, batch):
+    """pass_rows(rows) -> (images, log|det|) over the row blocks of the
+    batch, into whole outputs."""
+    blocks = _row_blocks(batch.shape[0])
+    if len(blocks) == 1:
+        return pass_rows(batch)
+    out, logdet = np.empty(batch.shape), np.empty(batch.shape[0])
+    for rows in blocks:
+        out[rows], logdet[rows] = pass_rows(batch[rows])
+    return out, logdet
 
 
 def build_flow(dim: int, num_layers: int = 10, width: int = 64,
@@ -323,17 +361,28 @@ def flow_embed(m: FlowModel, fs: FeatureSequence) -> np.ndarray:
 # training
 
 
-def _inverse_nll(m: FlowModel, batch: np.ndarray, prior_means, caches):
-    """Mean NLL of the batch and its residuals z - mu, by the inverse pass
-    and the density that inference uses."""
-    z, logdet = m.inverse(batch, caches)
-    resid = z if prior_means is None else z - prior_means
-    return -float(log_density(resid, logdet).mean()), resid
+class _ClassMeans:
+    """The prior mean of each row, class_means[frame_class[row]], given a
+    slice of rows at a time, so that no (N, D) array of them is made."""
+
+    def __init__(self, class_means, frame_class):
+        self.class_means, self.frame_class = class_means, frame_class
+
+    def __getitem__(self, rows):
+        return self.class_means[self.frame_class[rows]]
 
 
 def mean_nll(m: FlowModel, batch: np.ndarray, prior_means=None) -> float:
-    """Mean NLL of the batch, the loss of nll_and_grads without gradients."""
-    return _inverse_nll(m, batch, prior_means, None)[0]
+    """Mean NLL of the batch, the loss of nll_and_grads without gradients:
+    the log-densities of each row block from its inverse pass, so that no
+    latent array of the whole batch is made. `prior_means` gives the rows'
+    prior means by row slices: an (N, D) array, or _ClassMeans."""
+    log_p = np.empty(batch.shape[0])
+    for rows in _row_blocks(batch.shape[0]):
+        z, logdet = m.inverse(batch[rows])
+        resid = z if prior_means is None else z - prior_means[rows]
+        log_p[rows] = log_density(resid, logdet)
+    return -float(log_p.mean())
 
 
 def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None,
@@ -347,7 +396,9 @@ def nll_and_grads(m: FlowModel, batch: np.ndarray, prior_means=None,
     arrays.
     """
     caches = []
-    loss, resid = _inverse_nll(m, batch, prior_means, caches)
+    z, logdet = m.inverse(batch, caches)
+    resid = z if prior_means is None else z - prior_means
+    loss = -float(log_density(resid, logdet).mean())
     if grads is None:
         grads = [np.empty_like(p) for p in m.params()]
     n = batch.shape[0]
@@ -457,8 +508,8 @@ def train_core(m: FlowModel, frames: np.ndarray, cfg: AdamConfig,
                     np.add.at(grads[-1], frame_class[idx], -resid / len(idx))
                 opt.step(flat, grad_flat)
             trace.append(float(np.mean(losses)))
-        trace[-1] = mean_nll(m, frames,
-                             None if means is None else means[frame_class])
+        trace[-1] = mean_nll(m, frames, None if means is None
+                             else _ClassMeans(means, frame_class))
     if not np.isfinite(trace[-1]):
         raise TrainingDivergence(cfg.epochs - 1)
     if means is not None:

@@ -142,6 +142,68 @@ def gmm_loglik(m: GmmModel, fs: FeatureSequence):
     return per_frame, float(per_frame.mean())
 
 
+def _nearest_exact(xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The first nearest center of each column of xt (D, m), by squared
+    distances summed over the last axis of an (m, K, D) tensor, taken
+    _BLOCK // K frames at a time: their (x_d - c_kd)^2 terms are added as
+    whole (K, frames) rows (_pairwise_sum)."""
+    D, m = xt.shape
+    c = centers.T[:, :, None]
+    step = max(_BLOCK // len(centers), 1)
+    near = np.empty(m, dtype=np.intp)
+    for lo in range(0, m, step):
+        blk = xt[:, None, lo:lo + step]
+
+        def squares(i, j):  # the (j - i, K, frames) terms (x_d - c_kd)^2
+            d = blk[i:j] - c[i:j]
+            return np.square(d, out=d)
+
+        near[lo:lo + step] = _pairwise_sum(squares, 0, D).argmin(axis=0)
+    return near
+
+
+def _nearest(xt: np.ndarray, reach: np.ndarray, centers: np.ndarray,
+             out: np.ndarray) -> None:
+    """out[n] = _nearest_exact's center of frame xt[:, n], by filter and
+    verify. Per block of frames one (K, block) product gives
+    a_k = ||c_k||^2 - 2 x.c_k, which is ||x - c_k||^2 - ||x||^2 up to
+    rounding. Both a_k and the summed squares are within
+    (D + 2) * eps * (||x|| + max ||c||)^2 of the exact value, so where
+    the runner-up's a exceeds the least by 32 times that, the least is
+    the first nearest center of the summed squares too; only the other
+    frames (ties among them, and any non-finite value) get the summed
+    squares. `reach` holds each frame's ||x||."""
+    K, D = centers.shape
+    cn = np.square(centers).sum(axis=1)
+    # 32 (D + 2) units of the least subnormal bound the rounding of values
+    # below the normal range, where eps does not
+    tol, floor = (32 * (D + 2) * np.finfo(float).eps,
+                  32 * (D + 2) * np.finfo(float).smallest_subnormal)
+    cmax = np.sqrt(cn.max())
+    for lo in range(0, xt.shape[1], _BLOCK):
+        blk = xt[:, lo:lo + _BLOCK]
+        a = centers @ blk  # (K, block)
+        a *= -2.0
+        a += cn[:, None]
+        if K == 2:  # the gap without an argmin
+            near = (a[1] < a[0]).astype(np.intp)
+            gap = np.abs(a[0] - a[1])
+        else:
+            near = a.argmin(axis=0)
+            cols = np.arange(a.shape[1])
+            gap = -a[near, cols]
+            a[near, cols] = np.inf
+            gap += a.min(axis=0)
+        bound = reach[lo:lo + _BLOCK] + cmax
+        np.square(bound, out=bound)
+        bound *= tol
+        bound += floor
+        loose = np.flatnonzero(~(gap > bound))
+        if loose.size:
+            near[loose] = _nearest_exact(blk[:, loose], centers)
+        out[lo:lo + a.shape[1]] = near
+
+
 def _kmeans_init(frames: np.ndarray, K: int, rng, iters: int = 10) -> np.ndarray:
     """Seeded k-means on a random subset of starting centers.
 
@@ -153,18 +215,10 @@ def _kmeans_init(frames: np.ndarray, K: int, rng, iters: int = 10) -> np.ndarray
     idx = rng.choice(N, size=K, replace=False)
     centers = frames[idx].copy()
     xt = np.ascontiguousarray(frames.T)  # (D, N)
+    reach = np.sqrt(np.einsum("dn,dn->n", xt, xt))  # ||x|| of each frame
     assign = np.empty(N, dtype=np.intp)
     for _ in range(iters):
-        c = centers.T[:, :, None]
-        for lo in range(0, N, _BLOCK):
-            blk = xt[:, None, lo:lo + _BLOCK]
-
-            def squares(i, j):  # the (j - i, K, block) terms (x_d - c_kd)^2
-                d = blk[i:j] - c[i:j]
-                return np.square(d, out=d)
-
-            d2 = _pairwise_sum(squares, 0, D)  # (K, block)
-            assign[lo:lo + d2.shape[1]] = d2.argmin(axis=0)
+        _nearest(xt, reach, centers, assign)
         counts = np.bincount(assign, minlength=K)
         if D > 1:
             # a selection's mean(axis=0) adds its rows one after another,

@@ -652,11 +652,12 @@ def _model_of_dim_2(d, system):
 
 @pytest.mark.parametrize("command, system", [
     ("embed", "nf"), ("embed", "dnf"), ("embed", "ivector"),
-    ("score", "gmm"), ("score", "nf"), ("score", "dnf")])
+    ("score", "gmm"), ("score", "nf")])
 def test_model_of_another_dim_names_the_utterance(corpus_dir, tmp_path, capsys,
                                                   command, system):
-    """Every model reads frames of its own dimension; the 6-dim corpus's
-    first utterance is named when the model's is 2."""
+    """Every model that gives the command's value reads frames of its own
+    dimension; the 6-dim corpus's first utterance is named when the
+    model's is 2."""
     _, manifest = corpus_dir
     assert main([command, "--manifest", str(manifest), "--out",
                  str(tmp_path / "out.tsv"),
@@ -691,6 +692,28 @@ def test_model_without_the_value_exits_2(corpus_dir, tmp_path, capsys,
                  "--model", str(path)]) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, system", [
+    ("score", "dnf"), ("score", "ivector"), ("embed", "gmm")])
+def test_model_without_the_value_runs_no_inference_pass(
+        corpus_dir, tmp_path, capsys, monkeypatch, command, system):
+    """The model's kind decides that it gives no such value, before
+    pipeline.infer runs it over a single utterance."""
+    calls = []
+    monkeypatch.setattr(pipeline, "infer",
+                        lambda *args: calls.append(args) or (None, None))
+    ubm = gmm.GmmModel(np.ones(1), np.zeros((1, 6)), np.ones((1, 6)))
+    path = tmp_path / f"model.{system}"
+    save_model(path, {
+        "gmm": ubm,
+        "ivector": ivector.IVectorModel(ubm, np.ones((1, 6, 2))),
+        "dnf": dnf.DnfModel(flow.build_flow(6, 2, 4), np.zeros((1, 6)))
+    }[system])
+    assert main([command, "--manifest", str(corpus_dir[1]), "--out",
+                 str(tmp_path / "out.tsv"), "--model", str(path)]) == 2
+    assert "models give no" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_proscore_defines_three_exception_classes():

@@ -488,6 +488,128 @@ def test_forward_memory_is_bounded():
     assert _traced_peak(m.forward, frames) <= _pass_bound()
 
 
+# ---------------------------------------------------------------------------
+# passes without a backward cache run over row blocks of at least 4,096 rows
+
+
+def _whole_pass(m, batch, direction):
+    """The expression-form pass of every layer over the whole batch, in
+    one product per net: the oracle of the blocked passes."""
+    out, logdet = batch, np.zeros(batch.shape[0])
+    if direction == "inverse":
+        for layer in reversed(m.layers):
+            out, sum_s, _ = _ref_inverse_cached(layer, out)
+            logdet -= sum_s
+        return out, logdet
+    for layer in m.layers:
+        a = out[:, layer.cond]
+        s = float(layer.cap) * np.tanh(_ref_net_forward(layer.scale_net, a)[0])
+        t = _ref_net_forward(layer.shift_net, a)[0]
+        y = np.empty_like(out)
+        y[:, layer.cond] = a
+        y[:, layer.trans] = out[:, layer.trans] * np.exp(s) + t
+        out = y
+        logdet += s.sum(axis=1)
+    return out, logdet
+
+
+# below one block, one block, the largest single block, and blocks of
+# 4,096 rows with a remainder of 0, 1, 4,095, 5 and 77 rows spread over them
+BLOCKED_ROWS = [4095, 4096, 8191, 8192, 8193, 12287, 12293, 20557]
+
+
+@pytest.mark.parametrize("rows", BLOCKED_ROWS)
+def test_blocked_passes_equal_the_whole_batch_pass(rows):
+    """FlowModel.inverse without caches, FlowModel.forward and mean_nll,
+    NF and DNF (prior means, as an array and as train_core's per-block
+    class means), equal the whole-batch pass bit for bit."""
+    rng = np.random.default_rng(rows)
+    m = _randomized_flow(_DIM, 6, _WIDTH, seed=rows % 97)
+    batch = rng.standard_normal((rows, _DIM)) * 1.5 + 0.5
+    for direction in ("inverse", "forward"):
+        want = _whole_pass(m, batch, direction)
+        for got, ref in zip(getattr(m, direction)(batch), want):
+            _assert_same_bits(got, ref)
+    z, logdet = _whole_pass(m, batch, "inverse")
+    means, frame_class = rng.standard_normal((5, _DIM)), rng.integers(0, 5, rows)
+    for prior in (None, means[frame_class]):
+        resid = z if prior is None else z - prior
+        log_p = -0.5 * (resid ** 2).sum(axis=1) - 0.5 * _DIM * LOG_2PI + logdet
+        assert mean_nll(m, batch, prior) == -float(log_p.mean())
+    assert mean_nll(m, batch, flow._ClassMeans(means, frame_class)) == \
+        mean_nll(m, batch, means[frame_class])
+
+
+@pytest.mark.parametrize("rows", [100, *BLOCKED_ROWS])
+def test_no_cache_passes_run_the_nets_on_blocks_of_4096_rows_or_more(
+        monkeypatch, rows):
+    """Blocks of a few hundred rows change the last bits of some rows, so
+    every pass without a backward cache calls each coupling net on 4,096 to
+    8,191 rows, or on the whole batch when it has fewer rows, and on blocks
+    that differ by at most one row."""
+    calls, net_forward = [], flow.CouplingNet.forward
+
+    def counted(net, x):
+        calls.append(x.shape[0])
+        return net_forward(net, x)
+
+    monkeypatch.setattr(flow.CouplingNet, "forward", counted)
+    m = _randomized_flow(4, 3, 8, seed=rows % 89)
+    batch = np.random.default_rng(rows).standard_normal((rows, 4))
+    for run in (lambda: m.inverse(batch), lambda: m.forward(batch),
+                lambda: mean_nll(m, batch), lambda: flow_logprob(m, batch)):
+        calls.clear()
+        run()
+        assert sum(calls) == 6 * rows  # two nets in each of three layers
+        if rows < 4096:
+            assert calls == [rows] * 6
+        else:
+            assert 4096 <= min(calls) and max(calls) <= 8191
+            assert max(calls) - min(calls) <= 1
+
+
+# the frames of the blocked-pass bounds below
+_BIG_N = 100_000
+
+
+def _blocked_pass_bound(whole_columns: int) -> float:
+    """The bound of a blocked pass over _BIG_N x _DIM frames, in bytes:
+    `whole_columns` columns of _BIG_N doubles, which hold the pass's
+    outputs and what is computed from them, plus the arrays of one block
+    of at most 2 * 4,096 - 1 rows, with the columns of _pass_bound:
+    (2 * width + 2 * dim + 3 * (dim // 2) + 2) * 8,191 doubles, 10.09 MB,
+    plus up to 2 MB."""
+    block = 2 * flow._PASS_ROWS - 1
+    return (whole_columns * _BIG_N
+            + (2 * _WIDTH + 2 * _DIM + 3 * (_DIM // 2) + 2) * block) * 8 + 2e6
+
+
+def test_mean_nll_memory_is_bounded_by_a_block():
+    """mean_nll of 100,000 x 16 frames through 6 layers of width 48, NF
+    and DNF. Its one whole column is the rows' log-densities (0.8 MB).
+    Beside it, one block's arrays are alive at a time: those of the
+    block's inverse pass (10.09 MB at most), after which the block's
+    latent rows, their residuals and squares and two row vectors (3 * dim
+    + 2 columns) take their place. So the bound is 1 column and a block's
+    arrays, 10.89 MB, plus up to 2 MB. A whole-batch pass would hold
+    2 N x 48 hidden arrays, 76.8 MB, and the whole latent array 12.8 MB."""
+    frames = np.random.default_rng(31).standard_normal((_BIG_N, _DIM))
+    mu = np.random.default_rng(32).standard_normal((_BIG_N, _DIM))
+    m = _randomized_flow(_DIM, 6, _WIDTH, seed=31)
+    for prior in (None, mu):
+        assert _traced_peak(mean_nll, m, frames, prior) <= _blocked_pass_bound(1)
+
+
+def test_forward_memory_is_bounded_by_a_block():
+    """FlowModel.forward of the frames of
+    test_mean_nll_memory_is_bounded_by_a_block: its output and logdet
+    (dim + 1 columns, 13.6 MB) and one block's arrays (10.09 MB), plus up
+    to 2 MB."""
+    frames = np.random.default_rng(31).standard_normal((_BIG_N, _DIM))
+    m = _randomized_flow(_DIM, 6, _WIDTH, seed=31)
+    assert _traced_peak(m.forward, frames) <= _blocked_pass_bound(_DIM + 1)
+
+
 @pytest.mark.parametrize("epochs", [1, 4])
 @pytest.mark.parametrize("with_means", [False, True])
 def test_training_makes_one_full_data_pass(monkeypatch, epochs, with_means):

@@ -226,6 +226,81 @@ def test_kmeans_init_breaks_ties_as_the_oracle():
         assert np.array_equal(got, want), d
 
 
+def _counted_rechecks(monkeypatch):
+    """A list that gets the number of frames of each call of the exact
+    path, which the filtered assignment takes for the frames it cannot
+    decide."""
+    counts, exact = [], gmm._nearest_exact
+
+    def counted(xt, centers):
+        counts.append(xt.shape[1])
+        return exact(xt, centers)
+
+    monkeypatch.setattr(gmm, "_nearest_exact", counted)
+    return counts
+
+
+def _tie_heavy_frames(kind, n, d, K, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "duplicated":
+        # K - 1 distinct frames: two starting centers coincide, and the
+        # frames nearest to them tie exactly
+        return _clustered_frames(K - 1, d, seed)[rng.integers(0, K - 1, n)]
+    if kind == "integer grid":  # many frames equidistant from two centers
+        return rng.integers(-2, 3, (n, d)).astype(np.float64)
+    # eighths far from the origin: the rounding of ||c||^2 - 2 x.c exceeds
+    # the gaps between the distances, so the product decides no frame
+    return 1e7 + rng.integers(-8, 9, (n, d)) / 8.0
+
+
+@pytest.mark.parametrize("kind", ["duplicated", "integer grid", "far grid"])
+@pytest.mark.parametrize("d", [1, 5, 16])
+def test_filtered_kmeans_equals_dense_oracle_on_ties(monkeypatch, kind, d):
+    """Frames that tie or nearly tie between centers go to the exact path,
+    and the result is the dense oracle's, bit for bit."""
+    counts = _counted_rechecks(monkeypatch)
+    for K in (2, 3, 9):
+        frames = _tie_heavy_frames(kind, gmm._BLOCK + 99, d, K, d + K)
+        got = gmm._kmeans_init(frames, K, np.random.default_rng(K))
+        want = _dense_kmeans(frames, K, np.random.default_rng(K))
+        assert np.array_equal(got, want), K
+    assert sum(counts) > 0
+
+
+@pytest.mark.parametrize("K", [2, 3, 16])
+def test_frames_equidistant_from_two_centers_go_to_the_first(monkeypatch, K):
+    """Centers 0 and 1 mirror each other in the first dimension, and every
+    frame lies on the plane between them, so its summed squares to both
+    are equal: each frame is rechecked, and goes to center 0."""
+    counts = _counted_rechecks(monkeypatch)
+    rng = np.random.default_rng(K)
+    D, N = 6, 3000
+    centers = 3.0 * rng.standard_normal((K, D))
+    centers[1] = centers[0]
+    centers[1, 0] = -centers[0, 0]
+    centers[2:, 0] += 100.0  # the others are farther away
+    frames = rng.standard_normal((N, D)) + centers[0]
+    frames[:, 0] = 0.0
+    xt = np.ascontiguousarray(frames.T)
+    got = np.empty(N, dtype=np.intp)
+    gmm._nearest(xt, np.linalg.norm(frames, axis=1), centers, got)
+    want = ((frames[:, None, :] - centers[None]) ** 2).sum(axis=2).argmin(axis=1)
+    assert np.array_equal(got, want)
+    assert sum(counts) == N
+    assert not want.any()
+
+
+def test_clustered_frames_skip_the_exact_path(monkeypatch):
+    """On frames drawn around separated clusters the product decides every
+    frame's nearest center: the exact path does not run."""
+    counts = _counted_rechecks(monkeypatch)
+    frames = _clustered_frames(2 * gmm._BLOCK + 1237, 16, 29)
+    got = gmm._kmeans_init(frames, 16, np.random.default_rng(16))
+    assert np.array_equal(
+        got, _dense_kmeans(frames, 16, np.random.default_rng(16)))
+    assert counts == []
+
+
 def test_gmm_train_equals_reference_em():
     for d, n in ORACLE_DIMS:
         frames = _clustered_frames(n, d, 14 + d)
@@ -270,15 +345,24 @@ def test_per_utterance_logsumexp_equals_the_training_helper():
 
 def test_kmeans_init_memory_is_bounded():
     """100,000 x 16 frames and K=16: the dense (N, K, D) tensor would take
-    205 MB; the blocked assignment keeps the peak to a few blocks."""
-    frames = _clustered_frames(100_000, 16, 15)
+    205 MB. k-means holds the (D, N) copy of the frames, each frame's norm
+    and its center (D + 2 columns of N doubles, 14.4 MB). Per block of
+    4,096 frames it adds the (K, block) product and at most a copy of the
+    block's (D, block) frames ((K + D) * 4,096 doubles, 1.05 MB), a few
+    block-long vectors, and for the frames that it rechecks at most two
+    (8, K, 4,096 / K) difference terms (0.52 MB): 15.97 MB, plus up to 1 MB.
+    The (8, K, block) difference terms of every frame would add 4.2 MB
+    each."""
+    N, D, K = 100_000, 16, 16
+    frames = _clustered_frames(N, D, 15)
     tracemalloc.start()
     try:
-        gmm._kmeans_init(frames, 16, np.random.default_rng(0), iters=2)
+        gmm._kmeans_init(frames, K, np.random.default_rng(0), iters=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50e6
+    block = gmm._BLOCK
+    assert peak <= ((D + 2) * N + (K + D) * block + 2 * 8 * block) * 8 + 1e6
 
 
 def test_gmm_train_memory_is_bounded():
